@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 verification or computation
 failure, 2 usage/input error.  Output is deterministic: identical
-invocations produce byte-identical output regardless of --jobs.
+invocations produce byte-identical output.  ``--jobs`` is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -10,15 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import Optional
 
 from . import rigidtab
 from .conj import UnstableAtBound, newton_zero_classes
-from .exactpoly import render_in_Q
 from .hecke import HeckeContext
-from .rootdata import PRESET_NAMES, DatumFormatError, load_datum, preset
-from .weyl import WeylData
+from .rootdata import (
+    PRESET_NAMES,
+    DatumFormatError,
+    InfiniteWeylGroup,
+    NotCartan,
+    NotReduced,
+    load_datum,
+    preset,
+)
+from .weyl import OmegaSearchExhausted, WeylData
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -33,22 +41,37 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_weyl(args) -> WeylData:
-    if args.preset:
-        return WeylData(preset(args.preset))
-    return WeylData(load_datum(args.datum))
+# input errors of a root datum: unreadable, malformed or out of scope
+_DATUM_ERRORS = (
+    DatumFormatError,
+    KeyError,
+    NotCartan,
+    InfiniteWeylGroup,
+    NotReduced,
+    OmegaSearchExhausted,
+)
+
+
+def _load_weyl(args) -> Optional[WeylData]:
+    """The group data of --preset/--datum, or None after an error on stderr."""
+    try:
+        if args.preset:
+            return WeylData(preset(args.preset))
+        return WeylData(load_datum(args.datum))
+    except _DATUM_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_classes(args) -> int:
+    wd = _load_weyl(args)
+    if wd is None:
+        return EXIT_USAGE
     try:
-        wd = _load_weyl(args)
         classes = newton_zero_classes(wd, args.max_length)
     except UnstableAtBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (DatumFormatError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     records = [r.to_json(wd) for r in classes]
     if args.format == "json":
         text = json.dumps({"datum": wd.datum.name, "classes": records}, indent=2) + "\n"
@@ -94,65 +117,28 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     try:
         pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
-        man = pc.manifest
-        qtable = pc.ctx.table.q_table()
-        cells = [(i, j) for i in range(len(pc.rows)) for j in range(len(pc.modules))]
-
-        def cell(ij):
-            i, j = ij
-            return render_in_Q(pc.modules[j].trace(pc.rows[i].rep))
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                values = list(pool.map(cell, cells))
-        else:
-            values = [cell(ij) for ij in cells]
-        entries = [
-            [values[i * len(pc.modules) + j] for j in range(len(pc.modules))]
-            for i in range(len(pc.rows))
-        ]
-        table = rigidtab.RigidTable(
-            man.name, man.row_labels, tuple(c.label for c in man.columns),
-            entries, qtable, man.columns,
-        )
+        table = rigidtab.build_rigid_table(pc)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    cells = None
     if args.spec:
         try:
             assignment = _parse_spec(args.spec)
-            vals = table.evaluate(assignment)
+            cells = [[str(v) for v in row] for row in table.evaluate(assignment)]
         except (ValueError, KeyError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.format == "json":
-            text = json.dumps(
-                {
-                    "name": table.name,
-                    "spec": {k: str(v) for k, v in sorted(assignment.items())},
-                    "rows": list(table.row_labels),
-                    "cols": list(table.col_labels),
-                    "entries": [[str(v) for v in row] for row in vals],
-                },
-                indent=2,
-            ) + "\n"
-        elif args.format == "csv":
-            lines = [",".join([table.name] + list(table.col_labels))]
-            for lab, row in zip(table.row_labels, vals):
-                lines.append(",".join([lab] + [str(v) for v in row]))
-            text = "\n".join(lines) + "\n"
-        else:
-            head = [table.name] + list(table.col_labels)
-            lines = ["| " + " | ".join(head) + " |", "|" + "|".join(["---"] * len(head)) + "|"]
-            for lab, row in zip(table.row_labels, vals):
-                lines.append("| " + " | ".join([lab] + [str(v) for v in row]) + " |")
-            text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        text = json.dumps(table.to_json_dict(), indent=2) + "\n"
+    if args.format == "json":
+        data = table.to_json_dict(cells)
+        if args.spec:
+            spec = {k: str(v) for k, v in sorted(assignment.items())}
+            data = {"name": data.pop("name"), "spec": spec, **data}
+        text = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
-        text = table.to_csv()
+        text = table.to_csv(cells)
     else:
-        text = table.to_markdown()
+        text = table.to_markdown(cells)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -164,19 +150,10 @@ def cmd_verify(args) -> int:
     if args.preset and args.preset in rigidtab.MANIFESTS:
         pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
     elif args.suite in ("lengths", "classes", "counts"):
-        # datum-only suites: build a bare context without a module panel
-        try:
-            wd = _load_weyl(args)
-        except (DatumFormatError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        wd = _load_weyl(args)
+        if wd is None:
             return EXIT_USAGE
-        man = rigidtab.PresetManifest(
-            wd.datum.name, None, (), (), (), lambda qt: None, ""
-        )
-        classes = newton_zero_classes(wd, args.max_length)
-        pc = rigidtab.PresetContext(
-            man, wd, HeckeContext(wd), classes, list(classes), []
-        )
+        pc = rigidtab.datum_context(wd, L=args.max_length)
     else:
         print(
             "error: this suite needs a preset module panel (use --preset)",
@@ -204,10 +181,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        wd = _load_weyl(args)
-    except (DatumFormatError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    wd = _load_weyl(args)
+    if wd is None:
         return EXIT_USAGE
     letters = [w.strip() for w in args.word.split(",") if w.strip()]
     try:
@@ -253,7 +228,9 @@ def main(argv=None) -> int:
         p.add_argument("--max-length", type=int, default=8, help="class enumeration bound")
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="parallel cell computation")
+        p.add_argument(
+            "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+        )
 
     p_classes = sub.add_parser("classes", help="enumerate Newton-zero conjugacy classes")
     common(p_classes, preset_required=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .rootdata import semisimple_quotient
-from .weyl import Elt, WeylData
+from .weyl import Elt, WeylData, union_find
 
 
 class PlateauBudgetExceeded(RuntimeError):
@@ -110,30 +110,18 @@ def _finite_order_ball(wd: WeylData, L: int) -> list[Elt]:
 
 def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
     index = {e: i for i, e in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
     conjugators = [(s.elt, s.elt) for s in wd.affine_simple] + [
         (om, wd.inv(om)) for om in wd.omega_elements[1:]
     ]
-    for e in elems:
-        i = index[e]
+    pairs = []
+    for i, e in enumerate(elems):
         for g, ginv in conjugators:
-            h = wd.mult(wd.mult(g, e), ginv)
-            j = index.get(h)
+            j = index.get(wd.mult(wd.mult(g, e), ginv))
             if j is not None:
-                union(i, j)
+                pairs.append((i, j))
     groups: dict[int, list[Elt]] = {}
-    for e in elems:
-        groups.setdefault(find(index[e]), []).append(e)
+    for e, root in zip(elems, union_find(len(elems), pairs)):
+        groups.setdefault(root, []).append(e)
     return list(groups.values())
 
 
@@ -277,14 +265,7 @@ def count_identity_check(wd: WeylData, L: int = 8) -> CountIdentityReport:
         # N_J orbits on the lifting classes
         n_j = wd.normalizer_reps(J)
         label_to_pos = {rec.label: k for k, rec in enumerate(lifting)}
-        parent = list(range(len(lifting)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        pairs = []
         if r > 0 and len(n_j) > 1 and lifting:
             m = wd.rank
             for z in n_j:
@@ -315,11 +296,8 @@ def count_identity_check(wd: WeylData, L: int = 8) -> CountIdentityReport:
                     )
                     uu = _quotient_weyl_index(qwd, conj)
                     target = classify(qwd, (xx, uu), lifting)
-                    j2 = label_to_pos[target.label]
-                    ri, rj = find(k), find(j2)
-                    if ri != rj:
-                        parent[ri] = rj
-        orbits = len({find(i) for i in range(len(lifting))}) if lifting else 0
+                    pairs.append((k, label_to_pos[target.label]))
+        orbits = len(set(union_find(len(lifting), pairs)))
         total += orbits
         per_j.append((J, orbits))
     return CountIdentityReport(total == expected, total, expected, tuple(per_j))

@@ -47,6 +47,58 @@ def _sqrt_name(orbit_name: str) -> str:
     return "v" + orbit_name[1:] if orbit_name.startswith("q") else "v_" + orbit_name
 
 
+def _accumulate(out: dict, key, v: LaurentPoly, zero: LaurentPoly) -> None:
+    """out[key] += v, dropping the key when the sum vanishes."""
+    s = out.get(key, zero) + v
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _twin_nodes(wd: WeylData) -> list[Optional[int]]:
+    """Per Pi position, the S^a index of its q(s~)-twin s~, or None.
+
+    A 2X^-flagged finite node lies in an affine C~_l component, which is a
+    path graph; its twin is the mirror node of that path.
+    """
+    n = len(wd.affine_simple)
+    bonds: dict[int, list[int]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = wd.bond_order(i, j)
+            if m is None or m > 2:
+                bonds.setdefault(i, []).append(j)
+                bonds.setdefault(j, []).append(i)
+    out: list[Optional[int]] = []
+    for pos in range(wd.npi):
+        if not wd.two_Xvee_flags[pos]:
+            out.append(None)
+            continue
+        k = wd.sa_index[f"s{pos + 1}"]
+        comp = {k}
+        frontier = [k]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in bonds.get(a, []):
+                    if b not in comp:
+                        comp.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        if len(comp) == 1:
+            raise ValueError("2X^-flagged root with isolated diagram node")
+        ends = [a for a in comp if len([b for b in bonds.get(a, []) if b in comp]) <= 1]
+        path = [min(ends)]
+        while len(path) < len(comp):
+            nbrs = [b for b in bonds.get(path[-1], []) if b in comp and b not in path]
+            if len(nbrs) != 1:
+                raise ValueError("2X^ component is not a path; cannot find s~")
+            path.append(nbrs[0])
+        out.append(path[len(path) - 1 - path.index(k)])
+    return out
+
+
 class HeckeContext:
     """Algebra context: a WeylData plus the parameter/twist variable table.
 
@@ -111,48 +163,9 @@ class HeckeContext:
 
     def _build_finite_pairs(self):
         wd = self.wd
-        n = len(wd.affine_simple)
-        bonds = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = wd.bond_order(i, j)
-                if m is None or m > 2:
-                    bonds.setdefault(i, []).append(j)
-                    bonds.setdefault(j, []).append(i)
-        self.v_of_pi: list[LaurentPoly] = []
-        self.Q_of_pi: list[LaurentPoly] = []
-        self.twin_v_of_pi: list[Optional[LaurentPoly]] = []
-        for i in range(wd.npi):
-            k = wd.sa_index[f"s{i + 1}"]
-            v = self.v_of_sa[k]
-            self.v_of_pi.append(v)
-            self.Q_of_pi.append(v * v)
-            if not wd.two_Xvee_flags[i]:
-                self.twin_v_of_pi.append(None)
-                continue
-            # mirror node of s in its affine C~_l component (a path graph)
-            comp = {k}
-            frontier = [k]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in bonds.get(a, []):
-                        if b not in comp:
-                            comp.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            ends = [a for a in comp if len([b for b in bonds.get(a, []) if b in comp]) <= 1]
-            if len(comp) == 1:
-                raise ValueError("2X^-flagged root with isolated diagram node")
-            start = min(ends)
-            path = [start]
-            while len(path) < len(comp):
-                nbrs = [b for b in bonds.get(path[-1], []) if b in comp and b not in path]
-                if len(nbrs) != 1:
-                    raise ValueError("2X^ component is not a path; cannot find s~")
-                path.append(nbrs[0])
-            mirror = path[len(path) - 1 - path.index(k)]
-            self.twin_v_of_pi.append(self.v_of_sa[mirror])
+        self.v_of_pi = [self.v_of_sa[wd.sa_index[f"s{i + 1}"]] for i in range(wd.npi)]
+        self.Q_of_pi = [v * v for v in self.v_of_pi]
+        self.twin_v_of_pi = [None if k is None else self.v_of_sa[k] for k in _twin_nodes(wd)]
 
     def one(self) -> LaurentPoly:
         return self._one
@@ -301,20 +314,10 @@ class HeckeContext:
                     f"theta_T({x},{w}) has non-unit coefficient at its anchor"
                 )
             q = c * unit.inverse()
-            key = (x, w)
-            prev = out.get(key, self._zero) + q
-            if prev.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = prev
+            _accumulate(out, e, q, self._zero)
             for f, cf in p.c.items():
-                if f == e:
-                    continue
-                s = work.get(f, self._zero) - q * cf
-                if s.is_zero():
-                    work.pop(f, None)
-                else:
-                    work[f] = s
+                if f != e:
+                    _accumulate(work, f, -(q * cf), self._zero)
         return BernsteinElt(self, out)
 
     def bernstein_to_im(self, b: "BernsteinElt") -> "HeckeElt":
@@ -467,11 +470,7 @@ class HeckeContext:
                     )
                     known.append(rec)
                     rec_by_label[rec.label] = rec
-                prev = out.get(rec.label, self._zero) + c
-                if prev.is_zero():
-                    out.pop(rec.label, None)
-                else:
-                    out[rec.label] = prev
+                _accumulate(out, rec.label, c, self._zero)
                 continue
             f, s = descent
             sf = wd.mult(s.elt, f)
@@ -483,12 +482,8 @@ class HeckeContext:
                     raise RuntimeError("descent without one-sided length drop")
                 sf = fs
             Q = self.Q_of_sa[wd.sa_index[s.name]]
-            for tgt, cc in ((sf, c * (Q - 1)), (sfs, c * Q)):
-                prev = work.get(tgt, self._zero) + cc
-                if prev.is_zero():
-                    work.pop(tgt, None)
-                else:
-                    work[tgt] = prev
+            _accumulate(work, sf, c * (Q - 1), self._zero)
+            _accumulate(work, sfs, c * Q, self._zero)
         entries = [(rec_by_label[lab], out[lab]) for lab in out]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
         return CocenterCombination(self, tuple(entries), e)
@@ -528,89 +523,62 @@ class HeckeContext:
         return cur
 
 
-class HeckeElt:
-    """Finite Λ-combination of IM basis elements T_w."""
+class _Combination:
+    """Finite combination Σ c_k b_k of basis keys with nonzero Laurent
+    coefficients ``c``, over the algebra context ``ctx``."""
 
     __slots__ = ("ctx", "c")
 
     def __init__(self, ctx: HeckeContext, c: dict):
         self.ctx = ctx
-        self.c = {e: v for e, v in c.items() if not v.is_zero()}
+        self.c = {k: v for k, v in c.items() if not v.is_zero()}
 
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
+    def _new(self, c: dict):
+        """A combination of the same kind and owner with coefficients c."""
+        return type(self)(self.ctx, c)
+
+    def __add__(self, other):
         out = dict(self.c)
-        for e, v in other.c.items():
-            s = out.get(e, self.ctx._zero) + v
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return HeckeElt(self.ctx, out)
+        for k, v in other.c.items():
+            _accumulate(out, k, v, self.ctx._zero)
+        return self._new(out)
 
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
+    def __sub__(self, other):
         return self + other.scale(LaurentPoly.const(self.ctx.table, -1))
 
-    def scale(self, c: LaurentPoly) -> "HeckeElt":
-        return HeckeElt(self.ctx, {e: v * c for e, v in self.c.items()})
+    def scale(self, c: LaurentPoly):
+        return self._new({k: v * c for k, v in self.c.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HeckeElt) and self.c == other.c
+        return type(other) is type(self) and self.c == other.c
 
     def is_zero(self) -> bool:
         return not self.c
 
+
+class HeckeElt(_Combination):
+    """Finite Λ-combination of IM basis elements T_w."""
+
+    __slots__ = ()
+
     def mul_gen_right(self, name: str) -> "HeckeElt":
         ctx = self.ctx
         wd = ctx.wd
+        zero = ctx._zero
         g = wd.generator_elt(name)
         out: dict = {}
-
-        def add(e, v):
-            s = out.get(e, ctx._zero) + v
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-
         if name not in wd.sa_index:  # omega: always length-preserving
             for e, v in self.c.items():
-                add(wd.mult(e, g), v)
+                _accumulate(out, wd.mult(e, g), v, zero)
             return HeckeElt(ctx, out)
         Q = ctx.Q_of_sa[wd.sa_index[name]]
         for e, v in self.c.items():
             eg = wd.mult(e, g)
             if wd.length(eg) > wd.length(e):
-                add(eg, v)
+                _accumulate(out, eg, v, zero)
             else:
-                add(e, v * (Q - 1))
-                add(eg, v * Q)
-        return HeckeElt(ctx, out)
-
-    def mul_gen_left(self, name: str) -> "HeckeElt":
-        ctx = self.ctx
-        wd = ctx.wd
-        g = wd.generator_elt(name)
-        out: dict = {}
-
-        def add(e, v):
-            s = out.get(e, ctx._zero) + v
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-
-        if name not in wd.sa_index:
-            for e, v in self.c.items():
-                add(wd.mult(g, e), v)
-            return HeckeElt(ctx, out)
-        Q = ctx.Q_of_sa[wd.sa_index[name]]
-        for e, v in self.c.items():
-            ge = wd.mult(g, e)
-            if wd.length(ge) > wd.length(e):
-                add(ge, v)
-            else:
-                add(e, v * (Q - 1))
-                add(ge, v * Q)
+                _accumulate(out, e, v * (Q - 1), zero)
+                _accumulate(out, eg, v * Q, zero)
         return HeckeElt(ctx, out)
 
     def mul_geninv_right(self, name: str) -> "HeckeElt":
@@ -653,60 +621,26 @@ class HeckeElt:
         return f"HeckeElt({self.render()})"
 
 
-class BernsteinElt:
+class BernsteinElt(_Combination):
     """Finite combination Σ c θ_x T_w with w in the finite Weyl group."""
 
-    __slots__ = ("ctx", "c")
+    __slots__ = ()
 
-    def __init__(self, ctx: HeckeContext, c: dict):
-        self.ctx = ctx
-        self.c = {k: v for k, v in c.items() if not v.is_zero()}
-
-    def to_im(self) -> HeckeElt:
-        return self.ctx.bernstein_to_im(self)
-
-    def __add__(self, other: "BernsteinElt") -> "BernsteinElt":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, self.ctx._zero) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BernsteinElt(self.ctx, out)
-
-    def scale(self, c: LaurentPoly) -> "BernsteinElt":
-        return BernsteinElt(self.ctx, {k: v * c for k, v in self.c.items()})
-
-    def mul_finite_gen_right(self, j: int) -> "BernsteinElt":
+    def mul_finite_gen_right(self, j: int):
         """Right multiplication by T_{s_j} for a finite simple root position j."""
         ctx = self.ctx
         W = ctx.wd.W
         sj = W.gen_index[j]
         Q = ctx.Q_of_pi[j]
         out: dict = {}
-
-        def add(k, v):
-            s = out.get(k, ctx._zero) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-
         for (x, w), v in self.c.items():
             ws = W.mult(w, sj)
             if W.length[ws] > W.length[w]:
-                add((x, ws), v)
+                _accumulate(out, (x, ws), v, ctx._zero)
             else:
-                add((x, w), v * (Q - 1))
-                add((x, ws), v * Q)
-        return BernsteinElt(ctx, out)
-
-    def __eq__(self, other):
-        return isinstance(other, BernsteinElt) and self.c == other.c
-
-    def is_zero(self) -> bool:
-        return not self.c
+                _accumulate(out, (x, w), v * (Q - 1), ctx._zero)
+                _accumulate(out, (x, ws), v * Q, ctx._zero)
+        return self._new(out)
 
     def __repr__(self):
         return f"BernsteinElt({len(self.c)} terms)"
@@ -769,9 +703,6 @@ class Parabolic:
             if w not in self.member_set:
                 raise ValueError("support leaves W_J")
         return ParabolicElt(self, dict(c))
-
-    def one_elt(self) -> "ParabolicElt":
-        return ParabolicElt(self, {((0,) * self.ctx.wd.rank, 0): self.ctx._one})
 
     # Bernstein-Lusztig commutator R_j(x) = θ_x T_s - T_s θ_{s x} as a θ-combo
     def bl_comm(self, j: int, x: Vec) -> dict:
@@ -841,26 +772,19 @@ class Parabolic:
             first, rest = word[0], word[1:]
             sx = self._s_act(first, x)
             out = {}
-
-            def add(k2, v):
-                s = out.get(k2, ctx._zero) + v
-                if s.is_zero():
-                    out.pop(k2, None)
-                else:
-                    out[k2] = s
-
+            zero = ctx._zero
             sj = W.gen_index[first]
             Qj = ctx.Q_of_pi[first]
             for (v, z), c in self.move_theta_right(rest, sx).items():
                 sv = W.mult(sj, v)
                 if W.length[sv] > W.length[v]:
-                    add((sv, z), c)
+                    _accumulate(out, (sv, z), c, zero)
                 else:
-                    add((v, z), c * (Qj - 1))
-                    add((sv, z), c * Qj)
+                    _accumulate(out, (v, z), c * (Qj - 1), zero)
+                    _accumulate(out, (sv, z), c * Qj, zero)
             for z, c in self.bl_comm(first, x).items():
                 for (v, z2), c2 in self.move_theta_right(rest, z).items():
-                    add((v, z2), c * c2)
+                    _accumulate(out, (v, z2), c * c2, zero)
         self._theta_right_cache[key] = out
         return out
 
@@ -895,53 +819,17 @@ class Parabolic:
         return out
 
 
-class ParabolicElt:
+class ParabolicElt(BernsteinElt):
     """Element of H_J in Bernstein form: Σ c θ_x T_w, w in W_J."""
 
-    __slots__ = ("par", "c")
+    __slots__ = ("par",)
 
     def __init__(self, par: Parabolic, c: dict):
+        super().__init__(par.ctx, c)
         self.par = par
-        self.c = {k: v for k, v in c.items() if not v.is_zero()}
 
-    def __add__(self, other: "ParabolicElt") -> "ParabolicElt":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, self.par.ctx._zero) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ParabolicElt(self.par, out)
-
-    def __sub__(self, other: "ParabolicElt") -> "ParabolicElt":
-        return self + other.scale(LaurentPoly.const(self.par.ctx.table, -1))
-
-    def scale(self, c: LaurentPoly) -> "ParabolicElt":
-        return ParabolicElt(self.par, {k: v * c for k, v in self.c.items()})
-
-    def mul_finite_gen_right(self, j: int) -> "ParabolicElt":
-        ctx = self.par.ctx
-        W = ctx.wd.W
-        sj = W.gen_index[j]
-        Q = ctx.Q_of_pi[j]
-        out: dict = {}
-
-        def add(k, v):
-            s = out.get(k, ctx._zero) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-
-        for (x, w), v in self.c.items():
-            ws = W.mult(w, sj)
-            if W.length[ws] > W.length[w]:
-                add((x, ws), v)
-            else:
-                add((x, w), v * (Q - 1))
-                add((x, ws), v * Q)
-        return ParabolicElt(self.par, out)
+    def _new(self, c: dict) -> "ParabolicElt":
+        return ParabolicElt(self.par, c)
 
     def __mul__(self, other: "ParabolicElt") -> "ParabolicElt":
         par = self.par
@@ -958,18 +846,8 @@ class ParabolicElt:
                     out = out + term
         return out
 
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, ParabolicElt) and self.c == other.c
-
     def to_ambient_im(self) -> HeckeElt:
-        ctx = self.par.ctx
-        out = ctx.elt({})
-        for (x, w), c in self.c.items():
-            out = out + ctx.theta_T_im(x, w).scale(c)
-        return out
+        return self.ctx.bernstein_to_im(self)
 
     def __repr__(self):
         return f"ParabolicElt(J={self.par.J}, {len(self.c)} terms)"
@@ -988,6 +866,7 @@ class QuotientAlgebra:
         self.J = J
         self.quot: SemisimpleQuotient = semisimple_quotient(parent.wd.datum, J)
         qwd = WeylData(self.quot.datum)
+        twins = _twin_nodes(qwd)
         var_of_orbit = []
         for orbit in qwd.param_orbits:
             var = None
@@ -1003,19 +882,13 @@ class QuotientAlgebra:
             if var is None:
                 # purely affine orbit: find a flagged finite root whose s~ is here
                 for k in orbit:
-                    for pos, twin in enumerate(self._twin_nodes(qwd)):
-                        if twin == k:
-                            tw = parent.twin_v_of_pi[J[pos]]
-                            if tw is None:
-                                raise ValueError(
-                                    "quotient affine node without a parameter source"
-                                )
-                            var = tw.table.names[
-                                next(iter(tw.terms))
-                                .index(1)
-                            ]
-                            break
-                    if var is not None:
+                    if k in twins:
+                        tw = parent.twin_v_of_pi[J[twins.index(k)]]
+                        if tw is None:
+                            raise ValueError(
+                                "quotient affine node without a parameter source"
+                            )
+                        var = tw.table.names[next(iter(tw.terms)).index(1)]
                         break
             if var is None:
                 raise ValueError("cannot infer parameter for a quotient orbit")
@@ -1031,39 +904,3 @@ class QuotientAlgebra:
             qt = self.ctx.twin_v_of_pi[pos]
             if (pt is None) != (qt is None) or (pt is not None and pt != qt):
                 raise ValueError("quotient twin parameters disagree with parent")
-
-    @staticmethod
-    def _twin_nodes(qwd: WeylData) -> list:
-        """For each quotient Pi position, the S^a index of its s~ (or None)."""
-        out = []
-        bonds: dict[int, list[int]] = {}
-        n = len(qwd.affine_simple)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = qwd.bond_order(i, j)
-                if m is None or m > 2:
-                    bonds.setdefault(i, []).append(j)
-                    bonds.setdefault(j, []).append(i)
-        for pos in range(qwd.npi):
-            if not qwd.two_Xvee_flags[pos]:
-                out.append(None)
-                continue
-            k = qwd.sa_index[f"s{pos + 1}"]
-            comp = {k}
-            frontier = [k]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in bonds.get(a, []):
-                        if b not in comp:
-                            comp.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            ends = [a for a in comp if len([b for b in bonds.get(a, []) if b in comp]) <= 1]
-            start = min(ends)
-            path = [start]
-            while len(path) < len(comp):
-                nbrs = [b for b in bonds.get(path[-1], []) if b in comp and b not in path]
-                path.append(nbrs[0])
-            out.append(path[len(path) - 1 - path.index(k)])
-        return out

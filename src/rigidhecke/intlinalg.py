@@ -16,18 +16,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if not a:
-        return []
-    if len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bc = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(bc)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 

@@ -13,17 +13,33 @@ its certificate is never returned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactpoly import LaurentPoly, PolyMatrix
-from .hecke import BernsteinElt, HeckeContext, HeckeElt, Parabolic, ParabolicElt, QuotientAlgebra
+from .hecke import BernsteinElt, HeckeContext, HeckeElt, ParabolicElt, QuotientAlgebra
 from .weyl import Elt
 
 
 class RelationFailed(RuntimeError):
     """A defining relation does not hold; names the relation family."""
+
+
+def _iroot(n: int, d: int) -> Optional[int]:
+    """The integer d-th root of n >= 0 if n is a perfect d-th power, else None."""
+    if d == 2 or n < 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration, decreasing from an over-estimate to floor(n^(1/d))
+        r = 1 << -(-n.bit_length() // d)
+        while True:
+            nxt = ((d - 1) * r + n // r ** (d - 1)) // d
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r ** d == n else None
 
 
 def _nth_root_fraction(c: Fraction, d: int) -> list[Fraction]:
@@ -32,32 +48,13 @@ def _nth_root_fraction(c: Fraction, d: int) -> list[Fraction]:
         return [c]
     if c == 0:
         return [Fraction(0)]
-
-    def iroot(n: int) -> Optional[int]:
-        if n < 0:
-            return None
-        k = round(n ** (1.0 / d))
-        for cand in (k - 1, k, k + 1):
-            if cand >= 0 and cand ** d == n:
-                return cand
-        return None
-
-    roots = []
-    num, den = abs(c.numerator), c.denominator
-    rn, rd = iroot(num), iroot(den)
+    rn, rd = _iroot(abs(c.numerator), d), _iroot(c.denominator, d)
     if rn is None or rd is None:
         return []
     base = Fraction(rn, rd)
     if c > 0:
-        roots.append(base)
-        if d % 2 == 0:
-            roots.append(-base)
-        else:
-            pass
-    else:
-        if d % 2 == 1:
-            roots.append(-base)
-    return roots
+        return [base, -base] if d % 2 == 0 else [base]
+    return [-base] if d % 2 == 1 else []
 
 
 def monomial_roots(p: LaurentPoly, d: int) -> list[LaurentPoly]:
@@ -110,14 +107,6 @@ class FinDimModule:
             out = out + (self.theta_of(x) * self.finite_word_mat(par.words[w])).scale(c)
         return out
 
-    def act_bernstein(self, b: BernsteinElt) -> PolyMatrix:
-        out = PolyMatrix.zero(self.alg.table, self.dim, self.dim)
-        for (x, w), c in b.c.items():
-            out = out + (
-                self.theta_of(x) * self.finite_word_mat(self.alg.wd.W.word[w])
-            ).scale(c)
-        return out
-
     def act_elt(self, e: Elt) -> PolyMatrix:
         if self.scope is not None:
             raise ValueError("IM action needs a full-algebra module")
@@ -139,14 +128,6 @@ class FinDimModule:
 
     def trace_parabolic(self, elt: ParabolicElt) -> LaurentPoly:
         return self.act_parabolic(elt).trace()
-
-    def gen_trace(self, name: str) -> LaurentPoly:
-        return self.tmat[name].trace()
-
-    def signature(self) -> dict:
-        sig = {name: m.trace().render() for name, m in sorted(self.tmat.items())}
-        sig["1"] = str(self.dim)
-        return sig
 
     # -- certificates -----------------------------------------------------------
 
@@ -286,7 +267,6 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     m = wd.rank
     A = [list(wd.datum.simple_roots[j]) for j in range(wd.npi)]
     d, u, v = intlinalg.smith_normal_form(A)
-    vinv = intlinalg.mat_inverse_unimodular(v)
     divisors = [d[i][i] for i in range(min(len(A), m))]
     if len(divisors) < m or any(x == 0 for x in divisors):
         raise ValueError("one-dim solver requires a semisimple datum")
@@ -393,17 +373,14 @@ class TwistChar:
             sat = []
         if sat:
             d, _u, v = intlinalg.smith_normal_form(sat)
-            vinv = intlinalg.mat_inverse_unimodular(v)
             rank_sub = sum(1 for i in range(min(len(sat), m)) if d[i][i] != 0)
         else:
-            vinv = intlinalg.identity_matrix(m)
+            v = intlinalg.identity_matrix(m)
             rank_sub = 0
         self.rank = m - rank_sub
-        # coordinates of x in the adapted basis; the last self.rank ones are free
-        binv = intlinalg.mat_inverse_unimodular(vinv)
-        self._coord_rows = [
-            [binv[r][i] for r in range(m)] for i in range(rank_sub, m)
-        ]
+        # coordinates of x in the adapted basis (rows of V^{-1}) are V^T x;
+        # the last self.rank ones are free
+        self._coord_rows = [[v[r][i] for r in range(m)] for i in range(rank_sub, m)]
         table = parent.table
         if symbolic:
             if len(parent.twist_names) < self.rank:
@@ -566,58 +543,68 @@ def lift_from_parahoric(
     return mod
 
 
+def _induced(
+    alg: HeckeContext,
+    J: tuple[int, ...],
+    sigma: FinDimModule,
+    reps: Sequence[int],
+    words,
+    scope: Optional[tuple[int, ...]],
+    names: Sequence[str],
+    provenance: str,
+) -> FinDimModule:
+    """The module on {T_u ⊗ e_i}, u ∈ reps, induced from the H_J-module sigma.
+
+    ``words[u]`` is a reduced word of u; ``names`` are the T-generators to
+    realize.  Each matrix is assembled block by block from the H_J
+    decomposition of (generator)·T_u.
+    """
+    par = alg.parabolic(J)
+    pos_of = {u: k for k, u in enumerate(reps)}
+    n = sigma.dim
+    dim = len(reps) * n
+
+    def assemble(gen_bernstein: BernsteinElt) -> PolyMatrix:
+        out = [[alg.zero() for _ in range(dim)] for _ in range(dim)]
+        for u in reps:
+            b = gen_bernstein
+            for j in words[u]:
+                b = b.mul_finite_gen_right(j)
+            for u2, blk in par.decompose(b).items():
+                if u2 not in pos_of:
+                    raise RelationFailed("induction block left the subgroup")
+                mat = sigma.act_parabolic(blk)
+                r0 = pos_of[u2] * n
+                c0 = pos_of[u] * n
+                for r in range(n):
+                    for c in range(n):
+                        out[r0 + r][c0 + c] = out[r0 + r][c0 + c] + mat.entries[r][c]
+        return PolyMatrix(out)
+
+    tmat = {name: assemble(alg.bernstein_seed(name)) for name in names}
+    pos_mats, neg_mats = [], []
+    for i in range(alg.wd.rank):
+        e = [0] * alg.wd.rank
+        e[i] = 1
+        pos_mats.append(assemble(alg.theta_element(e)))
+        neg_mats.append(assemble(alg.theta_element([-c for c in e])))
+    mod = FinDimModule(
+        alg, scope, dim, tmat, pos_mats, neg_mats, provenance, sigma.twist_vars
+    )
+    mod.verify_relations()
+    return mod
+
+
 def induce(alg: HeckeContext, J: Sequence[int], sigma: FinDimModule) -> FinDimModule:
     """Parabolic induction to the full algebra: basis {T_u ⊗ e_i}, u ∈ W^J."""
     J = tuple(sorted(J))
     if sigma.scope is None or tuple(sigma.scope) != J:
         raise ValueError(f"sigma must be an H_J-module for J={J}")
     wd = alg.wd
-    par = alg.parabolic(J)
-    reps = par.coset_reps
-    pos_of = {u: k for k, u in enumerate(reps)}
-    dim = len(reps) * sigma.dim
-    zero = PolyMatrix.zero(alg.table, dim, dim)
-
-    def assemble(gen_bernstein: BernsteinElt) -> PolyMatrix:
-        out = [[alg.zero() for _ in range(dim)] for _ in range(dim)]
-        for u in reps:
-            b = gen_bernstein
-            for j in wd.W.word[u]:
-                b = b.mul_finite_gen_right(j)
-            for u2, blk in par.decompose(b).items():
-                mat = sigma.act_parabolic(blk)
-                r0 = pos_of[u2] * sigma.dim
-                c0 = pos_of[u] * sigma.dim
-                for r in range(sigma.dim):
-                    for c in range(sigma.dim):
-                        out[r0 + r][c0 + c] = out[r0 + r][c0 + c] + mat.entries[r][c]
-        return PolyMatrix(out)
-
-    tmat = {}
-    for s in wd.affine_simple:
-        tmat[s.name] = assemble(alg.bernstein_seed(s.name))
-    for name in wd.omega_names:
-        tmat[name] = assemble(alg.bernstein_seed(name))
-    pos_mats, neg_mats = [], []
-    for i in range(wd.rank):
-        e = [0] * wd.rank
-        e[i] = 1
-        pos_mats.append(assemble(BernsteinElt(alg, {(tuple(e), 0): alg.one()})))
-        neg_mats.append(
-            assemble(BernsteinElt(alg, {(tuple(-c for c in e), 0): alg.one()}))
-        )
-    mod = FinDimModule(
-        alg,
-        None,
-        dim,
-        tmat,
-        pos_mats,
-        neg_mats,
+    return _induced(
+        alg, J, sigma, alg.parabolic(J).coset_reps, wd.W.word, None, wd.gen_names,
         f"induce[J={list(J)}]({sigma.provenance})",
-        sigma.twist_vars,
     )
-    mod.verify_relations()
-    return mod
 
 
 def induce_in_parabolic(
@@ -630,55 +617,12 @@ def induce_in_parabolic(
         raise ValueError("J must be contained in K")
     if sigma.scope is None or tuple(sigma.scope) != J:
         raise ValueError(f"sigma must be an H_J-module for J={J}")
-    wd = alg.wd
     parK = alg.parabolic(K)
-    parJ = alg.parabolic(J)
-    reps = [u for u in parJ.coset_reps if u in parK.member_set]
-    pos_of = {u: k for k, u in enumerate(reps)}
-    dim = len(reps) * sigma.dim
-
-    def assemble(gen_bernstein: BernsteinElt) -> PolyMatrix:
-        out = [[alg.zero() for _ in range(dim)] for _ in range(dim)]
-        for u in reps:
-            b = gen_bernstein
-            for j in parK.words[u]:
-                b = b.mul_finite_gen_right(j)
-            for u2, blk in parJ.decompose(b).items():
-                if u2 not in pos_of:
-                    raise RelationFailed("induction block left the subgroup")
-                mat = sigma.act_parabolic(blk)
-                r0 = pos_of[u2] * sigma.dim
-                c0 = pos_of[u] * sigma.dim
-                for r in range(sigma.dim):
-                    for c in range(sigma.dim):
-                        out[r0 + r][c0 + c] = out[r0 + r][c0 + c] + mat.entries[r][c]
-        return PolyMatrix(out)
-
-    tmat = {}
-    for j in K:
-        tmat[f"s{j + 1}"] = assemble(
-            BernsteinElt(alg, {((0,) * wd.rank, wd.W.gen_index[j]): alg.one()})
-        )
-    pos_mats, neg_mats = [], []
-    for i in range(wd.rank):
-        e = [0] * wd.rank
-        e[i] = 1
-        pos_mats.append(assemble(BernsteinElt(alg, {(tuple(e), 0): alg.one()})))
-        neg_mats.append(
-            assemble(BernsteinElt(alg, {(tuple(-c for c in e), 0): alg.one()}))
-        )
-    mod = FinDimModule(
-        alg,
-        K,
-        dim,
-        tmat,
-        pos_mats,
-        neg_mats,
+    reps = [u for u in alg.parabolic(J).coset_reps if u in parK.member_set]
+    return _induced(
+        alg, J, sigma, reps, parK.words, K, [f"s{j + 1}" for j in K],
         f"induce[{list(J)}->{list(K)}]({sigma.provenance})",
-        sigma.twist_vars,
     )
-    mod.verify_relations()
-    return mod
 
 
 def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:

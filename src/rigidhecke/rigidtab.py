@@ -207,10 +207,8 @@ def _match_signature(alg: HeckeContext, mods: Sequence[FinDimModule], sig: dict)
     return hits[0]
 
 
-def resolve_column(pc_ctx: HeckeContext, spec: ColumnSpec, twist: Optional[TwistChar] = None,
-                   extra_twist_values=None) -> FinDimModule:
+def resolve_column(ctx: HeckeContext, spec: ColumnSpec) -> FinDimModule:
     """Materialize a column descriptor as a certified module."""
-    ctx = pc_ctx
     if spec.kind == "onedim":
         return _match_signature(ctx, one_dim_modules(ctx), spec.signature)
     if spec.kind == "lift":
@@ -221,13 +219,7 @@ def resolve_column(pc_ctx: HeckeContext, spec: ColumnSpec, twist: Optional[Twist
     if spec.kind == "induced":
         qa = ctx.quotient_algebra(spec.J)
         sigma = _match_signature(qa.ctx, one_dim_modules(qa.ctx), spec.signature)
-        if twist is None and spec.twist == "trivial" and extra_twist_values is None:
-            t = None
-        elif extra_twist_values is not None:
-            t = TwistChar(qa, values=extra_twist_values)
-        else:
-            t = twist
-        return induce(ctx, spec.J, inflate_chi_t(qa, sigma, t))
+        return induce(ctx, spec.J, inflate_chi_t(qa, sigma))
     raise KeyError(f"unknown column kind {spec.kind!r}")
 
 
@@ -245,6 +237,14 @@ def build_preset_context(name: str, L: int = 8, n_twist: int = 0) -> PresetConte
     return PresetContext(man, wd, ctx, classes, rows, modules)
 
 
+def datum_context(wd: WeylData, L: int = 8) -> PresetContext:
+    """A context without a module panel, for the datum-only suites
+    (lengths, classes, counts): every Newton-zero class is a row."""
+    man = PresetManifest(wd.datum.name, None, (), (), (), lambda qt: None, "")
+    classes = newton_zero_classes(wd, L)
+    return PresetContext(man, wd, HeckeContext(wd), classes, list(classes), [])
+
+
 @dataclass
 class RigidTable:
     """Exact rigid character table, entries in the Q-variables."""
@@ -255,9 +255,13 @@ class RigidTable:
     entries: list  # rows of LaurentPoly over the Q-table
     qtable: VarTable
     col_specs: tuple[ColumnSpec, ...]
+    _det: Optional[LaurentPoly] = field(default=None, init=False, repr=False, compare=False)
 
     def det(self) -> LaurentPoly:
-        return det_bareiss(PolyMatrix(self.entries))
+        """The determinant, computed once per table."""
+        if self._det is None:
+            self._det = det_bareiss(PolyMatrix(self.entries))
+        return self._det
 
     def evaluate(self, assignment: dict) -> list:
         """Rational entries at a {param: value} assignment (name-insensitive)."""
@@ -277,29 +281,33 @@ class RigidTable:
         return out
 
     # -- rendering --------------------------------------------------------------
+    # ``cells`` replaces the rendered entries, e.g. by their values at a point.
 
-    def to_markdown(self) -> str:
+    def _cells(self, cells: Optional[list]) -> list:
+        if cells is not None:
+            return cells
+        return [[e.render() for e in row] for row in self.entries]
+
+    def to_markdown(self, cells: Optional[list] = None) -> str:
         head = [self.name] + list(self.col_labels)
         lines = ["| " + " | ".join(head) + " |"]
         lines.append("|" + "|".join(["---"] * len(head)) + "|")
-        for lab, row in zip(self.row_labels, self.entries):
-            lines.append(
-                "| " + " | ".join([lab] + [e.render() for e in row]) + " |"
-            )
+        for lab, row in zip(self.row_labels, self._cells(cells)):
+            lines.append("| " + " | ".join([lab] + row) + " |")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
+    def to_csv(self, cells: Optional[list] = None) -> str:
         lines = [",".join([self.name] + list(self.col_labels))]
-        for lab, row in zip(self.row_labels, self.entries):
-            lines.append(",".join([lab] + [e.render() for e in row]))
+        for lab, row in zip(self.row_labels, self._cells(cells)):
+            lines.append(",".join([lab] + row))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, cells: Optional[list] = None) -> dict:
         return {
             "name": self.name,
             "rows": list(self.row_labels),
             "cols": list(self.col_labels),
-            "entries": [[e.render() for e in row] for row in self.entries],
+            "entries": self._cells(cells),
         }
 
 
@@ -560,7 +568,8 @@ def abar_elements(pc: PresetContext, recs=None) -> dict:
 def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
     out = []
     det = table.det()
-    chk = determinant_check(table, pc.manifest.det_product(table.qtable))
+    expected = pc.manifest.det_product(table.qtable)
+    chk = determinant_check(table, expected)
     out.append(CheckResult("pairing-determinant", chk.status, chk.detail))
     out.append(
         CheckResult(
@@ -579,15 +588,17 @@ def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
                 f"rank {rank} of {len(vals)}",
             )
         )
+    # the product formula fixes det only up to sign (see determinant_check)
     val = det.evaluate(_all_params(table, -1))
-    out.append(
-        CheckResult(
-            "pairing-at-q=-1",
-            "pass",
-            f"determinant at q=-1 is {val.render()} "
-            + ("(singular, as the product formula predicts)" if val.is_zero() else "(regular)"),
-        )
-    )
+    want = expected.evaluate(_all_params(table, -1))
+    ok = val == want or val == -want
+    if not ok:
+        detail = f"determinant at q=-1 is {val.render()}, product formula gives ±{want.render()}"
+    elif val.is_zero():
+        detail = f"determinant at q=-1 is {val.render()} (singular, as the product formula predicts)"
+    else:
+        detail = f"determinant at q=-1 is {val.render()} (regular)"
+    out.append(CheckResult("pairing-at-q=-1", "pass" if ok else "fail", detail))
     return out
 
 

@@ -59,9 +59,6 @@ class RootSystem:
     coroots: tuple[Vec, ...]
     positive: tuple[bool, ...]
 
-    def index_of_root(self, v: Vec) -> int:
-        return self.roots.index(tuple(v))
-
 
 def _reflect(datum: BasedRootDatum, i: int, v: Vec, cv: Vec) -> tuple[Vec, Vec]:
     a = datum.simple_roots[i]

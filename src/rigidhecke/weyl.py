@@ -37,6 +37,24 @@ class OmegaSearchExhausted(RuntimeError):
     """No length-zero representative found within the search box."""
 
 
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Class representative of each of 0..n-1 after merging every pair.
+
+    Merging (i, j) attaches the class of i below the class of j.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
+
+
 class FinWeylGroup:
     """The finite Weyl group, fully materialized with BFS data.
 
@@ -112,10 +130,6 @@ class FinWeylGroup:
     def act(self, w: int, x: Sequence[int]) -> Vec:
         mat = self.mats[w]
         return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in mat)
-
-    def act_frac(self, w: int, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        mat = self.mats[w]
-        return tuple(sum(Fraction(row[j]) * x[j] for j in range(len(x))) for row in mat)
 
     def order_of(self, w: int) -> int:
         n = 1
@@ -225,11 +239,6 @@ class WeylData:
             n >>= 1
         return out
 
-    def act_on_X(self, e: Elt, y: Sequence[int]) -> Vec:
-        x, w = e
-        moved = self.W.act(w, y)
-        return tuple(p + q for p, q in zip(x, moved))
-
     def translation(self, x: Sequence[int]) -> Elt:
         return (tuple(int(v) for v in x), 0)
 
@@ -279,27 +288,21 @@ class WeylData:
                 AffineSimple(f"s{i + 1}", ((0,) * self.rank, w), "finite", i, a, av)
             )
         # components of the finite diagram (by simple-root adjacency)
-        comp = list(range(self.npi))
-
-        def find(i):
-            while comp[i] != i:
-                comp[i] = comp[comp[i]]
-                i = comp[i]
-            return i
-
-        for i in range(self.npi):
-            for j in range(i + 1, self.npi):
-                if datum.pairing(datum.simple_roots[i], datum.simple_coroots[j]) != 0:
-                    comp[find(i)] = find(j)
-        comp_ids = sorted({find(i) for i in range(self.npi)})
+        comp = union_find(self.npi, [
+            (i, j)
+            for i in range(self.npi)
+            for j in range(i + 1, self.npi)
+            if datum.pairing(datum.simple_roots[i], datum.simple_coroots[j]) != 0
+        ])
+        comp_ids = sorted(set(comp))
         # R_m: roots whose coroots are dominance-minimal within their component
         minimal = []
         for cid_pos, cid in enumerate(comp_ids):
-            members = [i for i in range(self.npi) if find(i) == cid]
+            members = [i for i in range(self.npi) if comp[i] == cid]
             cand = []
             for k, gamma in enumerate(self.roots.roots):
                 coords = _simple_root_coords(datum, gamma)
-                if any(coords[i] != 0 for i in range(self.npi) if find(i) != cid):
+                if any(coords[i] != 0 for i in range(self.npi) if comp[i] != cid):
                     continue
                 if all(coords[i] == 0 for i in members):
                     continue
@@ -440,28 +443,17 @@ class WeylData:
 
     def _build_orbits(self):
         n = len(self.affine_simple)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            parent[find(i)] = find(j)
-
+        pairs = []
         for i in range(n):
             for j in range(i + 1, n):
                 m = self.bond_order(i, j)
                 if m is not None and m % 2 == 1:
-                    union(i, j)
+                    pairs.append((i, j))
         for perm in self.omega_action_sa:
-            for i in range(n):
-                union(i, perm[i])
+            pairs += [(i, perm[i]) for i in range(n)]
         groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
+        for i, root in enumerate(union_find(n, pairs)):
+            groups.setdefault(root, []).append(i)
         orbits = sorted(
             (tuple(sorted(g, key=lambda k: self.affine_simple[k].name)) for g in groups.values()),
             key=lambda g: self.affine_simple[g[0]].name,

@@ -13,7 +13,6 @@ import pytest
 from rigidhecke import rigidtab
 from rigidhecke.conj import count_identity_check, newton_zero_classes
 from rigidhecke.exactpoly import parse_poly, render_in_Q
-from rigidhecke.hecke import HeckeContext
 from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
 
@@ -152,10 +151,7 @@ def test_criterion_9_structural_suites(name, request):
     if name == "c2-ext":
         # no table module panel: run the panel-independent suites on a
         # bare context (Mackey/adjunction build their own quotient modules)
-        wd = WeylData(preset(name))
-        man = rigidtab.PresetManifest(name, None, (), (), (), lambda qt: None, "")
-        classes = newton_zero_classes(wd, 8)
-        pc = rigidtab.PresetContext(man, wd, HeckeContext(wd), classes, list(classes), [])
+        pc = rigidtab.datum_context(WeylData(preset(name)))
         abar = None
     else:
         pc = request.getfixturevalue({"sl2": "pc_sl2", "pgl2": "pc_pgl2", "c2-aff": "pc_c2"}[name])

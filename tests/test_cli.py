@@ -147,3 +147,34 @@ def test_out_file(capsys, tmp_path):
     code, _, _ = run(capsys, "table", "--preset", "sl2", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("| sl2 |")
+
+
+BAD_DATA = {
+    "not-cartan": {  # <alpha, alpha^> = 3
+        "name": "bad",
+        "lattice_rank": 1,
+        "simple_roots": [[1]],
+        "simple_coroots": [[3]],
+    },
+    "not-semisimple": {  # X/Q infinite: no Omega
+        "name": "gl2",
+        "lattice_rank": 2,
+        "simple_roots": [[1, -1]],
+        "simple_coroots": [[1, -1]],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DATA))
+@pytest.mark.parametrize(
+    "command",
+    [["classes"], ["verify", "--suite", "counts"], ["reduce", "--word", "s1"]],
+    ids=["classes", "verify", "reduce"],
+)
+def test_bad_datum_exit2(capsys, tmp_path, command, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(BAD_DATA[kind]))
+    code, out, err = run(capsys, *command, "--datum", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

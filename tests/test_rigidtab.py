@@ -196,3 +196,43 @@ def test_T_O_well_defined_across_min_reps(pc_sl2, pc_pgl2, pc_c2):
             base = [mod.trace(rec.rep) for mod in pc.modules]
             for e in rec.min_reps:
                 assert [mod.trace(e) for mod in pc.modules] == base
+
+
+def test_pairing_at_minus_one_can_fail(pc_sl2, table_sl2):
+    import dataclasses
+
+    from rigidhecke.exactpoly import LaurentPoly
+
+    def status(pc):
+        return {c.name: c.status for c in rigidtab.suite_pairing(pc, table_sl2)}
+
+    assert status(pc_sl2)["pairing-at-q=-1"] == "pass"
+    wrong = dataclasses.replace(
+        pc_sl2.manifest, det_product=lambda qt: LaurentPoly.const(qt, 1)
+    )
+    assert status(dataclasses.replace(pc_sl2, manifest=wrong))["pairing-at-q=-1"] == "fail"
+
+
+def test_pairing_runs_one_determinant(pc_sl2, monkeypatch):
+    table = rigidtab.build_rigid_table(pc_sl2)
+    calls = []
+    real = rigidtab.det_bareiss
+    monkeypatch.setattr(rigidtab, "det_bareiss", lambda m: calls.append(m) or real(m))
+    rigidtab.suite_pairing(pc_sl2, table)
+    rigidtab.determinant_check(table, pc_sl2.manifest.det_product(table.qtable))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["sl3", "g2", "pgl3"])
+def test_datum_family_suites(name):
+    import pathlib
+
+    from rigidhecke.rootdata import load_datum
+    from rigidhecke.weyl import WeylData
+
+    path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+    pc = rigidtab.datum_context(WeylData(load_datum(str(path))))
+    for suite in ("counts", "lengths", "classes"):
+        checks = rigidtab.run_suite(pc, suite)
+        bad = [c for c in checks if not c.ok]
+        assert checks and not bad, bad
