@@ -75,22 +75,15 @@ def cmd_classes(args) -> int:
     records = [r.to_json(wd) for r in classes]
     if args.format == "json":
         text = json.dumps({"datum": wd.datum.name, "classes": records}, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["label,rep,min_length,newton,elliptic"]
-        for r in records:
-            lines.append(
-                f"{r['label']},{r['rep']},{r['min_length']},"
-                f"({' '.join(r['newton'])}),{str(r['elliptic']).lower()}"
-            )
-        text = "\n".join(lines) + "\n"
     else:
-        lines = ["| label | rep | min_length | newton | elliptic |", "|---|---|---|---|---|"]
-        for r in records:
-            lines.append(
-                f"| {r['label']} | {r['rep']} | {r['min_length']} | "
-                f"({', '.join(r['newton'])}) | {str(r['elliptic']).lower()} |"
-            )
-        text = "\n".join(lines) + "\n"
+        sep = " " if args.format == "csv" else ", "
+        rows = [
+            [r["label"], r["rep"], str(r["min_length"]), f"({sep.join(r['newton'])})",
+             str(r["elliptic"]).lower()]
+            for r in records
+        ]
+        render = rigidtab.render_csv if args.format == "csv" else rigidtab.render_markdown
+        text = render(["label", "rep", "min_length", "newton", "elliptic"], rows)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .rootdata import semisimple_quotient
-from .weyl import Elt, WeylData, union_find
+from .weyl import Elt, WeylData, pi_subsets, union_find
 
 
 class PlateauBudgetExceeded(RuntimeError):
@@ -42,10 +42,6 @@ class ConjClassRecord:
     newton: tuple[Fraction, ...]
     J_O: tuple[int, ...]
     elliptic: bool
-
-    @property
-    def id(self) -> str:
-        return self.label
 
     def to_json(self, wd: WeylData) -> dict:
         return {
@@ -155,17 +151,19 @@ def newton_zero_classes(
     """All Newton-zero conjugacy classes closed in the length-L ball.
 
     With ``check_stability`` the enumeration is repeated at L+2 and must give
-    the same classes, else :class:`UnstableAtBound`.
+    the same records (representatives, minimal representatives, lengths,
+    Newton points, ellipticity), else :class:`UnstableAtBound`.
     """
     records = _records_from_partition(wd, _partition(wd, _finite_order_ball(wd, L)))
     if check_stability:
         again = _records_from_partition(
             wd, _partition(wd, _finite_order_ball(wd, L + 2))
         )
-        if [r.label for r in again] != [r.label for r in records]:
+        if again != records:
+            changed = [r.label for r in records if r not in again]
             raise UnstableAtBound(
                 f"classes changed between L={L} ({[r.label for r in records]}) "
-                f"and L={L + 2} ({[r.label for r in again]})"
+                f"and L={L + 2} ({[r.label for r in again]}); changed at L={L}: {changed}"
             )
     return records
 
@@ -197,16 +195,10 @@ class CountIdentityReport:
     expected: int
     per_J: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _subset_reps(wd: WeylData) -> list[tuple[int, ...]]:
     """Subsets of Pi up to J ~ J' iff w(J) = J' for some w in W."""
-    import itertools as it
-
-    npi = wd.npi
-    subsets = [tuple(c) for r in range(npi + 1) for c in it.combinations(range(npi), r)]
+    subsets = pi_subsets(wd.npi)
     root_sets = {
         J: frozenset(wd.datum.simple_roots[j] for j in J) for J in subsets
     }
@@ -224,11 +216,6 @@ def _subset_reps(wd: WeylData) -> list[tuple[int, ...]]:
         seen |= orbit
         reps.append(min(orbit))
     return reps
-
-
-def _quotient_weyl_index(qwd: WeylData, mat) -> int:
-    key = tuple(tuple(row) for row in mat)
-    return qwd.W.index[key]
 
 
 def count_identity_check(wd: WeylData, L: int = 8) -> CountIdentityReport:
@@ -276,25 +263,11 @@ def count_identity_check(wd: WeylData, L: int = 8) -> CountIdentityReport:
                 ]
                 # zbar rows: images of the X_J basis; act on column vectors via transpose
                 zcol = tuple(tuple(zbar[j][i] for j in range(r)) for i in range(r))
-                zinv = tuple(
-                    tuple(row) for row in intlinalg.mat_inverse_unimodular([list(rw) for rw in zcol])
-                )
+                zinv = intlinalg.mat_inverse_unimodular(zcol)
                 for k, rec in enumerate(lifting):
                     x, u = rec.rep
-                    xx = tuple(sum(zcol[i][j] * x[j] for j in range(r)) for i in range(r))
-                    umat = qwd.W.mats[u]
-                    conj = tuple(
-                        tuple(
-                            sum(
-                                zcol[i][a] * umat[a][b] * zinv[b][j]
-                                for a in range(r)
-                                for b in range(r)
-                            )
-                            for j in range(r)
-                        )
-                        for i in range(r)
-                    )
-                    uu = _quotient_weyl_index(qwd, conj)
+                    xx = tuple(intlinalg.mat_vec(zcol, x))
+                    uu = qwd.W.index[intlinalg.mat_mul(intlinalg.mat_mul(zcol, qwd.W.mats[u]), zinv)]
                     target = classify(qwd, (xx, uu), lifting)
                     pairs.append((k, label_to_pos[target.label]))
         orbits = len(set(union_find(len(lifting), pairs)))

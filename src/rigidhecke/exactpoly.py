@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from .intlinalg import row_reduce
+
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction, "LaurentPoly"]
 
@@ -596,25 +598,8 @@ def det_bareiss(m: PolyMatrix) -> LaurentPoly:
 
 
 def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix (plain Gaussian elimination)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][c]
-        for r in range(nr):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c] / pv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    """Rank of an exact rational matrix."""
+    return len(row_reduce(rows)[1])
 
 
 if __name__ == "__main__":

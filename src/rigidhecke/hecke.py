@@ -173,15 +173,12 @@ class HeckeContext:
     def zero(self) -> LaurentPoly:
         return self._zero
 
-    def q_mono_of_word(self, letters: Iterable[str]) -> LaurentPoly:
+    def q_of_elt(self, e: Elt) -> LaurentPoly:
         out = self._one
-        for name in letters:
+        for name in self.wd.word(e):
             if name in self.wd.sa_index:
                 out = out * self.v_of_sa[self.wd.sa_index[name]]
         return out
-
-    def q_of_elt(self, e: Elt) -> LaurentPoly:
-        return self.q_mono_of_word(self.wd.word(e))
 
     # -- IM elements -----------------------------------------------------------
 
@@ -209,10 +206,6 @@ class HeckeContext:
             for i in range(self.wd.npi)
         )
 
-    def translation_length(self, x: Sequence[int]) -> int:
-        # for dominant x equals <x, 2 rho^>; used only as a search heuristic
-        return self.wd.length(self.wd.translation(x))
-
     def dominant_split(self, x: Vec) -> tuple[Vec, Vec]:
         """x = x1 - x2 with x1, x2 dominant, minimizing total length."""
         x = tuple(x)
@@ -233,7 +226,8 @@ class HeckeContext:
                 x1 = tuple(a + b for a, b in zip(x, x2))
                 if not self.is_dominant(x1):
                     continue
-                cost = self.translation_length(x1) + self.translation_length(x2)
+                # the length of t_x (<x, 2 rho^> for dominant x), a search heuristic
+                cost = sum(self.wd.length(self.wd.translation(v)) for v in (x1, x2))
                 if best is None or cost < best[0]:
                     best = (cost, x1, x2)
             if best is not None:
@@ -654,12 +648,6 @@ class CocenterCombination:
     entries: tuple[tuple[ConjClassRecord, LaurentPoly], ...]
     source: Elt
 
-    def coefficient(self, label: str) -> LaurentPoly:
-        for rec, c in self.entries:
-            if rec.label == label:
-                return c
-        return self.ctx.zero()
-
     def render(self) -> str:
         from .exactpoly import OddDegree, render_in_Q
 
@@ -830,21 +818,6 @@ class ParabolicElt(BernsteinElt):
 
     def _new(self, c: dict) -> "ParabolicElt":
         return ParabolicElt(self.par, c)
-
-    def __mul__(self, other: "ParabolicElt") -> "ParabolicElt":
-        par = self.par
-        out = par.zero_elt()
-        for (x1, w1), c1 in self.c.items():
-            for (x2, w2), c2 in other.c.items():
-                mid = par.move_theta_left(par.words[w1], x2)
-                for (z, v), c3 in mid.c.items():
-                    term = ParabolicElt(
-                        par, {(tuple(a + b for a, b in zip(x1, z)), v): c1 * c2 * c3}
-                    )
-                    for jj in par.words[w2]:
-                        term = term.mul_finite_gen_right(jj)
-                    out = out + term
-        return out
 
     def to_ambient_im(self) -> HeckeElt:
         return self.ctx.bernstein_to_im(self)

@@ -16,6 +16,15 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def signed_basis(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(e_i, -e_i) for each standard basis vector e_i of Z^m."""
+    out = []
+    for i in range(m):
+        e = tuple(int(j == i) for j in range(m))
+        out.append((e, tuple(-c for c in e)))
+    return out
+
+
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
@@ -95,24 +104,51 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     return a, u, v
 
 
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The product a * b of square matrices, as a tuple of row tuples."""
+    m = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(m)) for c in range(m))
+        for r in range(m)
+    )
+
+
+def row_reduce(rows: Sequence[Sequence], ncols: Optional[int] = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact reduced row echelon form over Q: (reduced rows, pivot columns).
+
+    Only the first ``ncols`` columns (default: all) are eliminated, so an
+    augmented block to their right is carried along.  Each column's pivot is
+    its first nonzero entry at or below the current row, scaled to 1.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    nr = len(a)
+    nc = (len(a[0]) if nr else 0) if ncols is None else ncols
+    pivots: list[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def mat_inverse_unimodular(m: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of a unimodular integer matrix, computed exactly."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
+    aug, pivots = row_reduce([list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
+    out = [row[n:] for row in aug]
+    if len(pivots) < n or any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
 
 
@@ -170,27 +206,10 @@ def rational_kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[list[Fracti
     """Basis of {x : x * mat = 0} over Q (rows are rational vectors)."""
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
-    a = [[Fraction(mat[i][j]) for j in range(nc)] for i in range(nr)]
-    # row-reduce a^T acting on x: solve x*mat = 0  <=>  mat^T x^T = 0
-    m = [[a[i][j] for i in range(nr)] for j in range(nc)]  # nc x nr
-    pivots = []
-    r = 0
-    for c in range(nr):
-        piv = next((i for i in range(r, nc) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nc):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(nr) if c not in pivots]
+    # x * mat = 0  <=>  mat^T x^T = 0
+    m, pivots = row_reduce([[mat[i][j] for i in range(nr)] for j in range(nc)], nr)
     basis = []
-    for f in free:
+    for f in (c for c in range(nr) if c not in pivots):
         x = [Fraction(0)] * nr
         x[f] = Fraction(1)
         for row_i, c in enumerate(pivots):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import intlinalg
 from .exactpoly import LaurentPoly, PolyMatrix
 from .hecke import BernsteinElt, HeckeContext, HeckeElt, ParabolicElt, QuotientAlgebra
 from .weyl import Elt
@@ -144,23 +145,25 @@ class FinDimModule:
                 raise RelationFailed(f"{family} {detail}".strip())
 
         if self.scope is None:
-            gen_items = [(s.name, wd.sa_index[s.name]) for s in wd.affine_simple]
-            for name, k in gen_items:
-                T = self.tmat[name]
-                Q = alg.Q_of_sa[k]
-                resid = (T + ident) * (T - ident.scale(Q))
-                need(resid.is_zero(), "quadratic", name)
-            done.append("quadratic")
-            for (n1, k1), (n2, k2) in itertools.combinations(gen_items, 2):
-                m = wd.bond_order(k1, k2)
-                if m is None:
-                    continue
-                a = b = ident
-                for t in range(m):
-                    a = a * (self.tmat[n1] if t % 2 == 0 else self.tmat[n2])
-                    b = b * (self.tmat[n2] if t % 2 == 0 else self.tmat[n1])
-                need(a == b, "braid", f"{n1},{n2} (m={m})")
-            done.append("braid")
+            names = [s.name for s in wd.affine_simple]
+        else:
+            names = [f"s{j + 1}" for j in self.scope]
+        for name in names:
+            T = self.tmat[name]
+            resid = (T + ident) * (T - ident.scale(alg.Q_of_sa[wd.sa_index[name]]))
+            need(resid.is_zero(), "quadratic", name)
+        done.append("quadratic")
+        for n1, n2 in itertools.combinations(names, 2):
+            m = wd.bond_order(wd.sa_index[n1], wd.sa_index[n2])
+            if m is None:
+                continue
+            a = b = ident
+            for t in range(m):
+                a = a * (self.tmat[n1] if t % 2 == 0 else self.tmat[n2])
+                b = b * (self.tmat[n2] if t % 2 == 0 else self.tmat[n1])
+            need(a == b, "braid", f"{n1},{n2} (m={m})")
+        done.append("braid")
+        if self.scope is None:
             for kk, name in enumerate(wd.omega_names):
                 om = wd.omega_elements[kk + 1]
                 for s in wd.affine_simple:
@@ -179,19 +182,6 @@ class FinDimModule:
             done.append("omega")
             pi_positions = range(wd.npi)
         else:
-            for j in self.scope:
-                T = self.tmat[f"s{j + 1}"]
-                Q = alg.Q_of_pi[j]
-                need(((T + ident) * (T - ident.scale(Q))).is_zero(), "quadratic", f"s{j + 1}")
-            done.append("quadratic")
-            for j1, j2 in itertools.combinations(self.scope, 2):
-                m = wd.W.order_of(wd.W.mult(wd.W.gen_index[j1], wd.W.gen_index[j2]))
-                a = b = ident
-                for t in range(m):
-                    a = a * (self.tmat[f"s{j1 + 1}"] if t % 2 == 0 else self.tmat[f"s{j2 + 1}"])
-                    b = b * (self.tmat[f"s{j2 + 1}"] if t % 2 == 0 else self.tmat[f"s{j1 + 1}"])
-                need(a == b, "braid", f"s{j1 + 1},s{j2 + 1}")
-            done.append("braid")
             pi_positions = self.scope
         for i in range(wd.rank):
             need(self.theta_pos[i] * self.theta_neg[i] == ident, "theta-invertible", f"e{i}")
@@ -204,15 +194,10 @@ class FinDimModule:
                 )
         done.append("theta-group")
         par = alg.parabolic(tuple(pi_positions))
-        basis_vecs = []
-        for i in range(wd.rank):
-            e = [0] * wd.rank
-            e[i] = 1
-            basis_vecs.append(tuple(e))
-            basis_vecs.append(tuple(-c for c in e))
+        signed_basis = intlinalg.signed_basis(wd.rank)
         for j in pi_positions:
             T = self.tmat[f"s{j + 1}"]
-            for x in basis_vecs:
+            for x in (v for pair in signed_basis for v in pair):
                 sx = par._s_act(j, x)
                 lhs = self.theta_of(x) * T - T * self.theta_of(sx)
                 rhs = PolyMatrix.zero(table, self.dim, self.dim)
@@ -221,14 +206,8 @@ class FinDimModule:
                 need(lhs == rhs, "bernstein-lusztig", f"s{j + 1}, x={x}")
         done.append("bernstein-lusztig")
         if self.scope is None and wd.rank > 0:
-            for i in range(wd.rank):
-                e = [0] * wd.rank
-                e[i] = 1
-                need(
-                    self.theta_pos[i] == self.act(alg.theta_im(tuple(e))),
-                    "theta-consistency",
-                    f"e{i}",
-                )
+            for i, (e, _) in enumerate(signed_basis):
+                need(self.theta_pos[i] == self.act(alg.theta_im(e)), "theta-consistency", f"e{i}")
             done.append("theta-consistency")
         return done
 
@@ -238,6 +217,15 @@ class FinDimModule:
             return PolyMatrix.identity(self.alg.table, self.dim)
         name = wd.omega_names[list(wd.omega_elements).index(om) - 1]
         return self.tmat[name]
+
+
+def _theta_mats(m: int, theta) -> tuple[list, list]:
+    """The matrices theta(e_i) and theta(-e_i) over the standard basis of Z^m."""
+    pos, neg = [], []
+    for e, minus_e in intlinalg.signed_basis(m):
+        pos.append(theta(e))
+        neg.append(theta(minus_e))
+    return pos, neg
 
 
 def _scalar_module(alg: HeckeContext, tvals: dict, theta_vals: list, provenance: str) -> FinDimModule:
@@ -262,8 +250,6 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     finite_orbits = sorted(
         {wd.orbit_of_sa[wd.sa_index[f"s{j + 1}"]] for j in range(wd.npi)}
     )
-    from . import intlinalg
-
     m = wd.rank
     A = [list(wd.datum.simple_roots[j]) for j in range(wd.npi)]
     d, u, v = intlinalg.smith_normal_form(A)
@@ -359,8 +345,6 @@ class TwistChar:
     """
 
     def __init__(self, qa: QuotientAlgebra, values: Optional[Sequence] = None, symbolic: bool = False):
-        from . import intlinalg
-
         parent = qa.parent
         self.qa = qa
         m = parent.wd.rank
@@ -419,20 +403,12 @@ def inflate_chi_t(
         raise ValueError("sigma must live over the quotient algebra")
     t = twist if twist is not None else TwistChar(qa)
     J = qa.J
-    m = parent.wd.rank
     tmat = {}
     for pos, j in enumerate(J):
         tmat[f"s{j + 1}"] = sigma.tmat[f"s{pos + 1}"]
-    pos_mats = []
-    neg_mats = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        xb = qa.quot.project(e)
-        pos_mats.append(sigma.theta_of(xb).scale(t.of(e)))
-        neg_mats.append(
-            sigma.theta_of(tuple(-c for c in xb)).scale(t.of(e).inverse())
-        )
+    pos_mats, neg_mats = _theta_mats(
+        parent.wd.rank, lambda x: sigma.theta_of(qa.quot.project(x)).scale(t.of(x))
+    )
     twist_vars = tuple(
         name for v in t.values for name in v.table.names if v.uses_variable(name)
     )
@@ -531,14 +507,7 @@ def lift_from_parahoric(
     mod = FinDimModule(
         alg, None, dim, tmat, [], [], f"lift[K={list(K)}:{module}]", ()
     )
-    pos, neg = [], []
-    for i in range(wd.rank):
-        e = [0] * wd.rank
-        e[i] = 1
-        pos.append(mod.act(alg.theta_im(tuple(e))))
-        neg.append(mod.act(alg.theta_im(tuple(-c for c in e))))
-    mod.theta_pos = pos
-    mod.theta_neg = neg
+    mod.theta_pos, mod.theta_neg = _theta_mats(wd.rank, lambda x: mod.act(alg.theta_im(x)))
     mod.verify_relations()
     return mod
 
@@ -582,12 +551,7 @@ def _induced(
         return PolyMatrix(out)
 
     tmat = {name: assemble(alg.bernstein_seed(name)) for name in names}
-    pos_mats, neg_mats = [], []
-    for i in range(alg.wd.rank):
-        e = [0] * alg.wd.rank
-        e[i] = 1
-        pos_mats.append(assemble(alg.theta_element(e)))
-        neg_mats.append(assemble(alg.theta_element([-c for c in e])))
+    pos_mats, neg_mats = _theta_mats(alg.wd.rank, lambda x: assemble(alg.theta_element(x)))
     mod = FinDimModule(
         alg, scope, dim, tmat, pos_mats, neg_mats, provenance, sigma.twist_vars
     )
@@ -665,12 +629,7 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
         if mod.scope is not None and k not in mod.scope:
             raise ValueError("w(J) is not inside the module scope")
         tmat[f"s{j + 1}"] = mod.tmat[f"s{k + 1}"]
-    pos, neg = [], []
-    for i in range(wd.rank):
-        e = [0] * wd.rank
-        e[i] = 1
-        pos.append(mod.theta_of(wd.W.act(w, tuple(e))))
-        neg.append(mod.theta_of(wd.W.act(w, tuple(-c for c in e))))
+    pos, neg = _theta_mats(wd.rank, lambda x: mod.theta_of(wd.W.act(w, x)))
     out = FinDimModule(
         alg, J, mod.dim, tmat, pos, neg, f"twist[w={w}]({mod.provenance})", mod.twist_vars
     )

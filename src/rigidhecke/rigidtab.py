@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .conj import classify, newton_zero_classes
@@ -24,6 +25,7 @@ from .exactpoly import (
     render_in_Q,
 )
 from .hecke import HeckeContext
+from .intlinalg import signed_basis
 from .repn import (
     FinDimModule,
     TwistChar,
@@ -36,7 +38,7 @@ from .repn import (
     twist_by,
 )
 from .rootdata import preset as datum_preset
-from .weyl import WeylData
+from .weyl import WeylData, pi_subsets
 
 
 class TableMismatch(AssertionError):
@@ -54,14 +56,6 @@ class ColumnSpec:
     module: str = ""
     scalars: dict = field(default_factory=dict)
     twist: str = "trivial"
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "signature": dict(self.signature), "J": list(self.J)}
-        if self.kind == "lift":
-            out["module"] = self.module
-            out["scalars"] = dict(self.scalars)
-        out["twist"] = self.twist
-        return out
 
 
 @dataclass(frozen=True)
@@ -245,6 +239,18 @@ def datum_context(wd: WeylData, L: int = 8) -> PresetContext:
     return PresetContext(man, wd, HeckeContext(wd), classes, list(classes), [])
 
 
+def render_markdown(head: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """A markdown table: header row, separator, then one line per row."""
+    lines = ["| " + " | ".join(head) + " |", "|" + "|".join(["---"] * len(head)) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def render_csv(head: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Comma-separated lines, header first (cells are never quoted)."""
+    return "\n".join(",".join(row) for row in [head, *rows]) + "\n"
+
+
 @dataclass
 class RigidTable:
     """Exact rigid character table, entries in the Q-variables."""
@@ -288,19 +294,15 @@ class RigidTable:
             return cells
         return [[e.render() for e in row] for row in self.entries]
 
-    def to_markdown(self, cells: Optional[list] = None) -> str:
+    def _labelled(self, cells: Optional[list]) -> tuple[list, list]:
         head = [self.name] + list(self.col_labels)
-        lines = ["| " + " | ".join(head) + " |"]
-        lines.append("|" + "|".join(["---"] * len(head)) + "|")
-        for lab, row in zip(self.row_labels, self._cells(cells)):
-            lines.append("| " + " | ".join([lab] + row) + " |")
-        return "\n".join(lines) + "\n"
+        return head, [[lab] + row for lab, row in zip(self.row_labels, self._cells(cells))]
+
+    def to_markdown(self, cells: Optional[list] = None) -> str:
+        return render_markdown(*self._labelled(cells))
 
     def to_csv(self, cells: Optional[list] = None) -> str:
-        lines = [",".join([self.name] + list(self.col_labels))]
-        for lab, row in zip(self.row_labels, self._cells(cells)):
-            lines.append(",".join([lab] + row))
-        return "\n".join(lines) + "\n"
+        return render_csv(*self._labelled(cells))
 
     def to_json_dict(self, cells: Optional[list] = None) -> dict:
         return {
@@ -341,6 +343,10 @@ class CheckResult:
         return self.status == "pass"
 
 
+def _check(name: str, ok: bool, detail: str) -> CheckResult:
+    return CheckResult(name, "pass" if ok else "fail", detail)
+
+
 def determinant_check(table: RigidTable, expected: LaurentPoly, up_to_monomial: bool = False) -> CheckResult:
     """Compare det(table) with the expected product, up to sign.
 
@@ -352,9 +358,7 @@ def determinant_check(table: RigidTable, expected: LaurentPoly, up_to_monomial: 
     try:
         quo = det.exact_div(expected)
     except Exception:
-        return CheckResult(
-            "determinant", "fail", f"det = {det.render()} does not divide by expected"
-        )
+        return _check("determinant", False, f"det = {det.render()} does not divide by expected")
     if quo.is_zero():
         ok = False
     elif up_to_monomial:
@@ -364,11 +368,7 @@ def determinant_check(table: RigidTable, expected: LaurentPoly, up_to_monomial: 
             ok = abs(quo.constant_value()) == 1
         except ValueError:
             ok = False
-    return CheckResult(
-        "determinant",
-        "pass" if ok else "fail",
-        f"det/expected = {quo.render()}",
-    )
+    return _check("determinant", ok, f"det/expected = {quo.render()}")
 
 
 def specialization_check_extended_c2(c2_table: RigidTable) -> CheckResult:
@@ -382,13 +382,8 @@ def specialization_check_extended_c2(c2_table: RigidTable) -> CheckResult:
         quo = spec.exact_div(target)
         c = quo.constant_value()
     except Exception as exc:
-        return CheckResult("specialization-ext-c2", "fail", f"quotient not constant: {exc}")
-    ok = c != 0
-    return CheckResult(
-        "specialization-ext-c2",
-        "pass" if ok else "fail",
-        f"constant c = {c}",
-    )
+        return _check("specialization-ext-c2", False, f"quotient not constant: {exc}")
+    return _check("specialization-ext-c2", c != 0, f"constant c = {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +391,26 @@ def specialization_check_extended_c2(c2_table: RigidTable) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 ADMISSIBLE_POINTS = (2, 3, 5)
+# fixed sampling of the randomized suites, so reports are reproducible
+RELATIONS_SEED = 99
+ADJUNCTION_SEED = 20240
+ADJUNCTION_SAMPLES = 6
+DENSITY_SEED = 41
+DENSITY_EXTRAS = 5
+LENGTH_RADIUS = 8
+ORACLE_RADIUS = 6
 
 
 def _all_params(table_or_qt, value) -> dict:
     qt = table_or_qt.qtable if isinstance(table_or_qt, RigidTable) else table_or_qt
     return {n: Fraction(value) for n, k in zip(qt.names, qt.kinds) if k == "param"}
+
+
+def _random_h(ctx: HeckeContext, rng: random.Random, elems: list, top: int):
+    """T_a + k T_b with a, b drawn from elems and k from 1..top."""
+    return ctx.T(rng.choice(elems)) + ctx.T(rng.choice(elems)).scale(
+        LaurentPoly.const(ctx.table, rng.randint(1, top))
+    )
 
 
 def _strictly_dominant_vec(wd: WeylData):
@@ -444,9 +454,9 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
             if any(tr.uses_variable(z) for z in ctx2.twist_names):
                 leaked.append(rec.label)
         out.append(
-            CheckResult(
+            _check(
                 f"twist-free[{spec.label}]",
-                "fail" if leaked else "pass",
+                not leaked,
                 f"twist variables leaked into rows {leaked}" if leaked else
                 f"all {len(pc.rows)} entries free of {ctx2.twist_names}",
             )
@@ -456,9 +466,9 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
         ):
             negative_control = True
     out.append(
-        CheckResult(
+        _check(
             "twist-negative-control",
-            "pass" if negative_control else "fail",
+            negative_control,
             f"nonzero-Newton class [{wd.label(nz_rep)}] twist-dependent: {negative_control}",
         )
     )
@@ -466,19 +476,11 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
 
 
 def _probe_elements(ctx: HeckeContext, K: tuple[int, ...]):
+    """The probes θ_x T_w (x in {0, ±e_i}, w in W_K) as ((x, w), element)."""
     par = ctx.parabolic(K)
     m = ctx.wd.rank
-    xs = [(0,) * m]
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        xs.append(tuple(e))
-        xs.append(tuple(-c for c in e))
-    probes = []
-    for x in xs:
-        for w in par.members:
-            probes.append(par.elt({(x, w): ctx.one()}))
-    return probes
+    xs = [(0,) * m] + [x for pair in signed_basis(m) for x in pair]
+    return [((x, w), par.elt({(x, w): ctx.one()})) for x in xs for w in par.members]
 
 
 def _sigma_for(ctx: HeckeContext, J: tuple[int, ...]) -> FinDimModule:
@@ -488,12 +490,10 @@ def _sigma_for(ctx: HeckeContext, J: tuple[int, ...]) -> FinDimModule:
 
 def suite_mackey(pc: PresetContext) -> list[CheckResult]:
     """r_K ∘ i_J = Σ_w i^K_{K_w} ∘ w ∘ r_{J_w} at the character level."""
-    import itertools as it
-
     ctx = pc.ctx
     wd = pc.wd
     out = []
-    subsets = [tuple(c) for r in range(wd.npi + 1) for c in it.combinations(range(wd.npi), r)]
+    subsets = pi_subsets(wd.npi)
     for J in subsets:
         sigma = _sigma_for(ctx, J)
         ind = induce(ctx, J, sigma)
@@ -505,89 +505,68 @@ def suite_mackey(pc: PresetContext) -> list[CheckResult]:
                 moved = twist_by(rho, wd.W.inverse[w], kw)
                 pieces.append(induce_in_parabolic(ctx, K, kw, moved))
             bad = None
-            for p in _probe_elements(ctx, K):
+            for key, p in _probe_elements(ctx, K):
                 lhs = lhs_mod.trace_parabolic(p)
                 rhs = ctx.zero()
                 for piece in pieces:
                     rhs = rhs + piece.trace_parabolic(p)
                 if lhs != rhs:
-                    bad = p
+                    bad = key
                     break
-            out.append(
-                CheckResult(
-                    f"mackey[K={list(K)},J={list(J)}]",
-                    "fail" if bad else "pass",
-                    "character identity over the probe panel",
-                )
-            )
+            if bad is None:
+                detail = "character identity over the probe panel"
+            else:
+                x, w = bad
+                word = "".join(f"s{j + 1}" for j in wd.W.word[w]) or "1"
+                detail = f"character identity fails at the probe θ_x T_w with x = {x}, w = {word}"
+            out.append(_check(f"mackey[K={list(K)},J={list(J)}]", bad is None, detail))
     return out
 
 
-def suite_adjunction(pc: PresetContext, seed: int = 20240, samples: int = 6) -> list[CheckResult]:
+def suite_adjunction(pc: PresetContext) -> list[CheckResult]:
     """tr(σ, r̄_J(h)) = tr(i_J(σ), h) for random h of length <= 4."""
-    import itertools as it
-
     ctx = pc.ctx
-    wd = pc.wd
-    rng = random.Random(seed)
-    ball = wd.enumerate_ball(4)
+    rng = random.Random(ADJUNCTION_SEED)
+    ball = pc.wd.enumerate_ball(4)
     out = []
-    subsets = [tuple(c) for r in range(wd.npi + 1) for c in it.combinations(range(wd.npi), r)]
-    for J in subsets:
+    for J in pi_subsets(pc.wd.npi):
         sigma = _sigma_for(ctx, J)
         ind = induce(ctx, J, sigma)
-        ok = True
-        for _ in range(samples):
-            h = ctx.T(rng.choice(ball)) + ctx.T(rng.choice(ball)).scale(
-                LaurentPoly.const(ctx.table, rng.randint(1, 3))
-            )
-            lhs = ind.trace(h)
-            rhs = sigma.trace_parabolic(ctx.bar_restrict(h, J))
-            if lhs != rhs:
-                ok = False
+        bad = None
+        for _ in range(ADJUNCTION_SAMPLES):
+            h = _random_h(ctx, rng, ball, 3)
+            if ind.trace(h) != sigma.trace_parabolic(ctx.bar_restrict(h, J)):
+                bad = h
                 break
         out.append(
-            CheckResult(
+            _check(
                 f"adjunction[J={list(J)}]",
-                "pass" if ok else "fail",
-                f"{samples} random h of length <= 4",
+                bad is None,
+                f"{ADJUNCTION_SAMPLES} random h of length <= 4" if bad is None else
+                f"tr(i_J σ, h) != tr(σ, r̄_J h) at h = {bad.render()}",
             )
         )
     return out
 
 
-def abar_elements(pc: PresetContext, recs=None) -> dict:
+def abar_elements(pc: PresetContext) -> dict:
     """bar-A applied to each class element T_O (cached per preset context)."""
     ctx = pc.ctx
-    out = {}
-    for rec in recs if recs is not None else pc.classes:
-        out[rec.label] = ctx.adjoint_A(ctx.T(rec.rep))
-    return out
+    return {rec.label: ctx.adjoint_A(ctx.T(rec.rep)) for rec in pc.classes}
 
 
 def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
-    out = []
     det = table.det()
     expected = pc.manifest.det_product(table.qtable)
     chk = determinant_check(table, expected)
-    out.append(CheckResult("pairing-determinant", chk.status, chk.detail))
-    out.append(
-        CheckResult(
-            "pairing-det-nonzero",
-            "pass" if not det.is_zero() else "fail",
-            "determinant nonzero as a polynomial",
-        )
-    )
+    out = [
+        _check("pairing-determinant", chk.ok, chk.detail),
+        _check("pairing-det-nonzero", not det.is_zero(), "determinant nonzero as a polynomial"),
+    ]
     for q in ADMISSIBLE_POINTS:
         vals = table.evaluate(_all_params(table, q))
         rank = rational_matrix_rank(vals)
-        out.append(
-            CheckResult(
-                f"pairing-nonsingular[q={q}]",
-                "pass" if rank == len(vals) else "fail",
-                f"rank {rank} of {len(vals)}",
-            )
-        )
+        out.append(_check(f"pairing-nonsingular[q={q}]", rank == len(vals), f"rank {rank} of {len(vals)}"))
     # the product formula fixes det only up to sign (see determinant_check)
     val = det.evaluate(_all_params(table, -1))
     want = expected.evaluate(_all_params(table, -1))
@@ -598,7 +577,7 @@ def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
         detail = f"determinant at q=-1 is {val.render()} (singular, as the product formula predicts)"
     else:
         detail = f"determinant at q=-1 is {val.render()} (regular)"
-    out.append(CheckResult("pairing-at-q=-1", "pass" if ok else "fail", detail))
+    out.append(_check("pairing-at-q=-1", ok, detail))
     return out
 
 
@@ -618,9 +597,9 @@ def suite_elliptic_rank(pc: PresetContext, abar: dict) -> list[CheckResult]:
             )
         rank = rational_matrix_rank(numeric) if numeric else 0
         out.append(
-            CheckResult(
+            _check(
                 f"elliptic-rank[q={q}]",
-                "pass" if rank == len(elliptic) else "fail",
+                rank == len(elliptic),
                 f"A-projected elliptic block rank {rank}, expected {len(elliptic)}",
             )
         )
@@ -638,26 +617,22 @@ def suite_a_kills_induced(pc: PresetContext, abar: dict) -> list[CheckResult]:
             if not mod.trace(abar[rec.label]).is_zero()
         ]
         out.append(
-            CheckResult(
+            _check(
                 f"A-kills[{spec.label}]",
-                "fail" if bad else "pass",
+                not bad,
                 f"nonzero at {bad}" if bad else "A(i_J σ) vanishes on every T_O",
             )
         )
     return out
 
 
-def suite_a_squared(pc: PresetContext, abar: dict, column: str = None) -> list[CheckResult]:
-    """A^2 = a A with the scalar a recovered, tested on one elliptic column."""
+def suite_a_squared(pc: PresetContext, abar: dict) -> list[CheckResult]:
+    """A^2 = a A with the scalar a recovered, tested on the first
+    one-dimensional or lifted (elliptic) column."""
     ctx = pc.ctx
-    mod = None
-    for spec, m in zip(pc.manifest.columns, pc.modules):
-        if column is not None and spec.label == column:
-            mod = m
-            break
-        if column is None and spec.kind in ("onedim", "lift"):
-            mod = m
-            break
+    mod = next(
+        m for spec, m in zip(pc.manifest.columns, pc.modules) if spec.kind in ("onedim", "lift")
+    )
     f = {lab: mod.trace(h) for lab, h in abar.items()}
     g = {lab: mod.trace(ctx.adjoint_A(h)) for lab, h in abar.items()}
     a_val = None
@@ -666,60 +641,41 @@ def suite_a_squared(pc: PresetContext, abar: dict, column: str = None) -> list[C
             a_val = g[lab].exact_div(f[lab])
             break
     if a_val is None:
-        return [CheckResult("A-squared", "fail", "A vanished on the elliptic column")]
-    ok = True
+        return [_check("A-squared", False, "A vanished on the elliptic column")]
     try:
         const = a_val.constant_value()
     except ValueError:
-        return [CheckResult("A-squared", "fail", f"ratio {a_val.render()} not constant")]
-    for lab in f:
-        if g[lab] != f[lab] * a_val:
-            ok = False
-    ok = ok and const != 0
-    return [
-        CheckResult(
-            "A-squared",
-            "pass" if ok else "fail",
-            f"A^2 = a A with a = {const}",
-        )
-    ]
+        return [_check("A-squared", False, f"ratio {a_val.render()} not constant")]
+    ok = const != 0 and all(g[lab] == f[lab] * a_val for lab in f)
+    return [_check("A-squared", ok, f"A^2 = a A with a = {const}")]
 
 
-def suite_density(pc: PresetContext, table: RigidTable, seed: int = 41, extras: int = 5) -> list[CheckResult]:
+def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
     """Trace vectors of {T_O} on table panel + random-twist induced modules
     stay linearly independent at q = 2."""
-    import itertools as it
-
     ctx = pc.ctx
-    wd = pc.wd
-    rng = random.Random(seed)
+    rng = random.Random(DENSITY_SEED)
     assign = _all_params(table, 2)
     base = table.evaluate(assign)
     columns = [[base[i][j] for i in range(len(pc.rows))] for j in range(len(pc.modules))]
-    proper = [tuple(c) for r in range(wd.npi) for c in it.combinations(range(wd.npi), r)]
-    built = 0
-    k = 0
-    while built < extras:
+    proper = pi_subsets(pc.wd.npi)[:-1]
+    for k in range(DENSITY_EXTRAS):
         J = proper[k % len(proper)]
-        k += 1
         qa = ctx.quotient_algebra(J)
         mods = one_dim_modules(qa.ctx)
         sigma = mods[rng.randrange(len(mods))]
         t_rank = TwistChar(qa).rank
         t = TwistChar(qa, values=[Fraction(rng.randint(2, 9)) for _ in range(t_rank)])
         mod = induce(ctx, J, inflate_chi_t(qa, sigma, t))
-        col = []
-        for rec in pc.rows:
-            col.append(render_in_Q(mod.trace(rec.rep)).evaluate(assign).constant_value())
-        columns.append(col)
-        built += 1
+        columns.append(
+            [render_in_Q(mod.trace(rec.rep)).evaluate(assign).constant_value() for rec in pc.rows]
+        )
     matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(pc.rows))]
     rank = rational_matrix_rank(matrix)
-    ok = rank == len(pc.rows)
     return [
-        CheckResult(
+        _check(
             "density-spot-check",
-            "pass" if ok else "fail",
+            rank == len(pc.rows),
             f"rank {rank} of {len(pc.rows)} on {len(columns)} columns at q=2",
         )
     ]
@@ -730,39 +686,43 @@ def suite_counts(pc: PresetContext) -> list[CheckResult]:
 
     rep = count_identity_check(pc.wd)
     return [
-        CheckResult(
+        _check(
             "count-identity",
-            "pass" if rep.ok else "fail",
+            rep.ok,
             f"sum_J |elliptic/N_J| = {rep.total}, |cl(W~)_0| = {rep.expected}; "
             + ", ".join(f"J={list(J)}:{n}" for J, n in rep.per_J),
         )
     ]
 
 
-def suite_relations(pc: PresetContext, seed: int = 99, triples: int = 200) -> list[CheckResult]:
+def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
     """Module relation certificates plus algebra-level structural checks."""
     ctx = pc.ctx
     wd = pc.wd
-    rng = random.Random(seed)
+    rng = random.Random(RELATIONS_SEED)
     out = []
     for spec, mod in zip(pc.manifest.columns, pc.modules):
+        name = f"module-relations[{spec.label}]"
         try:
-            fams = mod.verify_relations()
-            out.append(
-                CheckResult(
-                    f"module-relations[{spec.label}]", "pass", ",".join(fams)
-                )
-            )
+            out.append(_check(name, True, ",".join(mod.verify_relations())))
         except Exception as exc:
-            out.append(CheckResult(f"module-relations[{spec.label}]", "fail", str(exc)))
+            out.append(_check(name, False, str(exc)))
     ball = wd.enumerate_ball(4)
-    ok = True
+    bad = None
     for _ in range(triples):
-        a, b, c = (ctx.T(rng.choice(ball)) for _ in range(3))
+        abc = [rng.choice(ball) for _ in range(3)]
+        a, b, c = (ctx.T(e) for e in abc)
         if (a * b) * c != a * (b * c):
-            ok = False
+            bad = abc
             break
-    out.append(CheckResult("im-associativity", "pass" if ok else "fail", f"{triples} random triples, radius 4"))
+    out.append(
+        _check(
+            "im-associativity",
+            bad is None,
+            f"{triples} random triples, radius 4" if bad is None else
+            f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({', '.join(map(wd.label, bad))})",
+        )
+    )
     ok = True
     n = len(wd.affine_simple)
     for i in range(n):
@@ -777,18 +737,23 @@ def suite_relations(pc: PresetContext, seed: int = 99, triples: int = 200) -> li
                 b = b.mul_gen_right(wd.affine_simple[j].name if t % 2 == 0 else wd.affine_simple[i].name)
             if a != b:
                 ok = False
-    out.append(CheckResult("braid-relations", "pass" if ok else "fail", "alternating generator products"))
-    ok = True
+    out.append(_check("braid-relations", ok, "alternating generator products"))
     sample = [e for e in ball if wd.length(e) <= 3]
+    bad = None
     for _ in range(min(triples, 200)):
-        h = ctx.T(rng.choice(sample)) + ctx.T(rng.choice(sample)).scale(
-            LaurentPoly.const(ctx.table, rng.randint(1, 4))
-        )
+        h = _random_h(ctx, rng, sample, 4)
         if ctx.bernstein_to_im(ctx.im_to_bernstein(h)) != h:
-            ok = False
+            bad = h
             break
-    out.append(CheckResult("bernstein-roundtrip", "pass" if ok else "fail", "IM -> Bernstein -> IM identity"))
-    ok = True
+    out.append(
+        _check(
+            "bernstein-roundtrip",
+            bad is None,
+            "IM -> Bernstein -> IM identity" if bad is None else
+            f"IM -> Bernstein -> IM changes h = {bad.render()}",
+        )
+    )
+    bad = None
     m = wd.rank
     for _ in range(20):
         # small vectors: theta supports grow fast in antidominant directions
@@ -796,39 +761,41 @@ def suite_relations(pc: PresetContext, seed: int = 99, triples: int = 200) -> li
         y = tuple(rng.randint(-1, 1) for _ in range(m))
         tx, ty = ctx.theta_im(x), ctx.theta_im(y)
         if tx * ty != ty * tx or tx * ty != ctx.theta_im(tuple(a + b for a, b in zip(x, y))):
-            ok = False
+            bad = (x, y)
             break
-    out.append(CheckResult("theta-laws", "pass" if ok else "fail", "commutativity and θ_x θ_y = θ_{x+y}"))
-    return out
-
-
-def suite_lengths(pc: PresetContext, radius: int = 8) -> list[CheckResult]:
-    wd = pc.wd
-    ball = wd.enumerate_ball(radius)
-    bad = 0
-    for e in ball:
-        word = wd.word(e)
-        if sum(1 for w in word if w in wd.sa_index) != wd.length(e):
-            bad += 1
-    out = [
-        CheckResult(
-            f"length-vs-bfs[radius={radius}]",
-            "pass" if bad == 0 else "fail",
-            f"{len(ball)} elements, {bad} mismatches",
+    out.append(
+        _check(
+            "theta-laws",
+            bad is None,
+            "commutativity and θ_x θ_y = θ_{x+y}" if bad is None else
+            f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {bad}",
         )
-    ]
-    ok = all(wd.length(e) == wd.length(wd.inv(e)) for e in ball)
-    out.append(CheckResult("length-inverse", "pass" if ok else "fail", "l(e) = l(e^-1)"))
-    ok = True
-    for om in wd.omega_elements[1:]:
-        for e in ball[: min(len(ball), 200)]:
-            if wd.length(wd.conjugate(om, e)) != wd.length(e):
-                ok = False
-    out.append(CheckResult("length-omega-invariance", "pass" if ok else "fail", "l(ω e ω^-1) = l(e)"))
+    )
     return out
 
 
-def suite_classes(pc: PresetContext, oracle_radius: int = 6) -> list[CheckResult]:
+def suite_lengths(pc: PresetContext) -> list[CheckResult]:
+    wd = pc.wd
+    ball = wd.enumerate_ball(LENGTH_RADIUS)
+    bad = sum(1 for e in ball if sum(1 for w in wd.word(e) if w in wd.sa_index) != wd.length(e))
+    ok_inverse = all(wd.length(e) == wd.length(wd.inv(e)) for e in ball)
+    ok_omega = all(
+        wd.length(wd.conjugate(om, e)) == wd.length(e)
+        for om in wd.omega_elements[1:]
+        for e in ball[:200]
+    )
+    return [
+        _check(
+            f"length-vs-bfs[radius={LENGTH_RADIUS}]",
+            bad == 0,
+            f"{len(ball)} elements, {bad} mismatches",
+        ),
+        _check("length-inverse", ok_inverse, "l(e) = l(e^-1)"),
+        _check("length-omega-invariance", ok_omega, "l(ω e ω^-1) = l(e)"),
+    ]
+
+
+def suite_classes(pc: PresetContext) -> list[CheckResult]:
     from .conj import _finite_order_ball, _partition
 
     wd = pc.wd
@@ -841,24 +808,23 @@ def suite_classes(pc: PresetContext, oracle_radius: int = 6) -> list[CheckResult
     n_ell = sum(1 for r in pc.classes if r.elliptic)
     if pc.manifest.name in counts:
         want, want_ell = counts[pc.manifest.name]
-        ok = len(pc.classes) == want and n_ell == want_ell
         out.append(
-            CheckResult(
+            _check(
                 "class-counts",
-                "pass" if ok else "fail",
+                len(pc.classes) == want and n_ell == want_ell,
                 f"{len(pc.classes)} Newton-zero classes, {n_ell} elliptic",
             )
         )
     # minimality certificate: no single conjugation strictly shortens a min rep
-    ok = True
-    for rec in pc.classes:
-        for e in rec.min_reps:
-            for s in wd.affine_simple:
-                if wd.length(wd.conjugate(s.elt, e)) < rec.min_length:
-                    ok = False
-    out.append(CheckResult("minimality-certificate", "pass" if ok else "fail", "no move s e s shortens a minimal representative"))
+    ok = all(
+        wd.length(wd.conjugate(s.elt, e)) >= rec.min_length
+        for rec in pc.classes
+        for e in rec.min_reps
+        for s in wd.affine_simple
+    )
+    out.append(_check("minimality-certificate", ok, "no move s e s shortens a minimal representative"))
     # oracle agreement on the radius-6 ball
-    elems = _finite_order_ball(wd, oracle_radius)
+    elems = _finite_order_ball(wd, ORACLE_RADIUS)
     graph_parts = _partition(wd, elems)
     index = {e: i for i, e in enumerate(elems)}
     parent = list(range(len(elems)))
@@ -869,7 +835,7 @@ def suite_classes(pc: PresetContext, oracle_radius: int = 6) -> list[CheckResult
             i = parent[i]
         return i
 
-    for g in wd.enumerate_ball(oracle_radius):
+    for g in wd.enumerate_ball(ORACLE_RADIUS):
         for e in elems:
             h = wd.conjugate(g, e)
             j = index.get(h)
@@ -883,72 +849,61 @@ def suite_classes(pc: PresetContext, oracle_radius: int = 6) -> list[CheckResult
     graph_sets = {frozenset(g) for g in graph_parts}
     oracle_sets = {frozenset(g) for g in oracle_parts.values()}
     out.append(
-        CheckResult(
-            f"oracle-agreement[radius={oracle_radius}]",
-            "pass" if graph_sets == oracle_sets else "fail",
+        _check(
+            f"oracle-agreement[radius={ORACLE_RADIUS}]",
+            graph_sets == oracle_sets,
             f"{len(graph_sets)} graph classes vs {len(oracle_sets)} oracle classes",
         )
     )
     # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant
-    ok = True
-    for rec in pc.classes:
-        for om in wd.omega_elements[1:]:
-            if classify(wd, wd.conjugate(om, rec.rep), pc.classes).label != rec.label:
-                ok = False
-        for e in rec.min_reps:
-            if wd.is_elliptic(e) != rec.elliptic:
-                ok = False
-    out.append(CheckResult("class-invariants", "pass" if ok else "fail", "Ω-closure and elliptic constancy"))
+    ok = all(
+        classify(wd, wd.conjugate(om, rec.rep), pc.classes).label == rec.label
+        for rec in pc.classes
+        for om in wd.omega_elements[1:]
+    ) and all(wd.is_elliptic(e) == rec.elliptic for rec in pc.classes for e in rec.min_reps)
+    out.append(_check("class-invariants", ok, "Ω-closure and elliptic constancy"))
     return out
 
 
+class _SuiteInputs:
+    """The table and bar-A elements of one context, each built at most once
+    and shared by the suites of one ``run_suite`` call."""
+
+    def __init__(self, pc: PresetContext):
+        self.pc = pc
+
+    @cached_property
+    def table(self) -> RigidTable:
+        return build_rigid_table(self.pc)
+
+    @cached_property
+    def abar(self) -> dict:
+        return abar_elements(self.pc)
+
+
+_SUITE_TABLE: dict[str, Callable[[_SuiteInputs], list[CheckResult]]] = {
+    "relations": lambda s: suite_relations(s.pc),
+    "lengths": lambda s: suite_lengths(s.pc),
+    "classes": lambda s: suite_classes(s.pc),
+    "mackey": lambda s: suite_mackey(s.pc),
+    "adjunction": lambda s: suite_adjunction(s.pc),
+    "twist": lambda s: suite_twist(s.pc),
+    "pairing": lambda s: suite_pairing(s.pc, s.table)
+    + suite_elliptic_rank(s.pc, s.abar)
+    + suite_a_kills_induced(s.pc, s.abar)
+    + suite_a_squared(s.pc, s.abar),
+    "density": lambda s: suite_density(s.pc, s.table),
+    "counts": lambda s: suite_counts(s.pc),
+}
+
+SUITES = tuple(_SUITE_TABLE) + ("all",)
+
+
 def run_suite(pc: PresetContext, suite: str) -> list[CheckResult]:
-    """Dispatch a named verification suite (the CLI surface)."""
-    table = None
-    abar = None
-
-    def need_table():
-        nonlocal table
-        if table is None:
-            table = build_rigid_table(pc)
-        return table
-
-    def need_abar():
-        nonlocal abar
-        if abar is None:
-            abar = abar_elements(pc)
-        return abar
-
-    if suite == "relations":
-        return suite_relations(pc)
-    if suite == "lengths":
-        return suite_lengths(pc)
-    if suite == "classes":
-        return suite_classes(pc)
-    if suite == "mackey":
-        return suite_mackey(pc)
-    if suite == "adjunction":
-        return suite_adjunction(pc)
-    if suite == "twist":
-        return suite_twist(pc)
-    if suite == "pairing":
-        out = suite_pairing(pc, need_table())
-        out += suite_elliptic_rank(pc, need_abar())
-        out += suite_a_kills_induced(pc, need_abar())
-        out += suite_a_squared(pc, need_abar())
-        return out
-    if suite == "density":
-        return suite_density(pc, need_table())
-    if suite == "counts":
-        return suite_counts(pc)
-    if suite == "all":
-        out = []
-        for s in ("relations", "lengths", "classes", "mackey", "adjunction",
-                  "twist", "pairing", "density", "counts"):
-            out += run_suite(pc, s)
-        return out
-    raise KeyError(f"unknown suite {suite!r}")
-
-
-SUITES = ("relations", "lengths", "classes", "mackey", "adjunction", "twist",
-          "pairing", "density", "counts", "all")
+    """Run a named verification suite, or every suite in order for "all"
+    (the CLI surface)."""
+    if suite != "all" and suite not in _SUITE_TABLE:
+        raise KeyError(f"unknown suite {suite!r}")
+    inputs = _SuiteInputs(pc)
+    names = _SUITE_TABLE if suite == "all" else (suite,)
+    return [c for name in names for c in _SUITE_TABLE[name](inputs)]

@@ -95,19 +95,18 @@ def validate_datum(datum: BasedRootDatum, weyl_bound: int = 100_000) -> int:
     return size
 
 
+def reflection_matrix(a: Sequence[int], av: Sequence[int]) -> tuple[Vec, ...]:
+    """Matrix of x -> x - <x, av> a acting on column vectors (row r holds
+    coordinate r of the images of the basis vectors)."""
+    m = len(a)
+    return tuple(tuple(int(r == j) - av[j] * a[r] for j in range(m)) for r in range(m))
+
+
 def _weyl_order(datum: BasedRootDatum, bound: int) -> int:
     m = datum.rank
     if m == 0 or not datum.simple_roots:
         return 1
-    gens = []
-    for i in range(len(datum.simple_roots)):
-        cols = []
-        for j in range(m):
-            e = tuple(int(j == t) for t in range(m))
-            img, _ = _reflect(datum, i, e, (0,) * m)
-            cols.append(img)
-        # matrix rows: image coordinates (acting on column vectors x)
-        gens.append(tuple(tuple(cols[j][r] for j in range(m)) for r in range(m)))
+    gens = [reflection_matrix(a, av) for a, av in zip(datum.simple_roots, datum.simple_coroots)]
     ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     seen = {ident}
     frontier = [ident]
@@ -115,10 +114,7 @@ def _weyl_order(datum: BasedRootDatum, bound: int) -> int:
         nxt = []
         for g in frontier:
             for s in gens:
-                prod = tuple(
-                    tuple(sum(s[r][k] * g[k][c] for k in range(m)) for c in range(m))
-                    for r in range(m)
-                )
+                prod = intlinalg.mat_mul(s, g)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -159,32 +155,15 @@ def _is_positive(datum: BasedRootDatum, v: Vec) -> bool:
 
 
 def _simple_root_coords(datum: BasedRootDatum, v: Sequence[int]):
+    """Rational coordinates of v in the simple roots, or None if v is not in their span."""
     k = len(datum.simple_roots)
-    m = datum.rank
-    a = [[Fraction(datum.simple_roots[j][r]) for j in range(k)] for r in range(m)]
-    b = [Fraction(x) for x in v]
-    # Gaussian elimination on the m x k system
-    rows = [a[r] + [b[r]] for r in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][k] != 0:
-            return None
+    rows, pivots = intlinalg.row_reduce(
+        [[datum.simple_roots[j][r] for j in range(k)] + [v[r]] for r in range(datum.rank)], k
+    )
+    if any(row[k] != 0 for row in rows[len(pivots):]):
+        return None
     out = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
+    for i, c in enumerate(pivots):
         out[c] = rows[i][k]
     return out
 

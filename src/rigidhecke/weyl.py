@@ -25,6 +25,7 @@ from .rootdata import (
     BasedRootDatum,
     RootSystem,
     generate_root_system,
+    reflection_matrix,
     validate_datum,
     _simple_root_coords,
 )
@@ -55,6 +56,12 @@ def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [find(i) for i in range(n)]
 
 
+def pi_subsets(npi: int) -> list[tuple[int, ...]]:
+    """All subsets of the simple-root positions 0..npi-1, by size, then
+    lexicographically (so the full set comes last)."""
+    return [c for r in range(npi + 1) for c in itertools.combinations(range(npi), r)]
+
+
 class FinWeylGroup:
     """The finite Weyl group, fully materialized with BFS data.
 
@@ -67,16 +74,7 @@ class FinWeylGroup:
         m = datum.rank
         k = len(datum.simple_roots)
         self.ngens = k
-        gen_mats = []
-        for i in range(k):
-            cols = []
-            for j in range(m):
-                e = tuple(int(j == t) for t in range(m))
-                av = datum.simple_coroots[i]
-                a = datum.simple_roots[i]
-                pair = sum(e[t] * av[t] for t in range(m))
-                cols.append(tuple(e[t] - pair * a[t] for t in range(m)))
-            gen_mats.append(tuple(tuple(cols[j][r] for j in range(m)) for r in range(m)))
+        gen_mats = [reflection_matrix(datum.simple_roots[i], datum.simple_coroots[i]) for i in range(k)]
         ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
         self.mats: list[tuple] = [ident]
         self.index: dict[tuple, int] = {ident: 0}
@@ -88,7 +86,7 @@ class FinWeylGroup:
             nxt = []
             for wi in sorted(frontier, key=lambda t: self.word[t]):
                 for g in range(k):
-                    mat = self._matmul(self.mats[wi], gen_mats[g])
+                    mat = intlinalg.mat_mul(self.mats[wi], gen_mats[g])
                     if mat not in self.index:
                         self.index[mat] = len(self.mats)
                         self.mats.append(mat)
@@ -104,14 +102,6 @@ class FinWeylGroup:
         self.inverse = [self.index[self._matinv(mat)] for mat in self.mats]
 
     @staticmethod
-    def _matmul(a, b):
-        m = len(a)
-        return tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(m)) for c in range(m))
-            for r in range(m)
-        )
-
-    @staticmethod
     def _matinv(a):
         m = len(a)
         if m == 0:
@@ -123,7 +113,7 @@ class FinWeylGroup:
         key = (a, b)
         got = self._mult_memo.get(key)
         if got is None:
-            got = self.index[self._matmul(self.mats[a], self.mats[b])]
+            got = self.index[intlinalg.mat_mul(self.mats[a], self.mats[b])]
             self._mult_memo[key] = got
         return got
 
@@ -345,16 +335,9 @@ class WeylData:
 
     def _reflection_index(self, root_pos: int) -> int:
         """Index in W of the reflection in the root at position root_pos."""
-        m = self.rank
-        a = self.roots.roots[root_pos]
-        av = self.roots.coroots[root_pos]
-        cols = []
-        for j in range(m):
-            e = tuple(int(j == t) for t in range(m))
-            pair = sum(e[t] * av[t] for t in range(m))
-            cols.append(tuple(e[t] - pair * a[t] for t in range(m)))
-        mat = tuple(tuple(cols[j][r] for j in range(m)) for r in range(m))
-        return self.W.index[mat]
+        return self.W.index[
+            reflection_matrix(self.roots.roots[root_pos], self.roots.coroots[root_pos])
+        ]
 
     def bond_order(self, i: int, j: int, cap: int = 12) -> Optional[int]:
         """Order of s_i s_j for S^a members, or None if it exceeds the cap."""

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from rigidhecke import conj
 from rigidhecke.conj import (
     NotFound,
+    UnstableAtBound,
     brute_force_conjugacy_oracle,
     classify,
     count_identity_check,
@@ -163,3 +165,21 @@ def test_classes_sorted_and_records():
         assert r.J_O == tuple(range(wd.npi))  # Newton-zero => J_O = Pi
         js = r.to_json(wd)
         assert set(js) == {"rep", "min_length", "newton", "elliptic", "label"}
+
+
+def test_stability_compares_whole_records(monkeypatch):
+    import dataclasses
+
+    real = conj._records_from_partition
+    calls = []
+
+    def flipped_at_second_bound(wd, groups):
+        recs = real(wd, groups)
+        calls.append(recs)
+        if len(calls) == 2:  # the enumeration at L+2: same labels, one record differs
+            recs[0] = dataclasses.replace(recs[0], elliptic=not recs[0].elliptic)
+        return recs
+
+    monkeypatch.setattr(conj, "_records_from_partition", flipped_at_second_bound)
+    with pytest.raises(UnstableAtBound, match=r"changed at L=8: \['1'\]"):
+        newton_zero_classes(WeylData(preset("sl2")), 8)

@@ -223,7 +223,7 @@ def test_pairing_runs_one_determinant(pc_sl2, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["sl3", "g2", "pgl3"])
+@pytest.mark.parametrize("name", ["sl3", "g2", "pgl3", "sl4", "sl2xsl2"])
 def test_datum_family_suites(name):
     import pathlib
 
@@ -236,3 +236,119 @@ def test_datum_family_suites(name):
         checks = rigidtab.run_suite(pc, suite)
         bad = [c for c in checks if not c.ok]
         assert checks and not bad, bad
+
+
+def test_all_is_every_suite_in_order_with_one_table(pc_sl2, monkeypatch):
+    builds = []
+    real = rigidtab.build_rigid_table
+    monkeypatch.setattr(rigidtab, "build_rigid_table", lambda pc: builds.append(pc) or real(pc))
+    every = rigidtab.run_suite(pc_sl2, "all")
+    assert len(builds) == 1  # pairing and density share one table
+    assert rigidtab.SUITES[-1] == "all"
+    assert every == [c for s in rigidtab.SUITES[:-1] for c in rigidtab.run_suite(pc_sl2, s)]
+
+
+# -- failing checks name their witness ------------------------------------------------
+# Each test breaks the operation a check tests and asserts that the failure
+# detail names the probe, triple, element or pair at which it failed.
+
+
+def _check_named(checks, name):
+    (chk,) = [c for c in checks if c.name == name]
+    assert chk.status == "fail"
+    return chk.detail
+
+
+def _bare_sl2():
+    """A fresh sl2 context without module columns: the fakes below may
+    poison its caches, and the module certificates are not under test."""
+    import dataclasses
+
+    return dataclasses.replace(rigidtab.build_preset_context("sl2"), modules=[])
+
+
+def test_mackey_failure_names_probe(pc_sl2, monkeypatch):
+    real = rigidtab.induce_in_parabolic
+
+    class Skewed:
+        """A piece whose character is off by 1 at the probes with x = -e_0."""
+
+        def __init__(self, mod):
+            self.mod = mod
+
+        def trace_parabolic(self, p):
+            out = self.mod.trace_parabolic(p)
+            return out + 1 if any(x == (-1,) for x, _ in p.c) else out
+
+    monkeypatch.setattr(rigidtab, "induce_in_parabolic", lambda *a: Skewed(real(*a)))
+    detail = _check_named(rigidtab.suite_mackey(pc_sl2), "mackey[K=[],J=[]]")
+    assert detail == "character identity fails at the probe θ_x T_w with x = (-1,), w = 1"
+
+
+def test_associativity_failure_names_triple(monkeypatch):
+    from rigidhecke.hecke import HeckeElt
+
+    pc = _bare_sl2()
+    calls = []
+    real = HeckeElt.__mul__
+
+    def skewed(a, b):  # (ab)c - a(bc) = ac under this product
+        calls.append((a, b))
+        return real(a, b) + a
+
+    monkeypatch.setattr(HeckeElt, "__mul__", skewed)
+    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "im-associativity")
+    (a,), (b,), (c,) = calls[0][0].c, calls[0][1].c, calls[1][1].c
+    labels = ", ".join(pc.wd.label(e) for e in (a, b, c))
+    assert detail == f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({labels})"
+
+
+def test_bernstein_roundtrip_failure_names_h(monkeypatch):
+    from rigidhecke.hecke import HeckeContext
+
+    pc = _bare_sl2()
+    seen = []
+    real = HeckeContext.im_to_bernstein
+
+    def shifted(ctx, h):
+        seen.append(h)
+        return real(ctx, h + ctx.unit())
+
+    monkeypatch.setattr(HeckeContext, "im_to_bernstein", shifted)
+    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "bernstein-roundtrip")
+    # nothing after the round trip converts to Bernstein form
+    assert detail == f"IM -> Bernstein -> IM changes h = {seen[-1].render()}"
+
+
+def test_adjunction_failure_names_h(pc_sl2, monkeypatch):
+    from rigidhecke.hecke import HeckeContext
+
+    seen = []
+    real = HeckeContext.bar_restrict
+
+    def shifted(ctx, h, J):
+        seen.append(h)
+        return real(ctx, h + ctx.unit(), J)
+
+    monkeypatch.setattr(HeckeContext, "bar_restrict", shifted)
+    detail = _check_named(rigidtab.suite_adjunction(pc_sl2), "adjunction[J=[]]")
+    assert detail == f"tr(i_J σ, h) != tr(σ, r̄_J h) at h = {seen[0].render()}"
+
+
+def test_theta_laws_failure_names_pair(monkeypatch):
+    from rigidhecke.hecke import HeckeContext
+
+    pc = _bare_sl2()
+    seen = []
+    real = HeckeContext.theta_im
+
+    def skewed(ctx, x):  # θ_(1) off by 1: the laws fail for x or y = (1,), the other nonzero
+        seen.append(tuple(x))
+        out = real(ctx, x)
+        return out + ctx.unit() if tuple(x) == (1,) else out
+
+    monkeypatch.setattr(HeckeContext, "theta_im", skewed)
+    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "theta-laws")
+    x, y, _x_plus_y = seen[-3:]  # the failing draw asks for θ_x, θ_y, θ_{x+y}
+    assert (1,) in (x, y) and (0,) not in (x, y)
+    assert detail == f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {(x, y)}"
