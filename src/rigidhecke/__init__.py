@@ -55,7 +55,6 @@ from .hecke import (
     HeckeElt,
     NonNewtonZeroLeaf,
     Parabolic,
-    ParabolicElt,
     QuotientAlgebra,
 )
 from .repn import (

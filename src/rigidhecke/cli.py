@@ -43,6 +43,7 @@ def _emit(text: str, out_path):
 
 # input errors of a root datum: unreadable, malformed or out of scope
 _DATUM_ERRORS = (
+    OSError,
     DatumFormatError,
     KeyError,
     NotCartan,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import intlinalg
 from .rootdata import semisimple_quotient
@@ -121,26 +121,27 @@ def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
     return list(groups.values())
 
 
+def class_record(wd: WeylData, min_reps: Iterable[Elt]) -> ConjClassRecord:
+    """The record of a class from its minimal-length elements min_reps."""
+    min_reps = tuple(sorted(min_reps))
+    rep = min(min_reps, key=wd.word)
+    nu, j_o = wd.newton_point(rep)
+    return ConjClassRecord(
+        rep=rep,
+        label=wd.label(rep),
+        min_length=wd.length(rep),
+        min_reps=min_reps,
+        newton=nu,
+        J_O=j_o,
+        elliptic=wd.is_elliptic(rep),
+    )
+
+
 def _records_from_partition(wd: WeylData, groups: list[list[Elt]]) -> list[ConjClassRecord]:
     records = []
     for grp in groups:
         min_len = min(wd.length(e) for e in grp)
-        min_reps = sorted(
-            (e for e in grp if wd.length(e) == min_len), key=lambda t: (t[0], t[1])
-        )
-        rep = min(min_reps, key=wd.word)
-        nu, j_o = wd.newton_point(rep)
-        records.append(
-            ConjClassRecord(
-                rep=rep,
-                label=wd.label(rep),
-                min_length=min_len,
-                min_reps=tuple(min_reps),
-                newton=nu,
-                J_O=j_o,
-                elliptic=wd.is_elliptic(rep),
-            )
-        )
+        records.append(class_record(wd, [e for e in grp if wd.length(e) == min_len]))
     records.sort(key=lambda r: (r.min_length, wd.word(r.rep)))
     return records
 
@@ -218,15 +219,22 @@ def _subset_reps(wd: WeylData) -> list[tuple[int, ...]]:
     return reps
 
 
-def count_identity_check(wd: WeylData, L: int = 8) -> CountIdentityReport:
+def count_identity_check(
+    wd: WeylData, L: int = 8, classes: Optional[Sequence[ConjClassRecord]] = None
+) -> CountIdentityReport:
     """Check sum_J |elliptic Newton-zero classes of W~_J| / N_J = |cl(W~)_0|.
+
+    ``classes`` are the Newton-zero classes of ``wd`` if already enumerated;
+    otherwise they are enumerated in the length-L ball.
 
     For each J the elliptic classes of the semisimple quotient X_J ⋊ W_J are
     counted, keeping only those that lift to Newton-zero classes of X ⋊ W_J,
     i.e. whose translation part lies in image(X ∩ QJ) + (1-u) X_J, and then
     identifying N_J-orbits.
     """
-    expected = len(newton_zero_classes(wd, L, check_stability=False))
+    if classes is None:
+        classes = newton_zero_classes(wd, L, check_stability=False)
+    expected = len(classes)
     total = 0
     per_j = []
     for J in _subset_reps(wd):

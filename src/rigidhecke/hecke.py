@@ -11,18 +11,18 @@ geometric-sum expansion of the Bernstein-Lusztig relation, with the
 q(s)q(s~) branch when α^ ∈ 2X^.
 
 Parabolic subalgebras H_J carry the same lattice and the parameter pairs
-inherited from the ambient diagram; their elements are kept in Bernstein
-form.  The cocenter operations (T_O, reduction to minimal classes, the
-r̄_J blocks) all live here.
+inherited from the ambient diagram; their elements are plain BernsteinElts
+supported on W_J.  The cocenter operations (T_O, reduction to minimal
+classes, the r̄_J blocks) all live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .conj import ConjClassRecord, NotFound
+from .conj import ConjClassRecord, NotFound, class_record
 from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable
 from .rootdata import SemisimpleQuotient, semisimple_quotient
 from .weyl import Elt, WeylData
@@ -56,6 +56,18 @@ def _accumulate(out: dict, key, v: LaurentPoly, zero: LaurentPoly) -> None:
         out[key] = s
 
 
+def _quadratic_step(
+    out: dict, w, ws, up: bool, v: LaurentPoly, Q: LaurentPoly, zero: LaurentPoly
+) -> None:
+    """out += v T_w T_s for the basis keys w and ws (of w s): v T_ws if the
+    length goes up, else v ((Q - 1) T_w + Q T_ws)."""
+    if up:
+        _accumulate(out, ws, v, zero)
+    else:
+        _accumulate(out, w, v * (Q - 1), zero)
+        _accumulate(out, ws, v * Q, zero)
+
+
 def _twin_nodes(wd: WeylData) -> list[Optional[int]]:
     """Per Pi position, the S^a index of its q(s~)-twin s~, or None.
 
@@ -75,7 +87,7 @@ def _twin_nodes(wd: WeylData) -> list[Optional[int]]:
         if not wd.two_Xvee_flags[pos]:
             out.append(None)
             continue
-        k = wd.sa_index[f"s{pos + 1}"]
+        k = wd.sa_index[wd.pi_names[pos]]
         comp = {k}
         frontier = [k]
         while frontier:
@@ -163,7 +175,7 @@ class HeckeContext:
 
     def _build_finite_pairs(self):
         wd = self.wd
-        self.v_of_pi = [self.v_of_sa[wd.sa_index[f"s{i + 1}"]] for i in range(wd.npi)]
+        self.v_of_pi = [self.v_of_sa[wd.sa_index[name]] for name in wd.pi_names]
         self.Q_of_pi = [v * v for v in self.v_of_pi]
         self.twin_v_of_pi = [None if k is None else self.v_of_sa[k] for k in _twin_nodes(wd)]
 
@@ -191,11 +203,8 @@ class HeckeContext:
     def T(self, e: Elt) -> "HeckeElt":
         return HeckeElt(self, {e: self._one})
 
-    def T_word(self, letters: Iterable[str]) -> "HeckeElt":
-        out = self.unit()
-        for name in letters:
-            out = out.mul_gen_right(name)
-        return out
+    def T_word(self, letters: Sequence[str]) -> "HeckeElt":
+        return self.unit().mul_word_right(letters)
 
     # -- theta machinery ---------------------------------------------------------
 
@@ -256,9 +265,7 @@ class HeckeContext:
             raise ValueError("both split parts must be dominant")
         t1 = wd.translation(x1)
         t2 = wd.translation(x2)
-        out = self.T(t1)
-        for name in reversed(wd.word(t2)):
-            out = out.mul_geninv_right(name)
+        out = self.T(t1).mul_word_right(wd.word(t2), inverse=True)
         return out.scale(self.q_of_elt(t1).inverse() * self.q_of_elt(t2))
 
     def theta_element(self, x: Vec) -> "BernsteinElt":
@@ -270,9 +277,7 @@ class HeckeContext:
         got = self._theta_T_cache.get(key)
         if got is not None:
             return got
-        out = self.theta_im(x)
-        for j in self.wd.W.word[w]:
-            out = out.mul_gen_right(f"s{j + 1}")
+        out = self.theta_im(x).mul_word_right(self.wd.finite_word(w))
         self._theta_T_cache[key] = out
         return out
 
@@ -339,9 +344,7 @@ class HeckeContext:
                 refl = s.elt[1]
                 if wd.length(t) != 1 + wd.W.length[refl]:
                     raise RuntimeError("l(t_{-gamma}) != 1 + l(s_gamma); convention broken")
-                inv = self.unit()
-                for j in reversed(wd.W.word[refl]):
-                    inv = inv.mul_geninv_right(f"s{j + 1}")
+                inv = self.unit().mul_word_right(wd.finite_word(refl), inverse=True)
                 coeff = self.q_of_elt(t)
                 terms = {}
                 for e, c in inv.c.items():
@@ -386,8 +389,6 @@ class HeckeContext:
         budget: int = 1_000_000,
     ) -> "CocenterCombination":
         """Express T_e as Σ a_O T_O modulo commutators by length descent."""
-        from .conj import descend_to_minimal
-
         wd = self.wd
         known = list(classes)
         out: dict[str, LaurentPoly] = {}
@@ -428,18 +429,9 @@ class HeckeContext:
                 if len(seen) > budget:
                     raise BudgetExceeded("plateau exploration exceeded budget")
             if descent is None:
-                # minimal: identify the class
-                rec = None
-                for r in known:
-                    if seen & set(r.min_reps):
-                        rec = r
-                        break
-                if rec is None:
-                    plateau, _ = descend_to_minimal(wd, cur)
-                    for r in known:
-                        if set(plateau) & set(r.min_reps):
-                            rec = r
-                            break
+                # minimal: a simple conjugation changes the length by 0 or ±2,
+                # so seen is the whole minimal-length plateau of cur
+                rec = next((r for r in known if seen & set(r.min_reps)), None)
                 if rec is None:
                     if not extend:
                         nu, _ = wd.newton_point(cur)
@@ -450,18 +442,7 @@ class HeckeContext:
                         raise NotFound(
                             f"minimal leaf {wd.render(cur)} not in the class list"
                         )
-                    plateau, _ = descend_to_minimal(wd, cur)
-                    rep = min(plateau, key=wd.word)
-                    nu, j_o = wd.newton_point(rep)
-                    rec = ConjClassRecord(
-                        rep=rep,
-                        label=wd.label(rep),
-                        min_length=wd.length(rep),
-                        min_reps=tuple(plateau),
-                        newton=nu,
-                        J_O=j_o,
-                        elliptic=wd.is_elliptic(rep),
-                    )
+                    rec = class_record(wd, seen)
                     known.append(rec)
                     rec_by_label[rec.label] = rec
                 _accumulate(out, rec.label, c, self._zero)
@@ -484,23 +465,20 @@ class HeckeContext:
 
     # -- restriction to parabolic blocks ----------------------------------------------
 
-    def bar_restrict(self, h: "HeckeElt", J: Sequence[int]) -> "ParabolicElt":
+    def bar_restrict(self, h: "HeckeElt", J: Sequence[int]) -> "BernsteinElt":
         """r̃_J(h) = Σ_u (u,u)-block of left multiplication on ⊕ T_u H_J."""
         par = self.parabolic(J)
-        total = par.zero_elt()
+        total = BernsteinElt(self, {})
         for u in par.coset_reps:
-            hu = h
-            for j in self.wd.W.word[u]:
-                hu = hu.mul_gen_right(f"s{j + 1}")
-            blocks = par.decompose(self.im_to_bernstein(hu))
-            blk = blocks.get(u)
+            hu = h.mul_word_right(self.wd.finite_word(u))
+            blk = par.decompose(self.im_to_bernstein(hu)).get(u)
             if blk is not None:
                 total = total + blk
         return total
 
     def adjoint_iJ_rJ(self, h: "HeckeElt", J: Sequence[int]) -> "HeckeElt":
         """ī_J(r̄_J(h)) at the element level: restrict blocks, embed back."""
-        return self.bar_restrict(h, J).to_ambient_im()
+        return self.bernstein_to_im(self.bar_restrict(h, J))
 
     def adjoint_A(self, h: "HeckeElt") -> "HeckeElt":
         """The operator adjoint to A: bar A = bar A^1 ∘ ... ∘ bar A^{|Pi|}."""
@@ -527,21 +505,17 @@ class _Combination:
         self.ctx = ctx
         self.c = {k: v for k, v in c.items() if not v.is_zero()}
 
-    def _new(self, c: dict):
-        """A combination of the same kind and owner with coefficients c."""
-        return type(self)(self.ctx, c)
-
     def __add__(self, other):
         out = dict(self.c)
         for k, v in other.c.items():
             _accumulate(out, k, v, self.ctx._zero)
-        return self._new(out)
+        return type(self)(self.ctx, out)
 
     def __sub__(self, other):
         return self + other.scale(LaurentPoly.const(self.ctx.table, -1))
 
     def scale(self, c: LaurentPoly):
-        return self._new({k: v * c for k, v in self.c.items()})
+        return type(self)(self.ctx, {k: v * c for k, v in self.c.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.c == other.c
@@ -568,11 +542,7 @@ class HeckeElt(_Combination):
         Q = ctx.Q_of_sa[wd.sa_index[name]]
         for e, v in self.c.items():
             eg = wd.mult(e, g)
-            if wd.length(eg) > wd.length(e):
-                _accumulate(out, eg, v, zero)
-            else:
-                _accumulate(out, e, v * (Q - 1), zero)
-                _accumulate(out, eg, v * Q, zero)
+            _quadratic_step(out, e, eg, wd.length(eg) > wd.length(e), v, Q, zero)
         return HeckeElt(ctx, out)
 
     def mul_geninv_right(self, name: str) -> "HeckeElt":
@@ -586,16 +556,18 @@ class HeckeElt(_Combination):
         qi = Q.inverse()
         return self.mul_gen_right(name).scale(qi) + self.scale(qi - 1)
 
-    def mul_basis_right(self, e: Elt) -> "HeckeElt":
+    def mul_word_right(self, letters: Sequence[str], inverse: bool = False) -> "HeckeElt":
+        """self T_{l1} ... T_{lk} for the generator names l, or with
+        ``inverse`` self (T_{l1} ... T_{lk})^{-1}."""
         out = self
-        for name in self.ctx.wd.word(e):
-            out = out.mul_gen_right(name)
+        for name in reversed(letters) if inverse else letters:
+            out = out.mul_geninv_right(name) if inverse else out.mul_gen_right(name)
         return out
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         out = HeckeElt(self.ctx, {})
         for e, v in other.c.items():
-            out = out + self.mul_basis_right(e).scale(v)
+            out = out + self.mul_word_right(self.ctx.wd.word(e)).scale(v)
         return out
 
     def render(self) -> str:
@@ -620,7 +592,7 @@ class BernsteinElt(_Combination):
 
     __slots__ = ()
 
-    def mul_finite_gen_right(self, j: int):
+    def mul_finite_gen_right(self, j: int) -> "BernsteinElt":
         """Right multiplication by T_{s_j} for a finite simple root position j."""
         ctx = self.ctx
         W = ctx.wd.W
@@ -629,12 +601,15 @@ class BernsteinElt(_Combination):
         out: dict = {}
         for (x, w), v in self.c.items():
             ws = W.mult(w, sj)
-            if W.length[ws] > W.length[w]:
-                _accumulate(out, (x, ws), v, ctx._zero)
-            else:
-                _accumulate(out, (x, w), v * (Q - 1), ctx._zero)
-                _accumulate(out, (x, ws), v * Q, ctx._zero)
-        return self._new(out)
+            _quadratic_step(out, (x, w), (x, ws), W.length[ws] > W.length[w], v, Q, ctx._zero)
+        return BernsteinElt(ctx, out)
+
+    def mul_word_right(self, word: Sequence[int]) -> "BernsteinElt":
+        """self T_{s_{j1}} ... T_{s_{jk}} for the Pi positions j of word."""
+        out = self
+        for j in word:
+            out = out.mul_finite_gen_right(j)
+        return out
 
     def __repr__(self):
         return f"BernsteinElt({len(self.c)} terms)"
@@ -676,21 +651,19 @@ class Parabolic:
     def __init__(self, ctx: HeckeContext, J: tuple[int, ...]):
         self.ctx = ctx
         self.J = J
-        wd = ctx.wd
-        self.members, self.words = wd.W.subgroup([j for j in J])
+        W = ctx.wd.W
+        # the lex-least reduced word of an element of W_J uses only J letters
+        self.members = [w for w in range(W.size) if set(W.word[w]) <= set(J)]
         self.member_set = set(self.members)
-        self.coset_reps = wd.minimal_coset_reps(J)
+        self.coset_reps = ctx.wd.minimal_coset_reps(J)
         self._theta_right_cache: dict = {}
         self._theta_left_cache: dict = {}
 
-    def zero_elt(self) -> "ParabolicElt":
-        return ParabolicElt(self, {})
-
-    def elt(self, c: dict) -> "ParabolicElt":
+    def elt(self, c: dict) -> BernsteinElt:
         for (_x, w) in c:
             if w not in self.member_set:
                 raise ValueError("support leaves W_J")
-        return ParabolicElt(self, dict(c))
+        return BernsteinElt(self.ctx, dict(c))
 
     # Bernstein-Lusztig commutator R_j(x) = θ_x T_s - T_s θ_{s x} as a θ-combo
     def bl_comm(self, j: int, x: Vec) -> dict:
@@ -726,7 +699,7 @@ class Parabolic:
         k = sum(a * b for a, b in zip(x, d.simple_coroots[j]))
         return tuple(a - k * b for a, b in zip(x, d.simple_roots[j]))
 
-    def move_theta_left(self, word: tuple[int, ...], y: Vec) -> "ParabolicElt":
+    def move_theta_left(self, word: tuple[int, ...], y: Vec) -> BernsteinElt:
         """T_word θ_y as Σ θ_z T_v (word is a reduced J-word of Pi positions)."""
         key = (word, y)
         got = self._theta_left_cache.get(key)
@@ -734,7 +707,7 @@ class Parabolic:
             return got
         ctx = self.ctx
         if not word:
-            out = ParabolicElt(self, {(y, 0): ctx._one})
+            out = BernsteinElt(ctx, {(y, 0): ctx._one})
         else:
             pre, last = word[:-1], word[-1]
             sy = self._s_act(last, y)
@@ -764,12 +737,9 @@ class Parabolic:
             sj = W.gen_index[first]
             Qj = ctx.Q_of_pi[first]
             for (v, z), c in self.move_theta_right(rest, sx).items():
+                # T_s T_v follows the rule of T_v T_s, with sv in place of vs
                 sv = W.mult(sj, v)
-                if W.length[sv] > W.length[v]:
-                    _accumulate(out, (sv, z), c, zero)
-                else:
-                    _accumulate(out, (v, z), c * (Qj - 1), zero)
-                    _accumulate(out, (sv, z), c * Qj, zero)
+                _quadratic_step(out, (v, z), (sv, z), W.length[sv] > W.length[v], c, Qj, zero)
             for z, c in self.bl_comm(first, x).items():
                 for (v, z2), c2 in self.move_theta_right(rest, z).items():
                     _accumulate(out, (v, z2), c * c2, zero)
@@ -777,17 +747,15 @@ class Parabolic:
         return out
 
     def decompose(self, b: BernsteinElt) -> dict:
-        """h = Σ_u T_u h_u over u in W^J; returns {u: ParabolicElt h_u}."""
-        ctx = self.ctx
-        wd = ctx.wd
-        blocks: dict[int, ParabolicElt] = {}
+        """h = Σ_u T_u h_u over u in W^J; returns {u: h_u} with h_u in H_J."""
+        wd = self.ctx.wd
+        W = wd.W
+        blocks: dict[int, BernsteinElt] = {}
         for (x, w), c in b.c.items():
             u, wj = wd.factorize_coset(w, self.J)
-            for (v, z), c2 in self.move_theta_right(wd.W.word[u], x).items():
+            for (v, z), c2 in self.move_theta_right(W.word[u], x).items():
                 u2, vj = wd.factorize_coset(v, self.J)
-                inner = self.move_theta_left(self.words[vj], z)
-                for jj in self.words[wj]:
-                    inner = inner.mul_finite_gen_right(jj)
+                inner = self.move_theta_left(W.word[vj], z).mul_word_right(W.word[wj])
                 inner = inner.scale(c * c2)
                 if u2 in blocks:
                     blocks[u2] = blocks[u2] + inner
@@ -800,30 +768,8 @@ class Parabolic:
         ctx = self.ctx
         out = ctx.elt({})
         for u, blk in blocks.items():
-            lead = ctx.unit()
-            for j in ctx.wd.W.word[u]:
-                lead = lead.mul_gen_right(f"s{j + 1}")
-            out = out + lead * blk.to_ambient_im()
+            out = out + ctx.T_word(ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk)
         return out
-
-
-class ParabolicElt(BernsteinElt):
-    """Element of H_J in Bernstein form: Σ c θ_x T_w, w in W_J."""
-
-    __slots__ = ("par",)
-
-    def __init__(self, par: Parabolic, c: dict):
-        super().__init__(par.ctx, c)
-        self.par = par
-
-    def _new(self, c: dict) -> "ParabolicElt":
-        return ParabolicElt(self.par, c)
-
-    def to_ambient_im(self) -> HeckeElt:
-        return self.ctx.bernstein_to_im(self)
-
-    def __repr__(self):
-        return f"ParabolicElt(J={self.par.J}, {len(self.c)} terms)"
 
 
 class QuotientAlgebra:
@@ -848,7 +794,7 @@ class QuotientAlgebra:
                 if s.kind == "finite":
                     var = parent.var_of_orbit[
                         parent.wd.orbit_of_sa[
-                            parent.wd.sa_index[f"s{J[s.pi_index] + 1}"]
+                            parent.wd.sa_index[parent.wd.pi_names[J[s.pi_index]]]
                         ]
                     ]
                     break

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from . import intlinalg
 from .exactpoly import LaurentPoly, PolyMatrix
-from .hecke import BernsteinElt, HeckeContext, HeckeElt, ParabolicElt, QuotientAlgebra
+from .hecke import BernsteinElt, HeckeContext, HeckeElt, QuotientAlgebra
 from .weyl import Elt
 
 
@@ -95,26 +95,25 @@ class FinDimModule:
                     out = out * self.theta_neg[i]
         return out
 
-    def finite_word_mat(self, word: Sequence[int]) -> PolyMatrix:
+    def word_mat(self, letters: Sequence[str]) -> PolyMatrix:
+        """The matrix of T_{l1} ... T_{lk} for the generator names l."""
         out = PolyMatrix.identity(self.alg.table, self.dim)
-        for j in word:
-            out = out * self.tmat[f"s{j + 1}"]
+        for name in letters:
+            out = out * self.tmat[name]
         return out
 
-    def act_parabolic(self, elt: ParabolicElt) -> PolyMatrix:
-        par = elt.par
+    def act_parabolic(self, elt: BernsteinElt) -> PolyMatrix:
+        """The matrix of an element of H_J in Bernstein form."""
+        wd = self.alg.wd
         out = PolyMatrix.zero(self.alg.table, self.dim, self.dim)
         for (x, w), c in elt.c.items():
-            out = out + (self.theta_of(x) * self.finite_word_mat(par.words[w])).scale(c)
+            out = out + (self.theta_of(x) * self.word_mat(wd.finite_word(w))).scale(c)
         return out
 
     def act_elt(self, e: Elt) -> PolyMatrix:
         if self.scope is not None:
             raise ValueError("IM action needs a full-algebra module")
-        out = PolyMatrix.identity(self.alg.table, self.dim)
-        for name in self.alg.wd.word(e):
-            out = out * self.tmat[name]
-        return out
+        return self.word_mat(self.alg.wd.word(e))
 
     def act(self, h: HeckeElt) -> PolyMatrix:
         out = PolyMatrix.zero(self.alg.table, self.dim, self.dim)
@@ -127,7 +126,7 @@ class FinDimModule:
             return self.act_elt(h).trace()
         return self.act(h).trace()
 
-    def trace_parabolic(self, elt: ParabolicElt) -> LaurentPoly:
+    def trace_parabolic(self, elt: BernsteinElt) -> LaurentPoly:
         return self.act_parabolic(elt).trace()
 
     # -- certificates -----------------------------------------------------------
@@ -147,7 +146,7 @@ class FinDimModule:
         if self.scope is None:
             names = [s.name for s in wd.affine_simple]
         else:
-            names = [f"s{j + 1}" for j in self.scope]
+            names = [wd.pi_names[j] for j in self.scope]
         for name in names:
             T = self.tmat[name]
             resid = (T + ident) * (T - ident.scale(alg.Q_of_sa[wd.sa_index[name]]))
@@ -196,14 +195,14 @@ class FinDimModule:
         par = alg.parabolic(tuple(pi_positions))
         signed_basis = intlinalg.signed_basis(wd.rank)
         for j in pi_positions:
-            T = self.tmat[f"s{j + 1}"]
+            T = self.tmat[wd.pi_names[j]]
             for x in (v for pair in signed_basis for v in pair):
                 sx = par._s_act(j, x)
                 lhs = self.theta_of(x) * T - T * self.theta_of(sx)
                 rhs = PolyMatrix.zero(table, self.dim, self.dim)
                 for z, c in par.bl_comm(j, x).items():
                     rhs = rhs + self.theta_of(z).scale(c)
-                need(lhs == rhs, "bernstein-lusztig", f"s{j + 1}, x={x}")
+                need(lhs == rhs, "bernstein-lusztig", f"{wd.pi_names[j]}, x={x}")
         done.append("bernstein-lusztig")
         if self.scope is None and wd.rank > 0:
             for i, (e, _) in enumerate(signed_basis):
@@ -248,7 +247,7 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     if wd.rank == 0:
         return [FinDimModule(alg, None, 1, {}, [], [], "trivial")]
     finite_orbits = sorted(
-        {wd.orbit_of_sa[wd.sa_index[f"s{j + 1}"]] for j in range(wd.npi)}
+        {wd.orbit_of_sa[wd.sa_index[name]] for name in wd.pi_names}
     )
     m = wd.rank
     A = [list(wd.datum.simple_roots[j]) for j in range(wd.npi)]
@@ -263,7 +262,7 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
         }
         theta_alpha_choices = []
         for j in range(wd.npi):
-            o = wd.orbit_of_sa[wd.sa_index[f"s{j + 1}"]]
+            o = wd.orbit_of_sa[wd.sa_index[wd.pi_names[j]]]
             Q = alg.Q_of_pi[j]
             vj = alg.v_of_pi[j]
             tw = alg.twin_v_of_pi[j]
@@ -292,9 +291,9 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                         val = val * broots[i] ** v[r][i]
                     theta_e.append(val)
                 tvals = {}
-                for j in range(wd.npi):
-                    o = wd.orbit_of_sa[wd.sa_index[f"s{j + 1}"]]
-                    tvals[f"s{j + 1}"] = (
+                for j, name in enumerate(wd.pi_names):
+                    o = wd.orbit_of_sa[wd.sa_index[name]]
+                    tvals[name] = (
                         LaurentPoly.const(alg.table, -1)
                         if eps_of_orbit[o] == "-1"
                         else alg.Q_of_pi[j]
@@ -306,8 +305,8 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                         term = c
                         for r in range(m):
                             term = term * theta_e[r] ** x[r]
-                        for j in wd.W.word[w]:
-                            term = term * tvals[f"s{j + 1}"]
+                        for name in wd.finite_word(w):
+                            term = term * tvals[name]
                         total = total + term
                     return total
 
@@ -403,9 +402,8 @@ def inflate_chi_t(
         raise ValueError("sigma must live over the quotient algebra")
     t = twist if twist is not None else TwistChar(qa)
     J = qa.J
-    tmat = {}
-    for pos, j in enumerate(J):
-        tmat[f"s{j + 1}"] = sigma.tmat[f"s{pos + 1}"]
+    qnames = qa.ctx.wd.pi_names
+    tmat = {parent.wd.pi_names[j]: sigma.tmat[qnames[pos]] for pos, j in enumerate(J)}
     pos_mats, neg_mats = _theta_mats(
         parent.wd.rank, lambda x: sigma.theta_of(qa.quot.project(x)).scale(t.of(x))
     )
@@ -517,16 +515,14 @@ def _induced(
     J: tuple[int, ...],
     sigma: FinDimModule,
     reps: Sequence[int],
-    words,
     scope: Optional[tuple[int, ...]],
     names: Sequence[str],
     provenance: str,
 ) -> FinDimModule:
     """The module on {T_u ⊗ e_i}, u ∈ reps, induced from the H_J-module sigma.
 
-    ``words[u]`` is a reduced word of u; ``names`` are the T-generators to
-    realize.  Each matrix is assembled block by block from the H_J
-    decomposition of (generator)·T_u.
+    ``names`` are the T-generators to realize.  Each matrix is assembled
+    block by block from the H_J decomposition of (generator)·T_u.
     """
     par = alg.parabolic(J)
     pos_of = {u: k for k, u in enumerate(reps)}
@@ -536,9 +532,7 @@ def _induced(
     def assemble(gen_bernstein: BernsteinElt) -> PolyMatrix:
         out = [[alg.zero() for _ in range(dim)] for _ in range(dim)]
         for u in reps:
-            b = gen_bernstein
-            for j in words[u]:
-                b = b.mul_finite_gen_right(j)
+            b = gen_bernstein.mul_word_right(alg.wd.W.word[u])
             for u2, blk in par.decompose(b).items():
                 if u2 not in pos_of:
                     raise RelationFailed("induction block left the subgroup")
@@ -566,7 +560,7 @@ def induce(alg: HeckeContext, J: Sequence[int], sigma: FinDimModule) -> FinDimMo
         raise ValueError(f"sigma must be an H_J-module for J={J}")
     wd = alg.wd
     return _induced(
-        alg, J, sigma, alg.parabolic(J).coset_reps, wd.W.word, None, wd.gen_names,
+        alg, J, sigma, alg.parabolic(J).coset_reps, None, wd.gen_names,
         f"induce[J={list(J)}]({sigma.provenance})",
     )
 
@@ -584,7 +578,7 @@ def induce_in_parabolic(
     parK = alg.parabolic(K)
     reps = [u for u in alg.parabolic(J).coset_reps if u in parK.member_set]
     return _induced(
-        alg, J, sigma, reps, parK.words, K, [f"s{j + 1}" for j in K],
+        alg, J, sigma, reps, K, [alg.wd.pi_names[j] for j in K],
         f"induce[{list(J)}->{list(K)}]({sigma.provenance})",
     )
 
@@ -595,7 +589,8 @@ def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
     in_scope = set(range(mod.alg.wd.npi)) if mod.scope is None else set(mod.scope)
     if not set(K) <= in_scope:
         raise ValueError(f"K={K} not contained in scope {sorted(in_scope)}")
-    tmat = {f"s{j + 1}": mod.tmat[f"s{j + 1}"] for j in K}
+    names = mod.alg.wd.pi_names
+    tmat = {names[j]: mod.tmat[names[j]] for j in K}
     out = FinDimModule(
         mod.alg,
         K,
@@ -628,7 +623,7 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
         k = pi_pos[img]
         if mod.scope is not None and k not in mod.scope:
             raise ValueError("w(J) is not inside the module scope")
-        tmat[f"s{j + 1}"] = mod.tmat[f"s{k + 1}"]
+        tmat[wd.pi_names[j]] = mod.tmat[wd.pi_names[k]]
     pos, neg = _theta_mats(wd.rank, lambda x: mod.theta_of(wd.W.act(w, x)))
     out = FinDimModule(
         alg, J, mod.dim, tmat, pos, neg, f"twist[w={w}]({mod.provenance})", mod.twist_vars

@@ -517,7 +517,7 @@ def suite_mackey(pc: PresetContext) -> list[CheckResult]:
                 detail = "character identity over the probe panel"
             else:
                 x, w = bad
-                word = "".join(f"s{j + 1}" for j in wd.W.word[w]) or "1"
+                word = "".join(wd.finite_word(w)) or "1"
                 detail = f"character identity fails at the probe θ_x T_w with x = {x}, w = {word}"
             out.append(_check(f"mackey[K={list(K)},J={list(J)}]", bad is None, detail))
     return out
@@ -684,7 +684,7 @@ def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
 def suite_counts(pc: PresetContext) -> list[CheckResult]:
     from .conj import count_identity_check
 
-    rep = count_identity_check(pc.wd)
+    rep = count_identity_check(pc.wd, classes=pc.classes)
     return [
         _check(
             "count-identity",

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 from . import intlinalg
 from .rootdata import (
     BasedRootDatum,
+    DatumFormatError,
     RootSystem,
     generate_root_system,
     reflection_matrix,
@@ -128,21 +129,6 @@ class FinWeylGroup:
             cur = self.mult(cur, w)
             n += 1
         return n
-
-    def subgroup(self, gens: Sequence[int]) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-        """Members (sorted) and lex-least words over the given Pi positions."""
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for wi in sorted(frontier, key=lambda t: words[t]):
-                for g in gens:
-                    prod = self.mult(wi, self.gen_index[g])
-                    if prod not in words:
-                        words[prod] = words[wi] + (g,)
-                        nxt.append(prod)
-            frontier = nxt
-        return sorted(words), words
 
 
 @dataclass(frozen=True)
@@ -269,14 +255,14 @@ class WeylData:
 
     def _build_affine_simples(self):
         datum = self.datum
+        # Pi position j is the affine simple generator named s{j+1}
+        self.pi_names = tuple(f"s{i + 1}" for i in range(self.npi))
         simples = []
-        for i in range(self.npi):
+        for i, name in enumerate(self.pi_names):
             a = datum.simple_roots[i]
             av = datum.simple_coroots[i]
             w = self.W.gen_index[i]
-            simples.append(
-                AffineSimple(f"s{i + 1}", ((0,) * self.rank, w), "finite", i, a, av)
-            )
+            simples.append(AffineSimple(name, ((0,) * self.rank, w), "finite", i, a, av))
         # components of the finite diagram (by simple-root adjacency)
         comp = union_find(self.npi, [
             (i, j)
@@ -444,7 +430,7 @@ class WeylData:
         self.param_orbits = orbits
         custom = self.datum.param_orbit_names
         if custom is not None and len(custom) != len(orbits):
-            raise ValueError(
+            raise DatumFormatError(
                 f"param_orbit_names has {len(custom)} entries, datum has {len(orbits)} orbits"
             )
         if custom is not None:
@@ -551,13 +537,17 @@ class WeylData:
         except KeyError:
             raise RuntimeError(f"element {e} of length {need} missing from ball") from None
 
+    def finite_word(self, w: int) -> tuple[str, ...]:
+        """Lex-least reduced word of the finite element w, as generator names."""
+        return tuple(self.pi_names[j] for j in self.W.word[w])
+
     def label(self, e: Elt) -> str:
         return "".join(self.word(e)) or "1"
 
     def render(self, e: Elt) -> str:
         """Canonical rendering ``t[x1,..,xm]*w`` used in CLI output/goldens."""
         x, w = e
-        fw = "".join(f"s{i + 1}" for i in self.W.word[w]) or "e"
+        fw = "".join(self.finite_word(w)) or "e"
         return f"t[{','.join(str(c) for c in x)}]*{fw}"
 
     # -- Newton points and ellipticity ---------------------------------------------

@@ -162,6 +162,14 @@ BAD_DATA = {
         "simple_roots": [[1, -1]],
         "simple_coroots": [[1, -1]],
     },
+    "orbit-count": {  # sl2 has two parameter orbits, not three
+        "name": "sl2",
+        "lattice_rank": 1,
+        "simple_roots": [[1]],
+        "simple_coroots": [[2]],
+        "param_orbit_names": ["qa", "qb", "qc"],
+    },
+    "missing": None,  # no file at the path
 }
 
 
@@ -173,7 +181,8 @@ BAD_DATA = {
 )
 def test_bad_datum_exit2(capsys, tmp_path, command, kind):
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(BAD_DATA[kind]))
+    if BAD_DATA[kind] is not None:
+        path.write_text(json.dumps(BAD_DATA[kind]))
     code, out, err = run(capsys, *command, "--datum", str(path))
     assert code == 2
     assert out == ""

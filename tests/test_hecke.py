@@ -199,7 +199,7 @@ def test_bar_restrict_examples():
     assert ctx.bar_restrict(ctx.unit(), (0,)).c == {((0,), 0): LaurentPoly.const(ctx.table, 1)}
     # bar_restrict(h, Pi) = h for h in the finite part
     full = ctx.bar_restrict(ctx.T(wd.generator_elt("s1")), (0,))
-    assert full.to_ambient_im() == ctx.T(wd.generator_elt("s1"))
+    assert ctx.bernstein_to_im(full) == ctx.T(wd.generator_elt("s1"))
 
 
 def test_class_element_and_reduce_examples():
@@ -219,6 +219,17 @@ def test_class_element_and_reduce_examples():
     # strict mode flags the translation-class leaf
     with pytest.raises(NonNewtonZeroLeaf):
         ctx.cocenter_reduce(e, classes)
+
+
+def test_reduce_leaf_record_equals_class_record():
+    """A leaf outside the class list gets its record from the plateau the
+    reduction explored; on these presets each plateau is the whole set of
+    minimal representatives, so the record equals the enumerated one."""
+    for name in ("sl2", "pgl2", "c2-aff", "c2-ext"):
+        ctx = ctx_of(name)
+        for rec in newton_zero_classes(ctx.wd, 8):
+            comb = ctx.cocenter_reduce(rec.rep, [], extend=True)
+            assert comb.entries == ((rec, ctx.one()),)
 
 
 def test_reduce_omega_conjugation_invariance():

@@ -238,6 +238,25 @@ def test_datum_family_suites(name):
         assert checks and not bad, bad
 
 
+def test_counts_suite_enumerates_the_group_once(monkeypatch):
+    """The counts suite takes the context's classes: the length ball of the
+    datum itself is enumerated only when the context is built."""
+    import pathlib
+
+    from rigidhecke import conj
+    from rigidhecke.rootdata import load_datum
+    from rigidhecke.weyl import WeylData
+
+    path = pathlib.Path(__file__).parent / "data" / "sl4.json"
+    pc = rigidtab.datum_context(WeylData(load_datum(str(path))))
+    seen = []
+    real = conj._finite_order_ball
+    monkeypatch.setattr(conj, "_finite_order_ball", lambda wd, L: seen.append(wd) or real(wd, L))
+    (check,) = rigidtab.run_suite(pc, "counts")
+    assert check.ok
+    assert seen and all(wd.datum != pc.wd.datum for wd in seen)
+
+
 def test_all_is_every_suite_in_order_with_one_table(pc_sl2, monkeypatch):
     builds = []
     real = rigidtab.build_rigid_table
