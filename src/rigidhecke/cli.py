@@ -33,12 +33,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _emit(text: str, out_path):
-    if out_path:
+def _emit(text: str, out_path) -> int:
+    """Write to --out or stdout; EXIT_USAGE after an error on stderr if --out fails."""
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 # input errors of a root datum: unreadable, malformed or out of scope
@@ -85,8 +91,7 @@ def cmd_classes(args) -> int:
         ]
         render = rigidtab.render_csv if args.format == "csv" else rigidtab.render_markdown
         text = render(["label", "rep", "min_length", "newton", "elliptic"], rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def _parse_spec(spec: str) -> dict:
@@ -133,8 +138,7 @@ def cmd_table(args) -> int:
         text = table.to_csv(cells)
     else:
         text = table.to_markdown(cells)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -166,7 +170,8 @@ def cmd_verify(args) -> int:
         ],
     }
     text = json.dumps(report, indent=2) + "\n"
-    _emit(text, args.out)
+    if _emit(text, args.out) != EXIT_OK:
+        return EXIT_USAGE
     if args.out:
         for c in checks:
             print(f"{c.status.upper():4} {c.name}: {c.detail}")
@@ -204,8 +209,7 @@ def cmd_reduce(args) -> int:
         status = "ok" if ok else "FAILED"
         if not ok:
             code = EXIT_FAIL
-    _emit(f"{comb.render()}\ntrace-verification: {status}\n", args.out)
-    return code
+    return _emit(f"{comb.render()}\ntrace-verification: {status}\n", args.out) or code
 
 
 def main(argv=None) -> int:
@@ -246,6 +250,9 @@ def main(argv=None) -> int:
     p_reduce.set_defaults(fn=cmd_reduce)
 
     args = parser.parse_args(argv)
+    if args.max_length < 0:
+        print(f"error: --max-length must be >= 0, got {args.max_length}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -1,10 +1,12 @@
 """Exact multivariate Laurent polynomials over the rationals.
 
 A Laurent polynomial is a finite map from integer exponent vectors (negative
-exponents allowed) to nonzero ``Fraction`` coefficients.  This is the
-coefficient ring for everything downstream: Hecke parameters are stored as
-formal square roots v_i with Q_i = v_i^2, and unramified-character twists as
-extra invertible variables.
+exponents allowed) to nonzero rational coefficients.  Coefficients are kept
+int-first: a coefficient is an ``int`` unless its denominator is not 1, and
+only then a ``Fraction`` (never a ``Fraction`` with denominator 1, a ``bool``
+or a ``float``).  This is the coefficient ring for everything downstream:
+Hecke parameters are stored as formal square roots v_i with Q_i = v_i^2, and
+unramified-character twists as extra invertible variables.
 
 All values are immutable after construction and safe to share.  Two Laurent
 polynomials are equal iff their term maps are equal; there is no floating
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence, Union
 
 from .intlinalg import row_reduce
 
 Exponent = tuple[int, ...]
+Coeff = Union[int, Fraction]  # int-first: a Fraction only if its denominator is not 1
 ScalarLike = Union[int, Fraction, "LaurentPoly"]
 
 PARAM_SQRT = "param-sqrt"
@@ -112,11 +116,18 @@ class VarTable:
         return VarTable(names, kinds)
 
 
-def _coeff(c) -> Fraction:
+def _norm(c: Coeff) -> Coeff:
+    """Int-first form of an int or Fraction: a Fraction with denominator 1 becomes its int."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _coeff(c) -> Coeff:
     if isinstance(c, Fraction):
-        return c
+        return _norm(c)
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes 0 or 1
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)}")
 
 
@@ -125,7 +136,7 @@ class LaurentPoly:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, table: VarTable, terms: Mapping[Exponent, Coeff]):
         clean = {}
         n = len(table)
         for e, c in terms.items():
@@ -141,8 +152,19 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _of(table: VarTable, terms: dict[Exponent, Coeff]) -> "LaurentPoly":
+        """Wrap a term map that is already clean: int-tuple keys of the table's
+        arity, no zero coefficient, every coefficient in :func:`_norm` form.
+        The ring's own results come through here, unchecked."""
+        p = object.__new__(LaurentPoly)
+        p.table = table
+        p.terms = terms
+        return p
+
+    @staticmethod
     def const(table: VarTable, c) -> "LaurentPoly":
-        return LaurentPoly(table, {(0,) * len(table): _coeff(c)})
+        c = _coeff(c)
+        return LaurentPoly._of(table, {(0,) * len(table): c} if c else {})
 
     @staticmethod
     def monomial(table: VarTable, exps: Sequence[int], c=1) -> "LaurentPoly":
@@ -162,40 +184,42 @@ class LaurentPoly:
             return other
         return LaurentPoly.const(self.table, other)
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _combine(self, other, op) -> "LaurentPoly":
+        """self op other for op = add or sub, one pass over other's terms."""
         other = self._lift(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = op(out.get(e, 0), c)
             if s:
-                out[e] = s
+                out[e] = _norm(s)
             else:
-                out.pop(e, None)
-        return LaurentPoly(self.table, out)
+                del out[e]  # c is nonzero, so e was a term of self
+        return LaurentPoly._of(self.table, out)
+
+    def __add__(self, other) -> "LaurentPoly":
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._lift(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._lift(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.table, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._of(self.table, {e: _norm(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -218,7 +242,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise NotDivisible(f"not a unit monomial: {self}")
         ((e, c),) = self.terms.items()
-        return LaurentPoly(self.table, {tuple(-x for x in e): Fraction(1) / c})
+        return LaurentPoly._of(self.table, {tuple(-x for x in e): _norm(Fraction(1) / c)})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -241,10 +265,10 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         """The value of a constant polynomial (raises if non-constant)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         zero = (0,) * len(self.table)
         if set(self.terms) != {zero}:
             raise ValueError(f"not a constant: {self}")
@@ -266,32 +290,37 @@ class LaurentPoly:
         if other.is_zero():
             raise NotDivisible("division by zero")
         if self.is_zero():
-            return LaurentPoly(self.table, {})
+            return LaurentPoly._of(self.table, {})
         n = len(self.table)
         shift_a = tuple(min(e[i] for e in self.terms) for i in range(n))
         shift_b = tuple(min(e[i] for e in other.terms) for i in range(n))
         num = {tuple(x - s for x, s in zip(e, shift_a)): c for e, c in self.terms.items()}
         den = {tuple(x - s for x, s in zip(e, shift_b)): c for e, c in other.terms.items()}
-        quo: dict[Exponent, Fraction] = {}
+        quo: dict[Exponent, Coeff] = {}
         lead = max(den)  # lex order; any term order works for exact division
         lc = den[lead]
         while num:
             t = max(num)
-            q = tuple(a - b for a, b in zip(t, lead))
+            q = tuple(map(sub, t, lead))
             if any(x < 0 for x in q):
                 raise NotDivisible(f"{other} does not divide {self}")
-            cq = num[t] / lc
+            a = num[t]
+            # int // int stays exact only when lc divides a; int / int is a float
+            if type(a) is int and type(lc) is int and a % lc == 0:
+                cq = a // lc
+            else:
+                cq = _norm(Fraction(a) / lc)
             quo[q] = cq
             for e, c in den.items():
-                ee = tuple(a + b for a, b in zip(q, e))
-                s = num.get(ee, Fraction(0)) - cq * c
+                ee = tuple(map(add, q, e))
+                s = num.get(ee, 0) - cq * c
                 if s:
-                    num[ee] = s
+                    num[ee] = _norm(s)
                 else:
-                    num.pop(ee, None)
-        shift_q = tuple(a - b for a, b in zip(shift_a, shift_b))
-        return LaurentPoly(
-            self.table, {tuple(a + b for a, b in zip(e, shift_q)): c for e, c in quo.items()}
+                    del num[ee]  # cq * c is nonzero, so ee was a term of num
+        shift_q = tuple(map(sub, shift_a, shift_b))
+        return LaurentPoly._of(
+            self.table, {tuple(map(add, e, shift_q)): c for e, c in quo.items()}
         )
 
     # -- substitution ------------------------------------------------------
@@ -333,7 +362,7 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in the canonical order: lexicographically decreasing exponents."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -386,7 +415,7 @@ def render_in_Q(p: LaurentPoly) -> LaurentPoly:
                 raise OddDegree(f"odd exponent of {p.table.names[i]} in {p}")
             ee[i] = e[i] // 2
         out[tuple(ee)] = c
-    return LaurentPoly(qt, out)
+    return LaurentPoly._of(qt, out)
 
 
 def parse_poly(table: VarTable, text: str) -> LaurentPoly:

@@ -149,6 +149,32 @@ def test_out_file(capsys, tmp_path):
     assert out_path.read_text().startswith("| sl2 |")
 
 
+SL2_COMMANDS = {
+    "classes": ["classes"],
+    "table": ["table"],
+    "verify": ["verify", "--suite", "counts"],
+    "reduce": ["reduce", "--word", "s1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SL2_COMMANDS))
+def test_out_unwritable_exit2(capsys, tmp_path, command):
+    out_path = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SL2_COMMANDS))
+def test_negative_max_length_exit2(capsys, command):
+    code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--max-length", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-length must be >= 0, got -1\n"
+
+
 BAD_DATA = {
     "not-cartan": {  # <alpha, alpha^> = 3
         "name": "bad",

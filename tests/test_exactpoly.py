@@ -114,6 +114,39 @@ def test_render_in_Q():
     assert render_in_Q(z * TZ.gen("v0") ** 2).render() == "1*Q0*z0"
 
 
+def test_int_first_coefficients():
+    x = T2.gen("v0")
+    half = (x + 1).exact_div(LaurentPoly.const(T2, 2))
+    assert list(half.terms.values()) == [Fraction(1, 2)] * 2
+    assert set(map(type, half.terms.values())) == {Fraction}
+    whole = (2 * x + 2).exact_div(2)
+    assert whole == x + 1 and set(map(type, whole.terms.values())) == {int}
+    four_halves = LaurentPoly.const(T2, Fraction(4, 2)).terms
+    assert four_halves == {(0, 0): 2} and type(four_halves[(0, 0)]) is int
+    collapsed = (x * Fraction(1, 2)) * 2
+    assert collapsed.terms == {(1, 0): 1} and type(collapsed.terms[(1, 0)]) is int
+    assert type(LaurentPoly(T2, {}).constant_value()) is int
+    from_bool = LaurentPoly(T2, {(0, 0): True}).terms[(0, 0)]
+    assert from_bool == 1 and type(from_bool) is int
+
+
+def test_parse_render_fraction_round_trip():
+    qt = T2.q_table()
+    p = parse_poly(qt, "3/2*Q0 - 1")
+    assert p.render() == "3/2*Q0 - 1"
+    assert p.terms == {(1, 0): Fraction(3, 2), (0, 0): -1}
+    assert [type(c) for c in p.terms.values()] == [Fraction, int]
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        LaurentPoly(T2, {(1,): 1})
+    with pytest.raises(TypeError):
+        LaurentPoly(T2, {(0, 0): 0.5})
+    assert LaurentPoly(T2, {(0, 0): 0, (1, 1): Fraction(0)}).is_zero()
+    assert LaurentPoly(T2, {(True, 2): 1}).terms == {(1, 2): 1}
+
+
 def test_det_examples():
     qt = T2.q_table()
     Q = qt.gen("Q0")

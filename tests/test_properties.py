@@ -1,6 +1,7 @@
-"""Property tests (Hypothesis): the Laurent ring laws, Bareiss against
-cofactor expansion, the IM -> Bernstein -> IM round trip, and the parabolic
-subgroups W_J read off the lex-least reduced words."""
+"""Property tests (Hypothesis): the Laurent ring laws, int-first
+coefficients, Bareiss against cofactor expansion, the IM -> Bernstein -> IM
+round trip, and the parabolic subgroups W_J read off the lex-least reduced
+words."""
 
 import pathlib
 from fractions import Fraction
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidhecke.exactpoly import LaurentPoly, PolyMatrix, VarTable, det_bareiss, det_cofactor
+from rigidhecke.exactpoly import (
+    LaurentPoly,
+    PolyMatrix,
+    VarTable,
+    det_bareiss,
+    det_cofactor,
+    render_in_Q,
+)
 from rigidhecke.hecke import HeckeContext
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData, pi_subsets
@@ -37,6 +45,51 @@ def test_laurent_ring_laws(a, b, c):
 @given(polys, nonzero_polys)
 def test_exact_div_undoes_multiplication(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def _assert_int_first(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _as_fractions(p):
+    """The same polynomial with every coefficient stored as a Fraction; the
+    ring's algorithms must not depend on how a coefficient is stored."""
+    return LaurentPoly._of(p.table, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+mixed_coeffs = st.one_of(st.integers(-5, 5), st.booleans(), coeffs)
+mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=4).map(
+    lambda t: LaurentPoly(T2, t)
+)
+_SQUARES = {n: g ** 2 for n, g in zip(T2.names, T2.gens())}  # doubles every exponent
+units = st.tuples(exponents, mixed_coeffs.filter(bool)).map(
+    lambda ec: LaurentPoly.monomial(T2, *ec)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_polys, mixed_polys, units, st.integers(0, 3), st.integers(-3, 3),
+       st.one_of(st.integers(1, 4), st.fractions(1, 4, max_denominator=3)))
+def test_int_first_invariant(a, b, u, k, j, value):
+    fa, fb, fu = _as_fractions(a), _as_fractions(b), _as_fractions(u)
+    _assert_int_first(a)
+    pairs = [
+        (a + b, fa + fb),
+        (a - b, fa - fb),
+        (a * b, fa * fb),
+        (a ** k, fa ** k),
+        (u ** j, fu ** j),
+        (u.inverse(), fu.inverse()),
+        ((a * u).exact_div(u), (fa * fu).exact_div(fu)),
+        (a.evaluate({"v0": value}), fa.evaluate({"v0": value})),
+        (render_in_Q(a.evaluate(_SQUARES)), render_in_Q(fa.evaluate(_SQUARES))),
+    ]
+    if not b.is_zero():
+        pairs.append(((a * b).exact_div(b), (fa * fb).exact_div(fb)))
+    for got, via_fractions in pairs:
+        _assert_int_first(got)
+        assert got == via_fractions
 
 
 @st.composite
