@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -45,6 +46,22 @@ def _emit(text: str, out_path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
+
+
+def _out_writable(out_path) -> bool:
+    """Whether --out (if given) can be opened for writing, an error on stderr
+    if not.  Tested before any work; a file the probe creates is removed."""
+    if not out_path:
+        return True
+    existed = os.path.lexists(out_path)
+    try:
+        open(out_path, "a").close()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    if not existed:
+        os.remove(out_path)
+    return True
 
 
 # input errors of a root datum: unreadable, malformed or out of scope
@@ -252,6 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_length < 0:
         print(f"error: --max-length must be >= 0, got {args.max_length}", file=sys.stderr)
+        return EXIT_USAGE
+    if not _out_writable(args.out):
         return EXIT_USAGE
     try:
         return args.fn(args)

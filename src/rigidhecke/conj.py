@@ -10,8 +10,10 @@ conjugation oracle in the test suite, not assumed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import intlinalg
@@ -64,18 +66,16 @@ def descend_to_minimal(
     """
     start_len = wd.length(e)
     seen = {e: None}
-    queue = [e]
+    queue = deque([e])
     best = e
     best_len = start_len
+    moves = [(s.name, s.elt) for s in wd.affine_simple]
+    moves += zip(wd.omega_names, wd.omega_elements[1:])
     while queue:
-        f = queue.pop(0)
+        f = queue.popleft()
         lf = wd.length(f)
-        moves = [(s.name, s.elt, s.elt) for s in wd.affine_simple]
-        for k, name in enumerate(wd.omega_names):
-            om = wd.omega_elements[k + 1]
-            moves.append((name, om, wd.inv(om)))
-        for name, g, ginv in moves:
-            h = wd.mult(wd.mult(g, f), ginv)
+        for name, g in moves:
+            h = wd.conjugate(g, f)
             if h in seen:
                 continue
             lh = wd.length(h)
@@ -104,21 +104,53 @@ def _finite_order_ball(wd: WeylData, L: int) -> list[Elt]:
     return [e for e in wd.enumerate_ball(L) if wd.has_finite_order(e)]
 
 
-def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
-    index = {e: i for i, e in enumerate(elems)}
-    conjugators = [(s.elt, s.elt) for s in wd.affine_simple] + [
-        (om, wd.inv(om)) for om in wd.omega_elements[1:]
-    ]
-    pairs = []
-    for i, e in enumerate(elems):
-        for g, ginv in conjugators:
-            j = index.get(wd.mult(wd.mult(g, e), ginv))
-            if j is not None:
-                pairs.append((i, j))
+def _groups(elems: list[Elt], pairs: Iterable[tuple[int, int]]) -> list[list[Elt]]:
+    """The classes of elems after merging every pair of positions."""
     groups: dict[int, list[Elt]] = {}
     for e, root in zip(elems, union_find(len(elems), pairs)):
         groups.setdefault(root, []).append(e)
     return list(groups.values())
+
+
+def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
+    index = {e: i for i, e in enumerate(elems)}
+    conjugators = [s.elt for s in wd.affine_simple] + list(wd.omega_elements[1:])
+    pairs = []
+    for i, e in enumerate(elems):
+        for g in conjugators:
+            j = index.get(wd.conjugate(g, e))
+            if j is not None:
+                pairs.append((i, j))
+    return _groups(elems, pairs)
+
+
+def oracle_partition(wd: WeylData, elems: list[Elt], radius: int) -> list[list[Elt]]:
+    """Brute-force partition of elems: e and g e g^-1 are merged for every g
+    of length <= radius and every e in elems whose conjugate lies in elems.
+
+    Every (g, e) pair is examined.  With g = (y, u) and e = (x, w),
+    g e g^-1 = (u(x) + y - v(y), v) for v = u w u^-1, so u(x) is computed
+    once per finite part u and element, and (v, y - v(y)) once per g and w.
+    """
+    W = wd.W
+    index = {e: i for i, e in enumerate(elems)}
+    parts = sorted({w for _x, w in elems})
+    moved = [[W.act(u, x) for x, _w in elems] for u in range(W.size)]
+
+    def pairs():  # a generator: the hits are merged as found, never stored
+        for y, u in wd.enumerate_ball(radius):
+            uinv = W.inverse[u]
+            shift = {}
+            for w in parts:
+                v = W.mult(W.mult(u, w), uinv)
+                shift[w] = (v, tuple(map(sub, y, W.act(v, y))))
+            for i, ux in enumerate(moved[u]):
+                v, d = shift[elems[i][1]]
+                j = index.get((tuple(map(add, ux, d)), v))
+                if j is not None:
+                    yield i, j
+
+    return _groups(elems, pairs())
 
 
 def class_record(wd: WeylData, min_reps: Iterable[Elt]) -> ConjClassRecord:

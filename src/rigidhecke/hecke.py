@@ -18,6 +18,7 @@ classes, the r̄_J blocks) all live here.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -406,10 +407,10 @@ class HeckeContext:
             lcur = wd.length(cur)
             # explore the equal-length plateau for a strict descent
             seen = {cur}
-            queue = [cur]
+            queue = deque([cur])
             descent = None
             while queue and descent is None:
-                f = queue.pop(0)
+                f = queue.popleft()
                 for s in wd.affine_simple:
                     g = wd.conjugate(s.elt, f)
                     lg = wd.length(g)

@@ -15,7 +15,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .conj import classify, newton_zero_classes
+from .conj import (
+    _finite_order_ball,
+    _partition,
+    classify,
+    newton_zero_classes,
+    oracle_partition,
+)
 from .exactpoly import (
     LaurentPoly,
     PolyMatrix,
@@ -796,8 +802,6 @@ def suite_lengths(pc: PresetContext) -> list[CheckResult]:
 
 
 def suite_classes(pc: PresetContext) -> list[CheckResult]:
-    from .conj import _finite_order_ball, _partition
-
     wd = pc.wd
     out = []
     counts = {
@@ -825,29 +829,8 @@ def suite_classes(pc: PresetContext) -> list[CheckResult]:
     out.append(_check("minimality-certificate", ok, "no move s e s shortens a minimal representative"))
     # oracle agreement on the radius-6 ball
     elems = _finite_order_ball(wd, ORACLE_RADIUS)
-    graph_parts = _partition(wd, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in wd.enumerate_ball(ORACLE_RADIUS):
-        for e in elems:
-            h = wd.conjugate(g, e)
-            j = index.get(h)
-            if j is not None:
-                ri, rj = find(index[e]), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    oracle_parts = {}
-    for e in elems:
-        oracle_parts.setdefault(find(index[e]), set()).add(e)
-    graph_sets = {frozenset(g) for g in graph_parts}
-    oracle_sets = {frozenset(g) for g in oracle_parts.values()}
+    graph_sets = {frozenset(g) for g in _partition(wd, elems)}
+    oracle_sets = {frozenset(g) for g in oracle_partition(wd, elems, ORACLE_RADIUS)}
     out.append(
         _check(
             f"oracle-agreement[radius={ORACLE_RADIUS}]",

@@ -8,6 +8,14 @@ coroot and an integer level; ``t_x u`` sends (beta^, n) to
 positive coroots at level 0, and the length of an element counts positives
 sent to negatives.  The length-zero elements form the subgroup Omega ≅ X/Q.
 
+The length has a closed form (Iwahori–Matsumoto, Publ. IHÉS 25, 1965).  For
+a root beta_k with w(beta_k) = beta_i and c = <x, beta_i^>, ``t_x w`` sends
+(beta_k^, n) to (beta_i^, n - c).  The source is positive for n >= 0 if
+beta_k > 0 and for n >= 1 if beta_k < 0; the image is negative for n <= c - 1
+if beta_i > 0 and for n <= c if beta_i < 0.  So the levels counted for beta_k
+form a range of max(0, c + [beta_i < 0] - [beta_k < 0]) integers, and
+l(t_x w) is the sum of these over all roots.
+
 The convention above is pinned by two mandatory certificates: every affine
 simple reflection has length 1, and lengths agree with BFS word length over
 S^a ∪ Omega on radius-8 balls of every preset.
@@ -16,8 +24,10 @@ S^a ∪ Omega on radius-8 balls of every preset.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import intlinalg
@@ -119,8 +129,7 @@ class FinWeylGroup:
         return got
 
     def act(self, w: int, x: Sequence[int]) -> Vec:
-        mat = self.mats[w]
-        return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in mat)
+        return tuple(sum(map(mul, row, x)) for row in self.mats[w])
 
     def order_of(self, w: int) -> int:
         n = 1
@@ -173,6 +182,18 @@ class WeylData:
         self.roots = generate_root_system(datum, weyl_bound)
         self.W = FinWeylGroup(datum, weyl_bound)
         self.root_index = {v: i for i, v in enumerate(self.roots.roots)}
+        pos = self.roots.positive
+        # per w, one (beta_i^, [beta_i < 0] - [beta_k < 0]) for each root
+        # beta_k, where w(beta_k) = beta_i: the terms of the closed-form length
+        self._length_terms = [
+            tuple(
+                (self.roots.coroots[i], (not pos[i]) - (not pos[k]))
+                for k, i in enumerate(
+                    self.root_index[self.W.act(w, beta)] for beta in self.roots.roots
+                )
+            )
+            for w in range(self.W.size)
+        ]
         self.npi = len(datum.simple_roots)
         self._build_affine_simples()
         self._build_omega()
@@ -201,7 +222,11 @@ class WeylData:
         return (tuple(-p for p in mx), wi)
 
     def conjugate(self, g: Elt, e: Elt) -> Elt:
-        return self.mult(self.mult(g, e), self.inv(g))
+        """g e g^-1 = (y + u(x) - v(y), v) for g = (y, u), e = (x, w), v = u w u^-1."""
+        (y, u), (x, w) = g, e
+        W = self.W
+        v = W.mult(W.mult(u, w), W.inverse[u])
+        return (tuple(a + b - c for a, b, c in zip(y, W.act(u, x), W.act(v, y))), v)
 
     def power(self, e: Elt, n: int) -> Elt:
         if n < 0:
@@ -221,33 +246,22 @@ class WeylData:
     # -- length ---------------------------------------------------------------
 
     def length(self, e: Elt) -> int:
-        """Number of positive affine roots sent to negative ones."""
+        """Number of positive affine roots sent to negative ones.
+
+        In closed form, l(t_x w) = sum over roots beta_k of
+        max(0, <x, beta_i^> + [beta_i < 0] - [beta_k < 0]) with
+        w(beta_k) = beta_i: the count of the levels n of (beta_k^, n) that
+        are positive and whose image is negative (see the module docstring).
+        """
         got = self._length_cache.get(e)
         if got is not None:
             return got
         x, w = e
-        nroots = len(self.roots.roots)
-        if nroots == 0:
-            return 0
-        shifts = []
-        img = []
-        for k in range(nroots):
-            beta = self.roots.roots[k]
-            iv = self.root_index[self.W.act(w, beta)]
-            img.append(iv)
-            cv = self.roots.coroots[iv]
-            shifts.append(sum(a * b for a, b in zip(x, cv)))
-        nmax = 1 + max(abs(c) for c in shifts)
         total = 0
-        for k in range(nroots):
-            iv = img[k]
-            c = shifts[k]
-            for n in range(nmax + 1):
-                src_pos = n > 0 or (n == 0 and self.roots.positive[k])
-                lvl = n - c
-                img_neg = lvl < 0 or (lvl == 0 and not self.roots.positive[iv])
-                if src_pos and img_neg:
-                    total += 1
+        for cv, d in self._length_terms[w]:
+            c = sum(map(mul, x, cv)) + d
+            if c > 0:
+                total += c
         self._length_cache[e] = total
         return total
 
@@ -510,9 +524,9 @@ class WeylData:
             self._ball_radius = target
 
     def _close_omega(self, layer: list[Elt]):
-        queue = sorted(layer, key=lambda e: self._ball[e][1])
+        queue = deque(sorted(layer, key=lambda e: self._ball[e][1]))
         while queue:
-            e = queue.pop(0)
+            e = queue.popleft()
             lv, word = self._ball[e]
             for k, name in enumerate(self.omega_names):
                 f = self.mult(e, self.omega_elements[k + 1])
@@ -571,7 +585,6 @@ class WeylData:
         x, w = e
         n = self.W.order_of(w)
         lam = [0] * self.rank
-        cur = list(x)
         wp = 0
         for _ in range(n):
             lam = [a + b for a, b in zip(lam, self.W.act(wp, x))]

@@ -158,7 +158,16 @@ SL2_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(SL2_COMMANDS))
-def test_out_unwritable_exit2(capsys, tmp_path, command):
+def test_out_unwritable_exit2(capsys, tmp_path, monkeypatch, command):
+    from rigidhecke import cli, rigidtab
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for module, name in ((cli, "WeylData"), (cli, "newton_zero_classes"), (cli, "HeckeContext"),
+                         (rigidtab, "build_preset_context"), (rigidtab, "build_rigid_table"),
+                         (rigidtab, "run_suite")):
+        monkeypatch.setattr(module, name, no_work)
     out_path = tmp_path / "missing-dir" / "out.txt"
     code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--out", str(out_path))
     assert code == 2

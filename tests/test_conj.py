@@ -1,5 +1,6 @@
 """Conjugacy classes: descent, enumeration, oracle, counting identity."""
 
+import pathlib
 import random
 
 import pytest
@@ -8,21 +9,26 @@ from rigidhecke import conj
 from rigidhecke.conj import (
     NotFound,
     UnstableAtBound,
+    _finite_order_ball,
+    _partition,
     brute_force_conjugacy_oracle,
     classify,
     count_identity_check,
     descend_to_minimal,
     newton_zero_classes,
+    oracle_partition,
 )
-from rigidhecke.rootdata import preset
-from rigidhecke.weyl import WeylData
+from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
+from rigidhecke.weyl import WeylData, union_find
 
 _CACHE = {}
+_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def wd_of(name):
     if name not in _CACHE:
-        _CACHE[name] = WeylData(preset(name))
+        datum = preset(name) if name in PRESET_NAMES else load_datum(str(_DATA / f"{name}.json"))
+        _CACHE[name] = WeylData(datum)
     return _CACHE[name]
 
 
@@ -94,33 +100,30 @@ def test_oracle():
 
 
 def test_oracle_agreement_radius6():
-    from rigidhecke.conj import _finite_order_ball, _partition
-
     for name in ("sl2", "pgl2", "c2-aff"):
         wd = wd_of(name)
         elems = _finite_order_ball(wd, 6)
         graph_sets = {frozenset(g) for g in _partition(wd, elems)}
-        index = {e: i for i, e in enumerate(elems)}
-        parent = list(range(len(elems)))
+        assert graph_sets == {frozenset(g) for g in oracle_partition(wd, elems, 6)}
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
 
-        for g in wd.enumerate_ball(6):
-            for e in elems:
-                h = wd.conjugate(g, e)
-                j = index.get(h)
-                if j is not None:
-                    ri, rj = find(index[e]), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        oracle = {}
-        for e in elems:
-            oracle.setdefault(find(index[e]), set()).add(e)
-        assert graph_sets == {frozenset(s) for s in oracle.values()}
+@pytest.mark.parametrize("name", ["sl2", "pgl2", "c2-aff", "sl3"])
+def test_oracle_partition_equals_pairwise_conjugation(name):
+    wd = wd_of(name)
+    elems = _finite_order_ball(wd, 6)
+    index = {e: i for i, e in enumerate(elems)}
+    pairs = [
+        (index[e], index[h])
+        for g in wd.enumerate_ball(6)
+        for e in elems
+        if (h := wd.conjugate(g, e)) in index
+    ]
+    naive = {}
+    for e, root in zip(elems, union_find(len(elems), pairs)):
+        naive.setdefault(root, set()).add(e)
+    assert {frozenset(g) for g in naive.values()} == {
+        frozenset(g) for g in oracle_partition(wd, elems, 6)
+    }
 
 
 def test_minimality_certificate():

@@ -1,18 +1,42 @@
 """Extended affine Weyl arithmetic: lengths, balls, cosets, Newton points."""
 
+import pathlib
 import random
 from fractions import Fraction
 
-from rigidhecke.rootdata import preset
+import pytest
+
+from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
 
 _CACHE = {}
+_DATA = pathlib.Path(__file__).parent / "data"
+_DATUMS = list(PRESET_NAMES) + sorted(p.stem for p in _DATA.glob("*.json"))
 
 
 def wd_of(name):
     if name not in _CACHE:
-        _CACHE[name] = WeylData(preset(name))
+        datum = preset(name) if name in PRESET_NAMES else load_datum(str(_DATA / f"{name}.json"))
+        _CACHE[name] = WeylData(datum)
     return _CACHE[name]
+
+
+def length_by_levels(wd, e):
+    """The definition of length: count, level by level, the positive affine
+    roots (beta^, n) that t_x w sends to negative ones (beta^ -> w(beta^),
+    n -> n - <x, w(beta^)>)."""
+    x, w = e
+    roots = wd.roots
+    total = 0
+    for k, beta in enumerate(roots.roots):
+        i = wd.root_index[wd.W.act(w, beta)]
+        c = sum(a * b for a, b in zip(x, roots.coroots[i]))
+        for n in range(abs(c) + 2):
+            src_pos = n > 0 or roots.positive[k]
+            lvl = n - c
+            if src_pos and (lvl < 0 or (lvl == 0 and not roots.positive[i])):
+                total += 1
+    return total
 
 
 def test_group_ops():
@@ -51,6 +75,45 @@ def test_length_vs_bfs_radius8():
         for e in wd.enumerate_ball(8):
             word = wd.word(e)
             assert sum(1 for w in word if w in wd.sa_index) == wd.length(e)
+
+
+def word_length_ball(wd, radius):
+    """Word length over S^a, Omega letters free, of every element within
+    radius: a BFS over the Cayley graph that never calls ``wd.length``."""
+    dist = {om: 0 for om in wd.omega_elements}
+    layer = list(dist)
+    for r in range(1, radius + 1):
+        nxt = []
+        for e in layer:
+            for s in wd.affine_simple:
+                f = wd.mult(e, s.elt)
+                if f not in dist:
+                    dist[f] = r
+                    nxt.append(f)
+        layer = nxt
+    return dist
+
+
+@pytest.mark.parametrize("name", _DATUMS)
+def test_closed_form_length_vs_levels_and_bfs_radius8(name):
+    wd = wd_of(name)
+    dist = word_length_ball(wd, 8)
+    for e, d in dist.items():
+        assert wd.length(e) == length_by_levels(wd, e) == d, wd.render(e)
+    assert sorted(dist) == sorted(wd.enumerate_ball(8))
+
+
+@pytest.mark.parametrize("name", _DATUMS)
+def test_one_step_conjugate(name):
+    wd = wd_of(name)
+    rng = random.Random(f"conjugate:{name}")
+
+    def rand_elt():
+        return (tuple(rng.randint(-3, 3) for _ in range(wd.rank)), rng.randrange(wd.W.size))
+
+    for _ in range(200):
+        g, e = rand_elt(), rand_elt()
+        assert wd.conjugate(g, e) == wd.mult(wd.mult(g, e), wd.inv(g))
 
 
 def test_length_properties():
