@@ -12,6 +12,12 @@ All values are immutable after construction and safe to share.  Two Laurent
 polynomials are equal iff their term maps are equal; there is no floating
 point anywhere.
 
+Every product goes through one multiply-accumulate kernel, :func:`_addmul`,
+which adds a·b into a *raw* term map: a dict whose sums are not normalised and
+whose zero sums are kept.  A caller summing many products (a matrix entry, a
+Hecke coefficient) keeps one raw map per result and cleans it once with
+:func:`_clean`, which drops the zeros and applies :func:`_norm`.
+
 >>> t = VarTable(("v0", "v1"), ("param-sqrt", "param-sqrt"))
 >>> v0, v1 = t.gens()
 >>> print((v0 + v1) * (v0 - v1))
@@ -123,6 +129,37 @@ def _norm(c: Coeff) -> Coeff:
     return c
 
 
+def _addmul(out: dict, a: Mapping[Exponent, Coeff], b: Mapping[Exponent, Coeff]) -> dict:
+    """out += a·b on raw term maps (module docstring); returns out.  A one-term
+    factor is an exponent shift, and a constant not even that."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = out.get
+    if len(b) == 1:
+        ((s, cb),) = b.items()
+        if any(s):
+            for e, c in a.items():
+                e = tuple(map(add, e, s))
+                out[e] = get(e, 0) + c * cb
+        else:
+            for e, c in a.items():
+                out[e] = get(e, 0) + c * cb
+        return out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _clean(table: "VarTable", raw: dict) -> "LaurentPoly":
+    """The polynomial of a raw term map: one pass that drops the zero sums
+    and puts every coefficient in :func:`_norm` form."""
+    return LaurentPoly._of(
+        table, {e: c if type(c) is int else _norm(c) for e, c in raw.items() if c}
+    )
+
+
 def _coeff(c) -> Coeff:
     if isinstance(c, Fraction):
         return _norm(c)
@@ -211,15 +248,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._lift(other)
-        out: dict[Exponent, Coeff] = {}
-        get = out.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._of(self.table, {e: _norm(c) for e, c in out.items() if c})
+        return _clean(self.table, _addmul({}, self.terms, self._lift(other).terms))
 
     __rmul__ = __mul__
 
@@ -474,11 +503,6 @@ class PolyMatrix:
         zero = LaurentPoly(table, {})
         return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(table: VarTable, rows: int, cols: int) -> "PolyMatrix":
-        z = LaurentPoly(table, {})
-        return PolyMatrix([[z for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -514,28 +538,37 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = LaurentPoly(self.table, {})
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [{} for _ in range(other.cols)]  # one raw term map per entry
+            for a, brow in zip(row, other.entries):
+                if a.terms:
+                    for s, b in zip(acc, brow):
+                        if b.terms:
+                            _addmul(s, a.terms, b.terms)
+            out.append([_clean(self.table, s) for s in acc])
         return PolyMatrix(out)
+
+    @staticmethod
+    def combination(table: VarTable, n: int, pairs) -> "PolyMatrix":
+        """Σ M·c over the (n x n matrix M, LaurentPoly c) pairs, one raw term
+        map per entry."""
+        acc = [[{} for _ in range(n)] for _ in range(n)]
+        for m, c in pairs:
+            for srow, mrow in zip(acc, m.entries):
+                for s, e in zip(srow, mrow):
+                    if e.terms:
+                        _addmul(s, e.terms, c.terms)
+        return PolyMatrix([[_clean(table, s) for s in srow] for srow in acc])
 
     def trace(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise NonSquare(f"{self.rows}x{self.cols}")
-        acc = LaurentPoly(self.table, {})
+        one = LaurentPoly.const(self.table, 1).terms
+        acc: dict = {}
         for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+            _addmul(acc, self.entries[i][i].terms, one)
+        return _clean(self.table, acc)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

@@ -14,6 +14,11 @@ Parabolic subalgebras H_J carry the same lattice and the parameter pairs
 inherited from the ambient diagram; their elements are plain BernsteinElts
 supported on W_J.  The cocenter operations (T_O, reduction to minimal
 classes, the r̄_J blocks) all live here.
+
+Accumulation: products, basis changes and reductions add every contribution
+into one raw term map per basis key (``exactpoly._addmul``), which becomes a
+coefficient once: at the end, or when an elimination takes its key off the
+work map.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Mapping, Optional, Sequence
 
 from .conj import ConjClassRecord, NotFound, class_record
-from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable
+from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean
 from .rootdata import SemisimpleQuotient, semisimple_quotient
 from .weyl import Elt, WeylData
 
@@ -48,25 +54,16 @@ def _sqrt_name(orbit_name: str) -> str:
     return "v" + orbit_name[1:] if orbit_name.startswith("q") else "v_" + orbit_name
 
 
-def _accumulate(out: dict, key, v: LaurentPoly, zero: LaurentPoly) -> None:
-    """out[key] += v, dropping the key when the sum vanishes."""
-    s = out.get(key, zero) + v
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
-def _quadratic_step(
-    out: dict, w, ws, up: bool, v: LaurentPoly, Q: LaurentPoly, zero: LaurentPoly
-) -> None:
-    """out += v T_w T_s for the basis keys w and ws (of w s): v T_ws if the
-    length goes up, else v ((Q - 1) T_w + Q T_ws)."""
+def _quadratic_step(raw: dict, w, ws, up: bool, v: LaurentPoly, quad) -> None:
+    """raw += v T_w T_s on raw per-key term maps, for the basis keys w and ws
+    (of w s): v T_ws if the length goes up, else v ((Q - 1) T_w + Q T_ws);
+    ``quad`` holds the term maps of 1, Q and Q - 1."""
+    one, Q, Qm1 = quad
     if up:
-        _accumulate(out, ws, v, zero)
+        _addmul(raw.setdefault(ws, {}), v.terms, one)
     else:
-        _accumulate(out, w, v * (Q - 1), zero)
-        _accumulate(out, ws, v * Q, zero)
+        _addmul(raw.setdefault(w, {}), v.terms, Qm1)
+        _addmul(raw.setdefault(ws, {}), v.terms, Q)
 
 
 def _twin_nodes(wd: WeylData) -> list[Optional[int]]:
@@ -158,6 +155,7 @@ class HeckeContext:
             for k in range(len(wd.affine_simple))
         ]
         self.Q_of_sa = [v * v for v in self.v_of_sa]
+        self._quad_of_sa = [(self._one.terms, Q.terms, (Q - 1).terms) for Q in self.Q_of_sa]
         # per finite simple root: v, Q, and the q(s)q(s~) twin data
         self._build_finite_pairs()
         self.two_rho_vee = [0] * wd.rank
@@ -166,6 +164,7 @@ class HeckeContext:
                 cv = wd.roots.coroots[k]
                 self.two_rho_vee = [a + b for a, b in zip(self.two_rho_vee, cv)]
         self._theta_im_cache: dict[Vec, "HeckeElt"] = {}
+        self._elim_ranks: dict[Elt, tuple] = {}
         self._theta_T_cache: dict[BKey, "HeckeElt"] = {}
         self._bern_seed: dict[str, "BernsteinElt"] = {}
         self._split_cache: dict[Vec, tuple[Vec, Vec]] = {}
@@ -178,6 +177,7 @@ class HeckeContext:
         wd = self.wd
         self.v_of_pi = [self.v_of_sa[wd.sa_index[name]] for name in wd.pi_names]
         self.Q_of_pi = [v * v for v in self.v_of_pi]
+        self._quad_of_pi = [(self._one.terms, Q.terms, (Q - 1).terms) for Q in self.Q_of_pi]
         self.twin_v_of_pi = [None if k is None else self.v_of_sa[k] for k in _twin_nodes(wd)]
 
     def one(self) -> LaurentPoly:
@@ -294,18 +294,31 @@ class HeckeContext:
         drop = sum((a - Fraction(b)) * c for a, b, c in zip(dom, x, self.two_rho_vee))
         return (l_dom, drop, self.wd.W.length[w], w, x)
 
+    def _elim_rank(self, e: Elt) -> tuple:
+        """The memoised :meth:`_elim_key` of e negated entry by entry.  Keys end
+        in (w, x), so they are unique: the least rank is what
+        ``max(work, key=_elim_key)`` picks."""
+        got = self._elim_ranks.get(e)
+        if got is None:
+            l_dom, drop, lw, w, x = self._elim_key(e)
+            got = self._elim_ranks[e] = (-l_dom, -drop, -lw, -w, tuple(-c for c in x))
+        return got
+
     def im_to_bernstein(self, h: "HeckeElt", budget: int = 50_000) -> "BernsteinElt":
-        work = dict(h.c)
+        work = {e: dict(c.terms) for e, c in h.c.items()}  # raw term maps
+        heap = sorted((self._elim_rank(e), e) for e in work)
         out: dict[BKey, LaurentPoly] = {}
         steps = 0
         while work:
+            e = heappop(heap)[1]
+            while e not in work:  # lazy deletion: e was taken off earlier
+                e = heappop(heap)[1]
+            c = _clean(self.table, work.pop(e))
+            if c.is_zero():
+                continue
             steps += 1
             if steps > budget:
                 raise ConversionBudgetExceeded(f"IM->Bernstein exceeded {budget} steps")
-            e = max(work, key=self._elim_key)
-            c = work.pop(e)
-            if c.is_zero():
-                continue
             x, w = e
             p = self.theta_T_im(x, w)
             unit = p.c.get(e)
@@ -314,17 +327,20 @@ class HeckeContext:
                     f"theta_T({x},{w}) has non-unit coefficient at its anchor"
                 )
             q = c * unit.inverse()
-            _accumulate(out, e, q, self._zero)
+            out[e] = out[e] + q if e in out else q
+            minus_q = (-q).terms
             for f, cf in p.c.items():
                 if f != e:
-                    _accumulate(work, f, -(q * cf), self._zero)
+                    if f not in work:
+                        work[f] = {}
+                        heappush(heap, (self._elim_rank(f), f))
+                    _addmul(work[f], cf.terms, minus_q)
         return BernsteinElt(self, out)
 
     def bernstein_to_im(self, b: "BernsteinElt") -> "HeckeElt":
-        out = self.elt({})
-        for (x, w), c in b.c.items():
-            out = out + self.theta_T_im(x, w).scale(c)
-        return out
+        return HeckeElt.combination(
+            self, ((self.theta_T_im(x, w), c) for (x, w), c in b.c.items())
+        )
 
     def bernstein_seed(self, name: str) -> "BernsteinElt":
         """Bernstein form of T_{s0} (derived from θ_{-γ}) or T_ω."""
@@ -392,18 +408,18 @@ class HeckeContext:
         """Express T_e as Σ a_O T_O modulo commutators by length descent."""
         wd = self.wd
         known = list(classes)
-        out: dict[str, LaurentPoly] = {}
+        out: dict[str, dict] = {}  # raw term maps, as in work
         rec_by_label = {r.label: r for r in known}
-        work: dict[Elt, LaurentPoly] = {e: self._one}
+        work: dict[Elt, dict] = {e: dict(self._one.terms)}
         steps = 0
         while work:
+            cur = max(work, key=lambda t: (wd.length(t), t[0], t[1]))
+            c = _clean(self.table, work.pop(cur))
+            if c.is_zero():  # the contributions cancelled: not a step
+                continue
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(f"cocenter reduction exceeded {budget} steps")
-            cur = max(work, key=lambda t: (wd.length(t), t[0], t[1]))
-            c = work.pop(cur)
-            if c.is_zero():
-                continue
             lcur = wd.length(cur)
             # explore the equal-length plateau for a strict descent
             seen = {cur}
@@ -446,7 +462,7 @@ class HeckeContext:
                     rec = class_record(wd, seen)
                     known.append(rec)
                     rec_by_label[rec.label] = rec
-                _accumulate(out, rec.label, c, self._zero)
+                _addmul(out.setdefault(rec.label, {}), c.terms, self._one.terms)
                 continue
             f, s = descent
             sf = wd.mult(s.elt, f)
@@ -457,10 +473,8 @@ class HeckeContext:
                 if wd.length(fs) != lcur - 1:
                     raise RuntimeError("descent without one-sided length drop")
                 sf = fs
-            Q = self.Q_of_sa[wd.sa_index[s.name]]
-            _accumulate(work, sf, c * (Q - 1), self._zero)
-            _accumulate(work, sfs, c * Q, self._zero)
-        entries = [(rec_by_label[lab], out[lab]) for lab in out]
+            _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[wd.sa_index[s.name]])
+        entries = [(rec_by_label[lab], c) for lab, r in out.items() if (c := _clean(self.table, r))]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
         return CocenterCombination(self, tuple(entries), e)
 
@@ -469,13 +483,11 @@ class HeckeContext:
     def bar_restrict(self, h: "HeckeElt", J: Sequence[int]) -> "BernsteinElt":
         """r̃_J(h) = Σ_u (u,u)-block of left multiplication on ⊕ T_u H_J."""
         par = self.parabolic(J)
-        total = BernsteinElt(self, {})
-        for u in par.coset_reps:
-            hu = h.mul_word_right(self.wd.finite_word(u))
-            blk = par.decompose(self.im_to_bernstein(hu)).get(u)
-            if blk is not None:
-                total = total + blk
-        return total
+        blocks = (
+            par.decompose(self.im_to_bernstein(h.mul_word_right(self.wd.finite_word(u)))).get(u)
+            for u in par.coset_reps
+        )
+        return BernsteinElt.combination(self, ((b, self._one) for b in blocks if b is not None))
 
     def adjoint_iJ_rJ(self, h: "HeckeElt", J: Sequence[int]) -> "HeckeElt":
         """ī_J(r̄_J(h)) at the element level: restrict blocks, embed back."""
@@ -506,14 +518,32 @@ class _Combination:
         self.ctx = ctx
         self.c = {k: v for k, v in c.items() if not v.is_zero()}
 
+    @classmethod
+    def _of_raw(cls, ctx: HeckeContext, raw: dict):
+        """The combination of raw per-key term maps (``exactpoly._addmul``)."""
+        return cls(ctx, {k: _clean(ctx.table, r) for k, r in raw.items()})
+
+    @classmethod
+    def combination(cls, ctx: HeckeContext, pairs):
+        """Σ h·c over the (combination h, LaurentPoly c) pairs, one raw term
+        map per key."""
+        raw: dict = {}
+        for h, c in pairs:
+            for k, v in h.c.items():
+                _addmul(raw.setdefault(k, {}), v.terms, c.terms)
+        return cls._of_raw(ctx, raw)
+
     def __add__(self, other):
         out = dict(self.c)
         for k, v in other.c.items():
-            _accumulate(out, k, v, self.ctx._zero)
+            out[k] = out[k] + v if k in out else v
         return type(self)(self.ctx, out)
 
+    def __neg__(self):
+        return type(self)(self.ctx, {k: -v for k, v in self.c.items()})
+
     def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(self.ctx.table, -1))
+        return self + -other
 
     def scale(self, c: LaurentPoly):
         return type(self)(self.ctx, {k: v * c for k, v in self.c.items()})
@@ -533,18 +563,15 @@ class HeckeElt(_Combination):
     def mul_gen_right(self, name: str) -> "HeckeElt":
         ctx = self.ctx
         wd = ctx.wd
-        zero = ctx._zero
         g = wd.generator_elt(name)
-        out: dict = {}
-        if name not in wd.sa_index:  # omega: always length-preserving
-            for e, v in self.c.items():
-                _accumulate(out, wd.mult(e, g), v, zero)
-            return HeckeElt(ctx, out)
-        Q = ctx.Q_of_sa[wd.sa_index[name]]
+        if name not in wd.sa_index:  # omega: length-preserving, e -> e g is one-to-one
+            return HeckeElt(ctx, {wd.mult(e, g): v for e, v in self.c.items()})
+        quad = ctx._quad_of_sa[wd.sa_index[name]]
+        raw: dict = {}
         for e, v in self.c.items():
             eg = wd.mult(e, g)
-            _quadratic_step(out, e, eg, wd.length(eg) > wd.length(e), v, Q, zero)
-        return HeckeElt(ctx, out)
+            _quadratic_step(raw, e, eg, wd.length(eg) > wd.length(e), v, quad)
+        return HeckeElt._of_raw(ctx, raw)
 
     def mul_geninv_right(self, name: str) -> "HeckeElt":
         """Multiply by T_s^{-1} = Q^{-1} T_s + (Q^{-1} - 1), or T_ω^{-1}."""
@@ -566,10 +593,10 @@ class HeckeElt(_Combination):
         return out
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        out = HeckeElt(self.ctx, {})
-        for e, v in other.c.items():
-            out = out + self.mul_word_right(self.ctx.wd.word(e)).scale(v)
-        return out
+        word = self.ctx.wd.word
+        return HeckeElt.combination(
+            self.ctx, ((self.mul_word_right(word(e)), v) for e, v in other.c.items())
+        )
 
     def render(self) -> str:
         wd = self.ctx.wd
@@ -598,12 +625,12 @@ class BernsteinElt(_Combination):
         ctx = self.ctx
         W = ctx.wd.W
         sj = W.gen_index[j]
-        Q = ctx.Q_of_pi[j]
-        out: dict = {}
+        quad = ctx._quad_of_pi[j]
+        raw: dict = {}
         for (x, w), v in self.c.items():
             ws = W.mult(w, sj)
-            _quadratic_step(out, (x, w), (x, ws), W.length[ws] > W.length[w], v, Q, ctx._zero)
-        return BernsteinElt(ctx, out)
+            _quadratic_step(raw, (x, w), (x, ws), W.length[ws] > W.length[w], v, quad)
+        return BernsteinElt._of_raw(ctx, raw)
 
     def mul_word_right(self, word: Sequence[int]) -> "BernsteinElt":
         """self T_{s_{j1}} ... T_{s_{jk}} for the Pi positions j of word."""
@@ -680,19 +707,16 @@ class Parabolic:
         out: dict = {}
         Q = ctx.Q_of_pi[j]
         if ctx.twin_v_of_pi[j] is None:
-            for i in range(k):
-                y = tuple(a - i * b for a, b in zip(x, alpha))
-                out[y] = out.get(y, ctx._zero) + (Q - 1)
+            for i in range(k):  # the points x - i alpha are distinct
+                out[tuple(a - i * b for a, b in zip(x, alpha))] = Q - 1
         else:
             v = ctx.v_of_pi[j]
             tw = ctx.twin_v_of_pi[j]
             cplus = v * tw - v * tw.inverse()
             t = k // 2
             for i in range(t):
-                y = tuple(a - 2 * i * b for a, b in zip(x, alpha))
-                out[y] = out.get(y, ctx._zero) + (Q - 1)
-                y2 = tuple(a - (2 * i + 1) * b for a, b in zip(x, alpha))
-                out[y2] = out.get(y2, ctx._zero) + cplus
+                out[tuple(a - 2 * i * b for a, b in zip(x, alpha))] = Q - 1
+                out[tuple(a - (2 * i + 1) * b for a, b in zip(x, alpha))] = cplus
         return {y: c for y, c in out.items() if not c.is_zero()}
 
     def _s_act(self, j: int, x: Vec) -> Vec:
@@ -713,10 +737,9 @@ class Parabolic:
             pre, last = word[:-1], word[-1]
             sy = self._s_act(last, y)
             main = self.move_theta_left(pre, sy).mul_finite_gen_right(last)
-            acc = main
-            for z, c in self.bl_comm(last, sy).items():
-                acc = acc - self.move_theta_left(pre, z).scale(c)
-            out = acc
+            out = BernsteinElt.combination(ctx, [(main, ctx._one)] + [
+                (self.move_theta_left(pre, z), -c) for z, c in self.bl_comm(last, sy).items()
+            ])
         self._theta_left_cache[key] = out
         return out
 
@@ -733,17 +756,17 @@ class Parabolic:
         else:
             first, rest = word[0], word[1:]
             sx = self._s_act(first, x)
-            out = {}
-            zero = ctx._zero
+            raw: dict = {}
             sj = W.gen_index[first]
-            Qj = ctx.Q_of_pi[first]
+            quad = ctx._quad_of_pi[first]
             for (v, z), c in self.move_theta_right(rest, sx).items():
                 # T_s T_v follows the rule of T_v T_s, with sv in place of vs
                 sv = W.mult(sj, v)
-                _quadratic_step(out, (v, z), (sv, z), W.length[sv] > W.length[v], c, Qj, zero)
+                _quadratic_step(raw, (v, z), (sv, z), W.length[sv] > W.length[v], c, quad)
             for z, c in self.bl_comm(first, x).items():
                 for (v, z2), c2 in self.move_theta_right(rest, z).items():
-                    _accumulate(out, (v, z2), c * c2, zero)
+                    _addmul(raw.setdefault((v, z2), {}), c.terms, c2.terms)
+            out = {k: p for k, r in raw.items() if (p := _clean(ctx.table, r))}
         self._theta_right_cache[key] = out
         return out
 
@@ -751,26 +774,23 @@ class Parabolic:
         """h = Σ_u T_u h_u over u in W^J; returns {u: h_u} with h_u in H_J."""
         wd = self.ctx.wd
         W = wd.W
-        blocks: dict[int, BernsteinElt] = {}
+        pairs: dict[int, list] = {}
         for (x, w), c in b.c.items():
             u, wj = wd.factorize_coset(w, self.J)
             for (v, z), c2 in self.move_theta_right(W.word[u], x).items():
                 u2, vj = wd.factorize_coset(v, self.J)
                 inner = self.move_theta_left(W.word[vj], z).mul_word_right(W.word[wj])
-                inner = inner.scale(c * c2)
-                if u2 in blocks:
-                    blocks[u2] = blocks[u2] + inner
-                else:
-                    blocks[u2] = inner
+                pairs.setdefault(u2, []).append((inner, c * c2))
+        blocks = {u: BernsteinElt.combination(self.ctx, ps) for u, ps in pairs.items()}
         return {u: blk for u, blk in blocks.items() if not blk.is_zero()}
 
     def reassemble(self, blocks: dict) -> HeckeElt:
         """Σ_u T_u h_u back in ambient IM form (exactness check helper)."""
         ctx = self.ctx
-        out = ctx.elt({})
-        for u, blk in blocks.items():
-            out = out + ctx.T_word(ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk)
-        return out
+        return HeckeElt.combination(ctx, (
+            (ctx.T_word(ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk), ctx._one)
+            for u, blk in blocks.items()
+        ))
 
 
 class QuotientAlgebra:

@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import intlinalg
@@ -84,31 +86,27 @@ class FinDimModule:
 
     # -- actions -------------------------------------------------------------
 
+    def _product(self, factors: Sequence[PolyMatrix]) -> PolyMatrix:
+        """The product of the factor matrices, the identity for none."""
+        return reduce(mul, factors) if factors else PolyMatrix.identity(self.alg.table, self.dim)
+
     def theta_of(self, x: Sequence[int]) -> PolyMatrix:
-        out = PolyMatrix.identity(self.alg.table, self.dim)
-        for i, k in enumerate(x):
-            if k > 0:
-                for _ in range(k):
-                    out = out * self.theta_pos[i]
-            elif k < 0:
-                for _ in range(-k):
-                    out = out * self.theta_neg[i]
-        return out
+        return self._product([
+            self.theta_pos[i] if k > 0 else self.theta_neg[i]
+            for i, k in enumerate(x) for _ in range(abs(k))
+        ])
 
     def word_mat(self, letters: Sequence[str]) -> PolyMatrix:
         """The matrix of T_{l1} ... T_{lk} for the generator names l."""
-        out = PolyMatrix.identity(self.alg.table, self.dim)
-        for name in letters:
-            out = out * self.tmat[name]
-        return out
+        return self._product([self.tmat[name] for name in letters])
 
     def act_parabolic(self, elt: BernsteinElt) -> PolyMatrix:
         """The matrix of an element of H_J in Bernstein form."""
         wd = self.alg.wd
-        out = PolyMatrix.zero(self.alg.table, self.dim, self.dim)
-        for (x, w), c in elt.c.items():
-            out = out + (self.theta_of(x) * self.word_mat(wd.finite_word(w))).scale(c)
-        return out
+        return PolyMatrix.combination(self.alg.table, self.dim, (
+            (self.theta_of(x) * self.word_mat(wd.finite_word(w)), c)
+            for (x, w), c in elt.c.items()
+        ))
 
     def act_elt(self, e: Elt) -> PolyMatrix:
         if self.scope is not None:
@@ -116,10 +114,9 @@ class FinDimModule:
         return self.word_mat(self.alg.wd.word(e))
 
     def act(self, h: HeckeElt) -> PolyMatrix:
-        out = PolyMatrix.zero(self.alg.table, self.dim, self.dim)
-        for e, c in h.c.items():
-            out = out + self.act_elt(e).scale(c)
-        return out
+        return PolyMatrix.combination(
+            self.alg.table, self.dim, ((self.act_elt(e), c) for e, c in h.c.items())
+        )
 
     def trace(self, h: Union[HeckeElt, Elt]) -> LaurentPoly:
         if not isinstance(h, HeckeElt):
@@ -156,10 +153,8 @@ class FinDimModule:
             m = wd.bond_order(wd.sa_index[n1], wd.sa_index[n2])
             if m is None:
                 continue
-            a = b = ident
-            for t in range(m):
-                a = a * (self.tmat[n1] if t % 2 == 0 else self.tmat[n2])
-                b = b * (self.tmat[n2] if t % 2 == 0 else self.tmat[n1])
+            a = self.word_mat([(n1, n2)[t % 2] for t in range(m)])
+            b = self.word_mat([(n2, n1)[t % 2] for t in range(m)])
             need(a == b, "braid", f"{n1},{n2} (m={m})")
         done.append("braid")
         if self.scope is None:
@@ -199,9 +194,9 @@ class FinDimModule:
             for x in (v for pair in signed_basis for v in pair):
                 sx = par._s_act(j, x)
                 lhs = self.theta_of(x) * T - T * self.theta_of(sx)
-                rhs = PolyMatrix.zero(table, self.dim, self.dim)
-                for z, c in par.bl_comm(j, x).items():
-                    rhs = rhs + self.theta_of(z).scale(c)
+                rhs = PolyMatrix.combination(
+                    table, self.dim, ((self.theta_of(z), c) for z, c in par.bl_comm(j, x).items())
+                )
                 need(lhs == rhs, "bernstein-lusztig", f"{wd.pi_names[j]}, x={x}")
         done.append("bernstein-lusztig")
         if self.scope is None and wd.rank > 0:
@@ -536,12 +531,11 @@ def _induced(
             for u2, blk in par.decompose(b).items():
                 if u2 not in pos_of:
                     raise RelationFailed("induction block left the subgroup")
-                mat = sigma.act_parabolic(blk)
+                # each block (u2, u) is met once: decompose has one block per u2
                 r0 = pos_of[u2] * n
                 c0 = pos_of[u] * n
-                for r in range(n):
-                    for c in range(n):
-                        out[r0 + r][c0 + c] = out[r0 + r][c0 + c] + mat.entries[r][c]
+                for r, row in enumerate(sigma.act_parabolic(blk).entries):
+                    out[r0 + r][c0:c0 + n] = row
         return PolyMatrix(out)
 
     tmat = {name: assemble(alg.bernstein_seed(name)) for name in names}

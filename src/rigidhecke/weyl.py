@@ -378,7 +378,7 @@ class WeylData:
             hit = None
             for x in itertools.product(range(-bound, bound + 1), repeat=m):
                 diff = [a - b for a, b in zip(x, rep)]
-                if not intlinalg.in_lattice([list(r) for r in datum.simple_roots], diff):
+                if not intlinalg.in_smith_row_span(d, v, diff):
                     continue
                 for w in range(self.W.size):
                     if self.length((tuple(x), w)) == 0:

@@ -1,24 +1,28 @@
 """Property tests (Hypothesis): the Laurent ring laws, int-first
-coefficients, Bareiss against cofactor expansion, the IM -> Bernstein -> IM
-round trip, and the parabolic subgroups W_J read off the lex-least reduced
-words."""
+coefficients, the multiply-accumulate kernel against naive sums of products,
+Bareiss against cofactor expansion, the IM -> Bernstein -> IM round trip and
+its elimination order, and the parabolic subgroups W_J read off the
+lex-least reduced words."""
 
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidhecke.exactpoly import (
     LaurentPoly,
     PolyMatrix,
     VarTable,
+    _addmul,
+    _clean,
     det_bareiss,
     det_cofactor,
     render_in_Q,
 )
-from rigidhecke.hecke import HeckeContext
+from rigidhecke.hecke import BernsteinElt, HeckeContext
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData, pi_subsets
 
@@ -49,7 +53,7 @@ def test_exact_div_undoes_multiplication(a, b):
 
 def _assert_int_first(p):
     for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+        assert c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1)), repr(c)
 
 
 def _as_fractions(p):
@@ -107,6 +111,90 @@ def test_bareiss_equals_cofactor(m):
     assert det_bareiss(m) == det_cofactor(m)
 
 
+def _naive_mul(a, b):
+    """a·b as a sum of monomials under ``LaurentPoly.__add__``, with no call
+    into the multiply-accumulate kernel."""
+    out = LaurentPoly(a.table, {})
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out = out + LaurentPoly.monomial(a.table, [x + y for x, y in zip(e1, e2)], c1 * c2)
+    return out
+
+
+def _raw_sum(*pairs):
+    """The kernel's Σ a·b over the (a, b) pairs: one raw map, cleaned once."""
+    raw = {}
+    for a, b in pairs:
+        _addmul(raw, a.terms, b.terms)
+    return _clean(T2, raw)
+
+
+def _p(terms):
+    return LaurentPoly(T2, {e: Fraction(c) for e, c in terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_polys, mixed_polys, units, units, coeffs.filter(bool))
+@example(_p({(0, 1): 1, (1, 0): Fraction(3, 2)}), _p({(0, 0): 5}),
+         _p({(1, 1): Fraction(2, 3)}), _p({(0, 0): 1}), Fraction(2, 3))
+def test_single_term_fast_path_equals_generic_product(a, b, m, n, c):
+    one_term = LaurentPoly.const(T2, c)
+    cases = [
+        (_raw_sum((a, m)), _naive_mul(a, m)),
+        (_raw_sum((m, a)), _naive_mul(a, m)),
+        (_raw_sum((a, one_term)), _naive_mul(a, one_term)),
+        (a * m, _naive_mul(a, m)),
+        (_raw_sum((a, m), (b, n)), _naive_mul(a, m) + _naive_mul(b, n)),
+        (_raw_sum((a, m), (-a, m)), LaurentPoly(T2, {})),
+    ]
+    for got, want in cases:
+        _assert_int_first(got)
+        assert got == want
+
+
+_entries = st.one_of(
+    st.just({}),  # zero entries
+    st.dictionaries(exponents, coeffs, max_size=3),  # Fraction coefficients
+    st.tuples(exponents, coeffs.filter(bool)).map(lambda ec: {ec[0]: ec[1]}),  # monomials
+).map(lambda t: LaurentPoly(T2, t))
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    a = PolyMatrix([[draw(_entries) for _ in range(k)] for _ in range(n)])
+    b = PolyMatrix([[draw(_entries) for _ in range(m)] for _ in range(k)])
+    return a, b
+
+
+def _naive_matmul(a, b):
+    zero = LaurentPoly(a.table, {})
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), zero) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_pairs(), st.tuples(exponents, coeffs.filter(bool)))
+@example((PolyMatrix([[_p({(0, 0): Fraction(1, 2)}), _p({(1, 0): 1})]]),
+          PolyMatrix([[_p({(0, 0): 2})], [_p({(-1, 0): -1})]])), ((0, 0), Fraction(3, 2)))
+def test_matrix_product_equals_naive_sum(pair, mono):
+    a, b = pair
+    k = a.cols
+    m = PolyMatrix.identity(T2, k).scale(LaurentPoly.monomial(T2, *mono))
+    for x, y in [(a, b), (a, PolyMatrix.identity(T2, k)), (PolyMatrix.identity(T2, a.rows), a),
+                 (a, m), (m, b)]:
+        got = x * y
+        want = _naive_matmul(x, y)
+        assert got.entries == want
+        for row in got.entries:
+            for e in row:
+                _assert_int_first(e)
+        if got.rows == got.cols:
+            tr = got.trace()
+            _assert_int_first(tr)
+            assert tr == sum((want[i][i] for i in range(got.rows)), LaurentPoly(T2, {}))
+
+
 _C2 = HeckeContext(WeylData(preset("c2-aff")))
 _C2_BALL = _C2.wd.enumerate_ball(3)
 
@@ -118,6 +206,73 @@ def test_im_bernstein_roundtrip_c2(terms):
     for e, k in terms:
         h = h + _C2.T(e).scale(LaurentPoly.const(_C2.table, k))
     assert _C2.bernstein_to_im(_C2.im_to_bernstein(h)) == h
+
+
+_C2_V = _C2.table.gens()
+_C2_COEFFS = st.tuples(st.integers(0, 2), st.fractions(-3, 3, max_denominator=2).filter(bool))
+_C2_TERMS = st.lists(st.tuples(st.sampled_from(_C2.wd.enumerate_ball(2)), _C2_COEFFS),
+                     min_size=1, max_size=3)
+_C2_S1 = _C2.wd.generator_elt("s1")
+
+
+def _c2_elt(terms):
+    """Σ c v1^k T_e over the (e, (k, c)) terms."""
+    h = _C2.elt({})
+    for e, (k, c) in terms:
+        h = h + _C2.T(e).scale(_C2_V[1] ** k * c)
+    return h
+
+
+@settings(max_examples=30, deadline=None)
+@given(_C2_TERMS, _C2_TERMS)
+@example([(_C2_S1, (0, 1)), (_C2.wd.identity(), (0, 1))],  # (T_s1 + 1)(T_s1 - Q1) = 0
+         [(_C2_S1, (0, 1)), (_C2.wd.identity(), (2, -1))])
+@example([(_C2_S1, (0, Fraction(1, 2)))], [(_C2.wd.identity(), (0, 2))])
+def test_hecke_product_equals_sum_of_word_products(a_terms, b_terms):
+    a, b = _c2_elt(a_terms), _c2_elt(b_terms)
+    want = _C2.elt({})
+    for e, v in b.c.items():
+        want = want + a.mul_word_right(_C2.wd.word(e)).scale(v)
+    got = a * b
+    assert got == want
+    for v in got.c.values():
+        _assert_int_first(v)
+
+
+def _im_to_bernstein_by_max(ctx, h):
+    """IM -> Bernstein by ``max(work, key=ctx._elim_key)`` on every step, a
+    fresh key each time, on LaurentPoly arithmetic."""
+    work, out = dict(h.c), {}
+    while work:
+        e = max(work, key=ctx._elim_key)
+        c = work.pop(e)
+        p = ctx.theta_T_im(*e)
+        q = c * p.c[e].inverse()
+        out[e] = out[e] + q if e in out else q
+        for f, cf in p.c.items():
+            if f != e:
+                s = work.get(f, ctx.zero()) - q * cf
+                if s.is_zero():
+                    work.pop(f, None)
+                else:
+                    work[f] = s
+    return BernsteinElt(ctx, out)
+
+
+@pytest.mark.parametrize("name", ["c2-aff", "c2-ext"])
+def test_elimination_order_pin(name):
+    """The heap of memoised ranks in ``im_to_bernstein`` eliminates in the
+    order of the max loop: the same terms, in the same order."""
+    ctx = HeckeContext(WeylData(preset(name)))
+    ball = ctx.wd.enumerate_ball(3)
+    rng = random.Random(f"elimination:{name}")
+    for _ in range(200):
+        h = ctx.T(rng.choice(ball)).scale(LaurentPoly.const(ctx.table, Fraction(1, 2))) + ctx.T(
+            rng.choice(ball)).scale(LaurentPoly.const(ctx.table, Fraction(rng.randint(-3, 3), 2)))
+        got, want = ctx.im_to_bernstein(h), _im_to_bernstein_by_max(ctx, h)
+        assert list(got.c.items()) == list(want.c.items())
+        for v in got.c.values():
+            _assert_int_first(v)
 
 
 _DATA = pathlib.Path(__file__).parent / "data"

@@ -1,11 +1,13 @@
 """Extended affine Weyl arithmetic: lengths, balls, cosets, Newton points."""
 
+import itertools
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from rigidhecke import intlinalg
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
 
@@ -230,3 +232,33 @@ def test_coset_reps_wrapper():
     assert wd.coset_reps((0,)) == wd.minimal_coset_reps((0,))
     triples = wd.coset_reps((0,), K=(1,))
     assert triples == wd.double_coset_reps((1,), (0,))
+
+
+_PERFBENCH_DATA = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [None] + sorted(_DATA.glob("*.json"))
+    + [p for p in sorted(_PERFBENCH_DATA.glob("*.json")) if p.stem != "pins"],
+    ids=lambda p: "presets" if p is None else f"{p.parent.parent.name}/{p.stem}",
+)
+def test_smith_row_span_equals_in_lattice_over_omega_search_box(path):
+    """``_build_omega`` tests lattice membership against its one Smith form;
+    that test equals ``in_lattice`` (a fresh Smith form per vector) over the
+    whole search box of every coset representative."""
+    datums = [preset(n) for n in PRESET_NAMES] if path is None else [load_datum(str(path))]
+    checked = 0
+    for datum in datums:
+        amat = [list(r) for r in datum.simple_roots]
+        m = len(amat[0])
+        d, _u, v = intlinalg.smith_normal_form(amat)
+        vinv = intlinalg.mat_inverse_unimodular(v)
+        for combo in itertools.product(*[range(d[i][i]) for i in range(m)]):
+            rep = intlinalg.mat_vec(list(zip(*vinv)), list(combo))
+            bound = max(abs(c) for c in rep) + 2
+            for x in itertools.product(range(-bound, bound + 1), repeat=m):
+                diff = [a - b for a, b in zip(x, rep)]
+                assert intlinalg.in_smith_row_span(d, v, diff) == intlinalg.in_lattice(amat, diff)
+                checked += 1
+    assert checked
