@@ -28,10 +28,8 @@ from .rootdata import (
     NotCartan,
     NotReduced,
     UnknownPreset,
-    affine_simple_system,
     generate_root_system,
     load_datum,
-    omega_group,
     preset,
     semisimple_quotient,
     validate_datum,
@@ -58,21 +56,17 @@ from .hecke import (
     QuotientAlgebra,
 )
 from .repn import (
-    A_operator,
     FinDimModule,
     RelationFailed,
     TwistChar,
-    VirtualModule,
     apply_iKrK,
     induce,
     induce_in_parabolic,
     inflate_chi_t,
     lift_from_parahoric,
     one_dim_modules,
-    parabolic_one_dim_modules,
     restrict,
     twist_by,
-    virtual,
 )
 from .rigidtab import (
     MANIFESTS,

@@ -91,11 +91,7 @@ def cmd_classes(args) -> int:
     wd = _load_weyl(args)
     if wd is None:
         return EXIT_USAGE
-    try:
-        classes = newton_zero_classes(wd, args.max_length)
-    except UnstableAtBound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    classes = newton_zero_classes(wd, args.max_length)
     records = [r.to_json(wd) for r in classes]
     if args.format == "json":
         text = json.dumps({"datum": wd.datum.name, "classes": records}, indent=2) + "\n"
@@ -162,13 +158,14 @@ def cmd_verify(args) -> int:
     if args.suite not in rigidtab.SUITES:
         print(f"error: unknown suite {args.suite!r}; have {rigidtab.SUITES}", file=sys.stderr)
         return EXIT_USAGE
-    if args.preset and args.preset in rigidtab.MANIFESTS:
-        pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
-    elif args.suite in ("lengths", "classes", "counts"):
+    manifest = rigidtab.MANIFESTS.get(args.preset)
+    if args.suite in rigidtab.DATUM_SUITES:
         wd = _load_weyl(args)
         if wd is None:
             return EXIT_USAGE
-        pc = rigidtab.datum_context(wd, L=args.max_length)
+        pc = rigidtab.datum_context(wd, L=args.max_length, manifest=manifest)
+    elif manifest is not None:
+        pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
     else:
         print(
             "error: this suite needs a preset module panel (use --preset)",
@@ -209,15 +206,15 @@ def cmd_reduce(args) -> int:
     ctx = HeckeContext(wd)
     classes = newton_zero_classes(wd, args.max_length)
     comb = ctx.cocenter_reduce(e, classes, extend=True)
-    # trace verification against the preset module panel where available;
-    # the panel is rebuilt over the same (unmerged) parameter context
+    # trace verification against the preset module panel where available,
+    # built over this unmerged context: the reduction is rendered in its
+    # per-orbit parameter names
     status = "skipped (no preset module panel)"
     code = EXIT_OK
-    if args.preset and args.preset in rigidtab.MANIFESTS:
-        manifest = rigidtab.MANIFESTS[args.preset]
+    manifest = rigidtab.MANIFESTS.get(args.preset)
+    if manifest is not None:
         ok = True
-        for spec in manifest.columns:
-            mod = rigidtab.resolve_column(ctx, spec)
+        for mod in rigidtab.panel_modules(ctx, manifest):
             rhs = ctx.zero()
             for rec, c in comb.entries:
                 rhs = rhs + c * mod.trace(rec.rep)
@@ -276,6 +273,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK
+    except UnstableAtBound as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -395,9 +395,6 @@ class HeckeContext:
 
     # -- cocenter ---------------------------------------------------------------------
 
-    def class_element(self, rec: ConjClassRecord) -> "HeckeElt":
-        return self.T(rec.rep)
-
     def cocenter_reduce(
         self,
         e: Elt,

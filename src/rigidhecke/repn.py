@@ -626,72 +626,6 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
     return out
 
 
-@dataclass(frozen=True)
-class VirtualModule:
-    """Integer combination of modules with formal i_K∘r_K words applied.
-
-    A term (c, M, (K1, K2, ...)) stands for c · i_{K1} r_{K1} i_{K2} r_{K2}
-    ... (M).  Traces are evaluated through the adjoint operators
-    ī_K ∘ r̄_K on the Hecke-element side, so no huge induced matrices are
-    ever materialized; the module-level realization (restrict then induce)
-    is available separately and cross-checked in the tests.
-    """
-
-    alg: HeckeContext
-    terms: tuple  # (int, FinDimModule, tuple[tuple[int, ...], ...])
-
-    def __add__(self, other: "VirtualModule") -> "VirtualModule":
-        return VirtualModule(self.alg, self.terms + other.terms)
-
-    def scale(self, c: int) -> "VirtualModule":
-        return VirtualModule(self.alg, tuple((c * a, m, w) for a, m, w in self.terms))
-
-    def trace(self, h: HeckeElt) -> LaurentPoly:
-        out = self.alg.zero()
-        for c, mod, word in self.terms:
-            hh = h
-            for K in word:
-                hh = self.alg.adjoint_iJ_rJ(hh, K)
-            out = out + mod.trace(hh) * c
-        return out
-
-
-def virtual(mod: FinDimModule) -> VirtualModule:
-    return VirtualModule(mod.alg, ((1, mod, ()),))
-
-
 def apply_iKrK(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
     """Module-level i_K ∘ r_K: restrict then induce (relation-certified)."""
     return induce(mod.alg, K, restrict(mod, K))
-
-
-def A_operator(v: Union[FinDimModule, VirtualModule]) -> VirtualModule:
-    """The elliptic projector A = A_{|Pi|} ∘ ... ∘ A_1 on virtual modules.
-
-    A_l = Π_{|K| = |Pi| - l} (i_K ∘ r_K - |N_K|), subsets of each size in a
-    fixed lexicographic order.
-    """
-    if isinstance(v, FinDimModule):
-        v = virtual(v)
-    alg = v.alg
-    npi = alg.wd.npi
-    cur = v
-    for ell in range(1, npi + 1):
-        for K in itertools.combinations(range(npi), npi - ell):
-            n_k = len(alg.wd.normalizer_reps(K))
-            plus = VirtualModule(alg, tuple((c, m, (K,) + w) for c, m, w in cur.terms))
-            cur = plus + cur.scale(-n_k)
-    return cur
-
-
-def parabolic_one_dim_modules(
-    ctx: HeckeContext, J: Sequence[int], with_twist: bool = False
-) -> list[FinDimModule]:
-    """One-dimensional H_J^sem-modules inflated to H_J.
-
-    With ``with_twist`` the free θ-directions (the unramified characters of
-    X/X∩QJ) carry fresh twist variables from the context's twist slots.
-    """
-    qa = ctx.quotient_algebra(tuple(sorted(J)))
-    t = TwistChar(qa, symbolic=True) if with_twist else None
-    return [inflate_chi_t(qa, m, t) for m in one_dim_modules(qa.ctx)]

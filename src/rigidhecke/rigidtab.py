@@ -66,13 +66,17 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class PresetManifest:
+    """A preset's table layout and expectations; a datum without a preset
+    gets ``PresetManifest(name)``, which has no panel and expects nothing."""
+
     name: str
-    orbit_assignment: Optional[dict]
-    row_labels: tuple[str, ...]
-    row_words: tuple[tuple[str, ...], ...]
-    columns: tuple[ColumnSpec, ...]
-    det_product: Callable[[VarTable], LaurentPoly]
-    det_text: str
+    orbit_assignment: Optional[dict] = None
+    row_labels: tuple[str, ...] = ()
+    row_words: tuple[tuple[str, ...], ...] = ()
+    columns: tuple[ColumnSpec, ...] = ()
+    det_product: Optional[Callable[[VarTable], LaurentPoly]] = None
+    det_text: str = ""
+    class_counts: Optional[tuple[int, int]] = None  # (Newton-zero classes, elliptic ones)
 
 
 def _sl2_det(qt: VarTable) -> LaurentPoly:
@@ -114,6 +118,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_sl2_det,
         det_text="-(q+1)^2",
+        class_counts=(3, 2),
     ),
     "pgl2": PresetManifest(
         name="pgl2",
@@ -127,6 +132,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_pgl2_det,
         det_text="2(q+1)",
+        class_counts=(3, 2),
     ),
     "c2-aff": PresetManifest(
         name="c2-aff",
@@ -166,6 +172,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_c2_det,
         det_text="-(1+q0)^3(1+q1)^3(1+q2)^3(q0+q1)(q1+q2)(1+q0*q1)(1+q1*q2)",
+        class_counts=(9, 5),
     ),
 }
 
@@ -180,12 +187,6 @@ class PresetContext:
     classes: list
     rows: list  # ConjClassRecord per manifest row
     modules: list  # FinDimModule per column
-
-    def column_module(self, label: str) -> FinDimModule:
-        for spec, mod in zip(self.manifest.columns, self.modules):
-            if spec.label == label:
-                return mod
-        raise KeyError(label)
 
 
 def _match_signature(alg: HeckeContext, mods: Sequence[FinDimModule], sig: dict) -> FinDimModule:
@@ -223,26 +224,33 @@ def resolve_column(ctx: HeckeContext, spec: ColumnSpec) -> FinDimModule:
     raise KeyError(f"unknown column kind {spec.kind!r}")
 
 
-def build_preset_context(name: str, L: int = 8, n_twist: int = 0) -> PresetContext:
+def panel_modules(ctx: HeckeContext, man: PresetManifest) -> list[FinDimModule]:
+    """The certified module of each manifest column, over ``ctx``."""
+    return [resolve_column(ctx, spec) for spec in man.columns]
+
+
+def datum_context(
+    wd: WeylData, L: int = 8, manifest: Optional[PresetManifest] = None
+) -> PresetContext:
+    """A context without a module panel, for the suites in ``DATUM_SUITES``:
+    every Newton-zero class is a row.  A preset's ``manifest`` supplies the
+    parameter merging and the expected class counts."""
+    man = manifest if manifest is not None else PresetManifest(wd.datum.name)
+    ctx = HeckeContext(wd, orbit_assignment=man.orbit_assignment)
+    classes = newton_zero_classes(wd, L)
+    return PresetContext(man, wd, ctx, classes, list(classes), [])
+
+
+def build_preset_context(name: str, L: int = 8) -> PresetContext:
+    """The datum context of a preset with the manifest's rows and panel."""
     man = MANIFESTS[name]
-    wd = WeylData(datum_preset(name))
-    ctx = HeckeContext(wd, orbit_assignment=man.orbit_assignment, n_twist=n_twist)
-    classes = newton_zero_classes(wd, L)
-    rows = []
-    for word in man.row_words:
-        rows.append(classify(wd, wd.evaluate_word(word), classes))
-    if len({r.label for r in rows}) != len(man.row_labels) or len(rows) != len(classes):
+    pc = datum_context(WeylData(datum_preset(name)), L, man)
+    wd = pc.wd
+    pc.rows = [classify(wd, wd.evaluate_word(word), pc.classes) for word in man.row_words]
+    if len({r.label for r in pc.rows}) != len(man.row_labels) or len(pc.rows) != len(pc.classes):
         raise TableMismatch("manifest rows do not enumerate the Newton-zero classes")
-    modules = [resolve_column(ctx, spec) for spec in man.columns]
-    return PresetContext(man, wd, ctx, classes, rows, modules)
-
-
-def datum_context(wd: WeylData, L: int = 8) -> PresetContext:
-    """A context without a module panel, for the datum-only suites
-    (lengths, classes, counts): every Newton-zero class is a row."""
-    man = PresetManifest(wd.datum.name, None, (), (), (), lambda qt: None, "")
-    classes = newton_zero_classes(wd, L)
-    return PresetContext(man, wd, HeckeContext(wd), classes, list(classes), [])
+    pc.modules = panel_modules(pc.ctx, man)
+    return pc
 
 
 def render_markdown(head: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -804,14 +812,9 @@ def suite_lengths(pc: PresetContext) -> list[CheckResult]:
 def suite_classes(pc: PresetContext) -> list[CheckResult]:
     wd = pc.wd
     out = []
-    counts = {
-        "sl2": (3, 2),
-        "pgl2": (3, 2),
-        "c2-aff": (9, 5),
-    }
     n_ell = sum(1 for r in pc.classes if r.elliptic)
-    if pc.manifest.name in counts:
-        want, want_ell = counts[pc.manifest.name]
+    if pc.manifest.class_counts is not None:
+        want, want_ell = pc.manifest.class_counts
         out.append(
             _check(
                 "class-counts",
@@ -880,6 +883,9 @@ _SUITE_TABLE: dict[str, Callable[[_SuiteInputs], list[CheckResult]]] = {
 }
 
 SUITES = tuple(_SUITE_TABLE) + ("all",)
+
+# the suites that read only the group data, never the module panel
+DATUM_SUITES = ("lengths", "classes", "counts")
 
 
 def run_suite(pc: PresetContext, suite: str) -> list[CheckResult]:

@@ -311,17 +311,3 @@ def datum_from_dict(raw: dict, source: str = "<datum>") -> BasedRootDatum:
             fail("param_orbit_names", "must be a list of nonempty strings")
         orbit_names = tuple(orbit_names)
     return BasedRootDatum(name, rank, roots, coroots, orbit_names)
-
-
-def affine_simple_system(datum: BasedRootDatum):
-    """Derived affine data (R_m, S^a, parameter orbits, 2X^-flags)."""
-    from .weyl import WeylData
-
-    return WeylData(datum).affine_data()
-
-
-def omega_group(datum: BasedRootDatum):
-    """The length-zero subgroup Omega ≅ X/Q."""
-    from .weyl import WeylData
-
-    return WeylData(datum).omega_data()

@@ -34,7 +34,6 @@ from . import intlinalg
 from .rootdata import (
     BasedRootDatum,
     DatumFormatError,
-    RootSystem,
     generate_root_system,
     reflection_matrix,
     validate_datum,
@@ -150,24 +149,6 @@ class AffineSimple:
     pi_index: Optional[int]  # position into Pi for finite ones
     root: Vec  # reflecting root (gamma for affine ones)
     coroot: Vec
-
-
-@dataclass(frozen=True)
-class AffineData:
-    roots: RootSystem
-    minimal_roots: tuple[Vec, ...]
-    affine_simple: tuple[AffineSimple, ...]
-    param_orbits: tuple[tuple[str, ...], ...]
-    orbit_names: tuple[str, ...]
-    two_Xvee_flags: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class OmegaGroup:
-    elements: tuple[Elt, ...]
-    names: tuple[str, ...]
-    mult: tuple[tuple[int, ...], ...]
-    action_on_sa: tuple[tuple[int, ...], ...]  # permutation of S^a per element
 
 
 class WeylData:
@@ -459,23 +440,6 @@ class WeylData:
             for k in g:
                 self.orbit_of_sa[k] = oi
 
-    # -- accessors used by rootdata wrappers ------------------------------------
-
-    def affine_data(self) -> AffineData:
-        return AffineData(
-            self.roots,
-            self.minimal_roots,
-            self.affine_simple,
-            tuple(tuple(self.affine_simple[k].name for k in g) for g in self.param_orbits),
-            self.orbit_names,
-            self.two_Xvee_flags,
-        )
-
-    def omega_data(self) -> OmegaGroup:
-        return OmegaGroup(
-            self.omega_elements, self.omega_names, self.omega_mult, self.omega_action_sa
-        )
-
     # -- generators, balls, words -------------------------------------------------
 
     def generator_elt(self, name: str) -> Elt:
@@ -669,12 +633,6 @@ class WeylData:
                     wj = self.W.mult(self.W.gen_index[j], wj)
                     moved = True
         return u, wj
-
-    def coset_reps(self, J: Sequence[int], K: Optional[Sequence[int]] = None):
-        """W^J, or with K the triples (w, K_w, J_w) over ^K W^J."""
-        if K is None:
-            return self.minimal_coset_reps(J)
-        return self.double_coset_reps(K, J)
 
     def normalizer_reps(self, J: Sequence[int]) -> list[int]:
         """N_J = {z in ^J W^J : z(J) = J}."""

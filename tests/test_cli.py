@@ -222,3 +222,46 @@ def test_bad_datum_exit2(capsys, tmp_path, command, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(SL2_COMMANDS))
+def test_unstable_max_length_exit1(capsys, command):
+    code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--max-length", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: classes changed between L=0") and err.count("\n") == 1
+
+
+def test_datum_named_like_a_preset_gets_no_class_counts(capsys, tmp_path):
+    """Expected class counts come from --preset, never from a datum file's name."""
+    import pathlib
+
+    raw = json.loads((pathlib.Path(__file__).parent / "data" / "sl3.json").read_text())
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(dict(raw, name="c2-aff")))
+    code, out, _ = run(capsys, "verify", "--datum", str(path), "--suite", "classes")
+    assert code == 0
+    assert "class-counts" not in [c["name"] for c in json.loads(out)["checks"]]
+
+
+@pytest.mark.parametrize("suite", ["lengths", "classes", "counts"])
+@pytest.mark.parametrize("preset", ["sl2", "pgl2", "c2-aff"])
+def test_datum_level_verify_builds_no_panel(capsys, monkeypatch, request, preset, suite):
+    """A datum-level suite on a table preset reports what it reports on the
+    full preset context, without building a module."""
+    from rigidhecke import rigidtab
+
+    pc = request.getfixturevalue({"sl2": "pc_sl2", "pgl2": "pc_pgl2", "c2-aff": "pc_c2"}[preset])
+    checks = [
+        {"name": c.name, "status": c.status, "detail": c.detail}
+        for c in rigidtab.run_suite(pc, suite)
+    ]
+    want = json.dumps({"suite": suite, "checks": checks}, indent=2) + "\n"
+
+    def no_panel(*_args, **_kwargs):
+        raise AssertionError("a datum-level suite built a module")
+
+    monkeypatch.setattr(rigidtab, "resolve_column", no_panel)
+    code, out, _ = run(capsys, "verify", "--preset", preset, "--suite", suite)
+    assert code == 0
+    assert out == want

@@ -206,7 +206,7 @@ def test_class_element_and_reduce_examples():
     ctx = ctx_of("sl2")
     wd = ctx.wd
     classes = newton_zero_classes(wd, 8)
-    t0 = ctx.class_element(next(r for r in classes if r.label == "s0"))
+    t0 = ctx.T(next(r for r in classes if r.label == "s0").rep)
     assert t0 == ctx.T(wd.generator_elt("s0"))
     comb = ctx.cocenter_reduce(wd.generator_elt("s0"), classes)
     assert [(rec.label, c.render()) for rec, c in comb.entries] == [("s0", "1")]

@@ -1,4 +1,4 @@
-"""Modules: certificates, constructors, traces, twists, the A-operator."""
+"""Modules: certificates, constructors, traces, twists, the A-projector on traces."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from rigidhecke.conj import newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly, PolyMatrix, render_in_Q
 from rigidhecke.hecke import HeckeContext
 from rigidhecke.repn import (
-    A_operator,
     _nth_root_fraction,
     RelationFailed,
     TwistChar,
@@ -21,7 +20,6 @@ from rigidhecke.repn import (
     one_dim_modules,
     restrict,
     twist_by,
-    virtual,
 )
 from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
@@ -220,9 +218,8 @@ def test_A_kills_induced_and_A_squared():
     classes = newton_zero_classes(wd, 8)
     qa = ctx.quotient_algebra(())
     ind = induce(ctx, (), inflate_chi_t(qa, one_dim_modules(qa.ctx)[0]))
-    Av = A_operator(ind)
     for rec in classes:
-        assert Av.trace(ctx.T(rec.rep)).is_zero()
+        assert ind.trace(ctx.adjoint_A(ctx.T(rec.rep))).is_zero()
     # A^2 = a A on the Steinberg, with a recovered (not assumed)
     mods = one_dim_modules(ctx)
     st = next(
@@ -230,10 +227,8 @@ def test_A_kills_induced_and_A_squared():
         for m in mods
         if m.tmat["s0"].trace().render() == "-1" and m.tmat["s1"].trace().render() == "-1"
     )
-    Ast = A_operator(st)
-    AAst = A_operator(Ast)
-    f = {rec.label: Ast.trace(ctx.T(rec.rep)) for rec in classes}
-    g = {rec.label: AAst.trace(ctx.T(rec.rep)) for rec in classes}
+    f = {rec.label: st.trace(ctx.adjoint_A(ctx.T(rec.rep))) for rec in classes}
+    g = {rec.label: st.trace(ctx.adjoint_A(ctx.adjoint_A(ctx.T(rec.rep)))) for rec in classes}
     a_val = None
     for lab in f:
         if not f[lab].is_zero():
@@ -253,8 +248,7 @@ def test_A_on_rank_zero_datum():
     mods = one_dim_modules(ctx)
     assert len(mods) == 1 and mods[0].dim == 1
     # Pi = emptyset: A is the empty composition, i.e. the identity scalar
-    Av = A_operator(mods[0])
-    assert Av.trace(ctx.unit()) == LaurentPoly.const(ctx.table, 1)
+    assert mods[0].trace(ctx.adjoint_A(ctx.unit())) == LaurentPoly.const(ctx.table, 1)
 
 
 def test_mackey_spot_check_with_twist():
@@ -270,13 +264,13 @@ def test_mackey_spot_check_with_twist():
 
 
 def test_parabolic_one_dims_with_twist():
-    from rigidhecke.repn import parabolic_one_dim_modules
-
     ctx = ctx_of("c2-aff", n_twist=2)
-    plain = parabolic_one_dim_modules(ctx, (1,))
+    qa = ctx.quotient_algebra((1,))
+    plain = [inflate_chi_t(qa, m) for m in one_dim_modules(qa.ctx)]
     assert len(plain) == 4
     assert all(not m.twist_vars for m in plain)
-    twisted = parabolic_one_dim_modules(ctx, (1,), with_twist=True)
+    t = TwistChar(qa, symbolic=True)
+    twisted = [inflate_chi_t(qa, m, t) for m in one_dim_modules(qa.ctx)]
     assert all("z0" in m.twist_vars for m in twisted)
     # the twist enters the theta action but not the T-matrices
     assert twisted[0].tmat["s2"] == plain[0].tmat["s2"]

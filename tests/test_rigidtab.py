@@ -140,7 +140,7 @@ def test_row_permutation_flips_sign(table_sl2):
 def test_entries_render_in_Q(pc_c2):
     # every preset entry admits a Q-rendering: certified during the build,
     # re-checked here through a direct trace
-    mod = pc_c2.column_module("i_0(1)")
+    mod = next(m for spec, m in zip(pc_c2.manifest.columns, pc_c2.modules) if spec.label == "i_0(1)")
     from rigidhecke.exactpoly import render_in_Q
 
     for rec in pc_c2.rows:

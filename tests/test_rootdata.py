@@ -66,38 +66,38 @@ def test_root_system_involution_consistent():
 
 
 def test_affine_simple_system_presets():
-    ad = rootdata.affine_simple_system(preset("c2-aff"))
+    ad = WeylData(preset("c2-aff"))
     assert len(ad.affine_simple) == 3
     assert len(ad.param_orbits) == 3
-    ad_ext = rootdata.affine_simple_system(preset("c2-ext"))
+    ad_ext = WeylData(preset("c2-ext"))
     assert len(ad_ext.affine_simple) == 3
     assert len(ad_ext.param_orbits) == 2
     sizes = sorted(len(o) for o in ad_ext.param_orbits)
     assert sizes == [1, 2]
-    ad_sl2 = rootdata.affine_simple_system(preset("sl2"))
+    ad_sl2 = WeylData(preset("sl2"))
     assert len(ad_sl2.affine_simple) == 2
     assert len(ad_sl2.param_orbits) == 2
     assert ad_sl2.two_Xvee_flags == (True,)
-    ad_pgl2 = rootdata.affine_simple_system(preset("pgl2"))
+    ad_pgl2 = WeylData(preset("pgl2"))
     assert len(ad_pgl2.param_orbits) == 1
     assert ad_pgl2.two_Xvee_flags == (False,)
 
 
 def test_omega_groups():
-    assert len(rootdata.omega_group(preset("sl2")).elements) == 1
-    og = rootdata.omega_group(preset("pgl2"))
-    assert len(og.elements) == 2
+    assert len(WeylData(preset("sl2")).omega_elements) == 1
+    og = WeylData(preset("pgl2"))
+    assert len(og.omega_elements) == 2
     # tau^2 = 1: the mult table row of tau at tau gives the identity index
-    assert og.mult[1][1] == 0
-    assert len(rootdata.omega_group(preset("c2-ext")).elements) == 2
-    assert len(rootdata.omega_group(preset("c2-aff")).elements) == 1
+    assert og.omega_mult[1][1] == 0
+    assert len(WeylData(preset("c2-ext")).omega_elements) == 2
+    assert len(WeylData(preset("c2-aff")).omega_elements) == 1
 
 
 def test_omega_normalizes_sa():
     for name in ("pgl2", "c2-ext"):
-        og = rootdata.omega_group(preset(name))
+        og = WeylData(preset(name))
         # action rows are genuine permutations of S^a
-        for perm in og.action_on_sa:
+        for perm in og.omega_action_sa:
             assert sorted(perm) == list(range(len(perm)))
 
 

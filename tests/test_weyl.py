@@ -227,13 +227,6 @@ def test_dominant_rep():
         assert sum(a * b for a, b in zip(nu, wd.datum.simple_coroots[i])) >= 0
 
 
-def test_coset_reps_wrapper():
-    wd = wd_of("c2-aff")
-    assert wd.coset_reps((0,)) == wd.minimal_coset_reps((0,))
-    triples = wd.coset_reps((0,), K=(1,))
-    assert triples == wd.double_coset_reps((1,), (0,))
-
-
 _PERFBENCH_DATA = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
 
 
