@@ -69,13 +69,11 @@ def descend_to_minimal(
     queue = deque([e])
     best = e
     best_len = start_len
-    moves = [(s.name, s.elt) for s in wd.affine_simple]
-    moves += zip(wd.omega_names, wd.omega_elements[1:])
     while queue:
         f = queue.popleft()
         lf = wd.length(f)
-        for name, g in moves:
-            h = wd.conjugate(g, f)
+        for name in wd.gen_names:
+            h = wd.conjugate_gen(name, f)
             if h in seen:
                 continue
             lh = wd.length(h)
@@ -114,11 +112,10 @@ def _groups(elems: list[Elt], pairs: Iterable[tuple[int, int]]) -> list[list[Elt
 
 def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
     index = {e: i for i, e in enumerate(elems)}
-    conjugators = [s.elt for s in wd.affine_simple] + list(wd.omega_elements[1:])
     pairs = []
     for i, e in enumerate(elems):
-        for g in conjugators:
-            j = index.get(wd.conjugate(g, e))
+        for name in wd.gen_names:
+            j = index.get(wd.conjugate_gen(name, e))
             if j is not None:
                 pairs.append((i, j))
     return _groups(elems, pairs)

@@ -425,7 +425,7 @@ class HeckeContext:
             while queue and descent is None:
                 f = queue.popleft()
                 for s in wd.affine_simple:
-                    g = wd.conjugate(s.elt, f)
+                    g = wd.conjugate_gen(s.name, f)
                     lg = wd.length(g)
                     if lg <= lcur - 2:
                         descent = (f, s)
@@ -435,8 +435,8 @@ class HeckeContext:
                         queue.append(g)
                 if descent is not None:
                     break
-                for om in wd.omega_elements[1:]:
-                    g = wd.conjugate(om, f)
+                for name in wd.omega_names:
+                    g = wd.conjugate_gen(name, f)
                     if g not in seen:
                         seen.add(g)
                         queue.append(g)
@@ -463,10 +463,10 @@ class HeckeContext:
                 continue
             f, s = descent
             sf = wd.mult(s.elt, f)
-            sfs = wd.conjugate(s.elt, f)
+            sfs = wd.conjugate_gen(s.name, f)
             if wd.length(sf) != lcur - 1:
                 # use the right-handed variant: T_f = T_{fs} T_s
-                fs = wd.mult(f, s.elt)
+                fs = wd.mult_gen(f, s.name)
                 if wd.length(fs) != lcur - 1:
                     raise RuntimeError("descent without one-sided length drop")
                 sf = fs
@@ -560,13 +560,12 @@ class HeckeElt(_Combination):
     def mul_gen_right(self, name: str) -> "HeckeElt":
         ctx = self.ctx
         wd = ctx.wd
-        g = wd.generator_elt(name)
         if name not in wd.sa_index:  # omega: length-preserving, e -> e g is one-to-one
-            return HeckeElt(ctx, {wd.mult(e, g): v for e, v in self.c.items()})
+            return HeckeElt(ctx, {wd.mult_gen(e, name): v for e, v in self.c.items()})
         quad = ctx._quad_of_sa[wd.sa_index[name]]
         raw: dict = {}
         for e, v in self.c.items():
-            eg = wd.mult(e, g)
+            eg = wd.mult_gen(e, name)
             _quadratic_step(raw, e, eg, wd.length(eg) > wd.length(e), v, quad)
         return HeckeElt._of_raw(ctx, raw)
 
@@ -575,8 +574,8 @@ class HeckeElt(_Combination):
         ctx = self.ctx
         wd = ctx.wd
         if name not in wd.sa_index:
-            g = wd.inv(wd.generator_elt(name))
-            return HeckeElt(ctx, {wd.mult(e, g): v for e, v in self.c.items()})
+            inv = wd.gen_inverse[name]
+            return HeckeElt(ctx, {wd.mult_gen(e, inv): v for e, v in self.c.items()})
         Q = ctx.Q_of_sa[wd.sa_index[name]]
         qi = Q.inverse()
         return self.mul_gen_right(name).scale(qi) + self.scale(qi - 1)

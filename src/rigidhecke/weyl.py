@@ -19,6 +19,15 @@ l(t_x w) is the sum of these over all roots.
 The convention above is pinned by two mandatory certificates: every affine
 simple reflection has length 1, and lengths agree with BFS word length over
 S^a ∪ Omega on radius-8 balls of every preset.
+
+Right multiplication by a generator, conjugation by a generator and the
+finite-order test read tables built once per datum, one entry per generator
+and finite part w (|W| <= 48 for every datum in use).  For g = (y, u),
+(x, w) g = (x + w(y), wu) and g (x, w) g^-1 = (u(x) + y - v(y), v) with
+v = u w u^-1, so the tables hold (w(y), wu) and (v, y - v(y)) per (g, w).  If
+w has order n then (x, w)^n = (N_w x, 1) with N_w = 1 + w + ... + w^(n-1), so
+(x, w) has finite order iff N_w x = 0; the table holds the nonzero rows of
+N_w.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import intlinalg
@@ -180,10 +189,38 @@ class WeylData:
         self._build_omega()
         self._build_orbits()
         self.gen_names = [s.name for s in self.affine_simple] + list(self.omega_names)
-        order = sorted(range(len(self.gen_names)), key=lambda i: self.gen_names[i])
-        self._gen_order = order  # BFS letter order: sorted by name
+        self._build_generator_tables()
         self._ball: dict[Elt, tuple[int, tuple[str, ...]]] = {}
         self._ball_radius = -1
+
+    def _build_generator_tables(self):
+        W = self.W
+        gens = [self.generator_elt(name) for name in self.gen_names]
+        # (x, w) g = (x + w(y), wu) for g = (y, u): per g and w, (w(y), wu)
+        self._right = {
+            name: tuple((W.act(w, y), W.mult(w, u)) for w in range(W.size))
+            for name, (y, u) in zip(self.gen_names, gens)
+        }
+        lookup = dict(zip(gens, self.gen_names))
+        self.gen_inverse = {name: lookup[self.inv(g)] for name, g in zip(self.gen_names, gens)}
+        # g (x, w) g^-1 = (u(x) + y - v(y), v) with v = u w u^-1: per g, the
+        # matrix of u and, per w, (v, y - v(y))
+        self._conj = {}
+        for name, (y, u) in zip(self.gen_names, gens):
+            rows = []
+            for w in range(W.size):
+                v = W.mult(W.mult(u, w), W.inverse[u])
+                rows.append((v, tuple(map(sub, y, W.act(v, y)))))
+            self._conj[name] = (W.mats[u], tuple(rows))
+        # per w of order n, the nonzero rows of N_w = 1 + w + ... + w^(n-1):
+        # (x, w)^n = (N_w x, 1), so (x, w) has finite order iff N_w x = 0
+        self._norm_rows = []
+        for w in range(W.size):
+            powers = [0]
+            while (p := W.mult(powers[-1], w)) != 0:
+                powers.append(p)
+            n_w = (tuple(map(sum, zip(*rows))) for rows in zip(*(W.mats[p] for p in powers)))
+            self._norm_rows.append(tuple(r for r in n_w if any(r)))
 
     # -- basic element operations -------------------------------------------
 
@@ -209,17 +246,21 @@ class WeylData:
         v = W.mult(W.mult(u, w), W.inverse[u])
         return (tuple(a + b - c for a, b, c in zip(y, W.act(u, x), W.act(v, y))), v)
 
-    def power(self, e: Elt, n: int) -> Elt:
-        if n < 0:
-            return self.power(self.inv(e), -n)
-        out = self.identity()
-        base = e
-        while n:
-            if n & 1:
-                out = self.mult(out, base)
-            base = self.mult(base, base)
-            n >>= 1
-        return out
+    def mult_gen(self, e: Elt, name: str) -> Elt:
+        """e g for the generator g named name, by table lookup."""
+        x, w = e
+        try:
+            y, wu = self._right[name][w]
+        except KeyError:
+            raise self._unknown(name) from None
+        return (tuple(map(add, x, y)), wu)
+
+    def conjugate_gen(self, name: str, e: Elt) -> Elt:
+        """g e g^-1 for the generator g named name, by table lookup."""
+        x, w = e
+        umat, rows = self._conj[name]
+        v, d = rows[w]
+        return (tuple(sum(map(mul, row, x)) + c for row, c in zip(umat, d)), v)
 
     def translation(self, x: Sequence[int]) -> Elt:
         return (tuple(int(v) for v in x), 0)
@@ -361,9 +402,10 @@ class WeylData:
                 diff = [a - b for a, b in zip(x, rep)]
                 if not intlinalg.in_smith_row_span(d, v, diff):
                     continue
-                for w in range(self.W.size):
-                    if self.length((tuple(x), w)) == 0:
-                        hit = (tuple(x), w)
+                # the first (x, w) of length 0: no closed-form term positive
+                for w, terms in enumerate(self._length_terms):
+                    if all(sum(map(mul, x, cv)) + t <= 0 for cv, t in terms):
+                        hit = (x, w)
                         break
                 if hit:
                     break
@@ -447,12 +489,15 @@ class WeylData:
             return self.affine_simple[self.sa_index[name]].elt
         if name in self.omega_names:
             return self.omega_elements[1 + self.omega_names.index(name)]
-        raise KeyError(f"unknown generator {name!r}; have {self.gen_names}")
+        raise self._unknown(name)
+
+    def _unknown(self, name: str) -> KeyError:
+        return KeyError(f"unknown generator {name!r}; have {self.gen_names}")
 
     def evaluate_word(self, letters: Iterable[str]) -> Elt:
         e = self.identity()
         for name in letters:
-            e = self.mult(e, self.generator_elt(name))
+            e = self.mult_gen(e, name)
         return e
 
     def _extend_ball(self, radius: int):
@@ -466,17 +511,18 @@ class WeylData:
             self._close_omega(layer)
             self._layers = [sorted(layer, key=lambda e: self._ball[e][1])]
             self._ball_radius = 0
+        # BFS letter order: S^a sorted by name
+        letters = [(name, self._right[name]) for name in sorted(self.sa_index)]
         while self._ball_radius < radius:
             cur = self._layers[self._ball_radius]
             nxt = []
             target = self._ball_radius + 1
             for e in cur:
+                x, w = e
                 word = self._ball[e][1]
-                for gi in self._gen_order:
-                    name = self.gen_names[gi]
-                    if name not in self.sa_index:
-                        continue
-                    f = self.mult(e, self.generator_elt(name))
+                for name, right in letters:
+                    y, wu = right[w]
+                    f = (tuple(map(add, x, y)), wu)
                     if f in self._ball:
                         continue
                     if self.length(f) != target:
@@ -489,11 +535,14 @@ class WeylData:
 
     def _close_omega(self, layer: list[Elt]):
         queue = deque(sorted(layer, key=lambda e: self._ball[e][1]))
+        letters = [(name, self._right[name]) for name in self.omega_names]
         while queue:
             e = queue.popleft()
+            x, w = e
             lv, word = self._ball[e]
-            for k, name in enumerate(self.omega_names):
-                f = self.mult(e, self.omega_elements[k + 1])
+            for name, right in letters:
+                y, wu = right[w]
+                f = (tuple(map(add, x, y)), wu)
                 if f not in self._ball:
                     self._ball[f] = (lv, word + (name,))
                     layer.append(f)
@@ -563,8 +612,10 @@ class WeylData:
         return dom, j
 
     def has_finite_order(self, e: Elt) -> bool:
-        _x, w = e
-        return self.power(e, self.W.order_of(w)) == self.identity()
+        """(x, w)^n = (N_w x, 1) for n the order of w, so e has finite order
+        iff N_w x = 0."""
+        x, w = e
+        return not any(sum(map(mul, row, x)) for row in self._norm_rows[w])
 
     def is_elliptic(self, e: Elt) -> bool:
         """Fixed space of the finite part lies inside the W-invariants."""

@@ -1,6 +1,7 @@
 """Hecke algebra arithmetic: IM products, theta elements, conversions,
 coset normal forms, restriction blocks, cocenter reduction."""
 
+import pathlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from rigidhecke.conj import newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly
 from rigidhecke.hecke import HeckeContext, NonNewtonZeroLeaf
-from rigidhecke.rootdata import preset
+from rigidhecke.rootdata import load_datum, preset
 from rigidhecke.weyl import WeylData
 
 _CACHE = {}
@@ -49,6 +50,21 @@ def test_omega_product():
     lhs = ctx.T(tau) * ctx.T(s0)
     rhs = ctx.T(s1) * ctx.T(tau)
     assert lhs == rhs
+
+
+def test_omega_letters_of_order_three():
+    """On pgl3, tau^-1 = tau2 != tau: right multiplication by T_tau^-1 uses
+    the table row of tau2, and undoes T_tau."""
+    wd = WeylData(load_datum(str(pathlib.Path(__file__).parent / "data" / "pgl3.json")))
+    ctx = HeckeContext(wd)
+    h = ctx.T(wd.evaluate_word(["s1", "s0"])) + ctx.T(wd.evaluate_word(["s2"]))
+    for name in wd.omega_names:
+        inv = wd.inv(wd.generator_elt(name))
+        assert wd.gen_inverse[name] != name
+        assert h.mul_geninv_right(name) == h * ctx.T(inv)
+        assert h.mul_gen_right(name).mul_geninv_right(name) == h
+        word = ["s1", name, "s0"]
+        assert h.mul_word_right(word, inverse=True).mul_word_right(word) == h
 
 
 def test_associativity_random():

@@ -8,19 +8,39 @@ from fractions import Fraction
 import pytest
 
 from rigidhecke import intlinalg
-from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
+from rigidhecke.rootdata import PRESET_NAMES, BasedRootDatum, load_datum, preset
 from rigidhecke.weyl import WeylData
 
 _CACHE = {}
 _DATA = pathlib.Path(__file__).parent / "data"
 _DATUMS = list(PRESET_NAMES) + sorted(p.stem for p in _DATA.glob("*.json"))
+_RANK0 = "rank0"
 
 
 def wd_of(name):
     if name not in _CACHE:
-        datum = preset(name) if name in PRESET_NAMES else load_datum(str(_DATA / f"{name}.json"))
+        if name == _RANK0:
+            datum = BasedRootDatum("pt", 0, (), ())
+        elif name in PRESET_NAMES:
+            datum = preset(name)
+        else:
+            datum = load_datum(str(_DATA / f"{name}.json"))
         _CACHE[name] = WeylData(datum)
     return _CACHE[name]
+
+
+def power(wd, e, n):
+    """e^n by repeated squaring of generic products (n may be negative)."""
+    if n < 0:
+        return power(wd, wd.inv(e), -n)
+    out = wd.identity()
+    base = e
+    while n:
+        if n & 1:
+            out = wd.mult(out, base)
+        base = wd.mult(base, base)
+        n >>= 1
+    return out
 
 
 def length_by_levels(wd, e):
@@ -53,8 +73,8 @@ def test_group_ops():
         assert cur != wd.identity()
         cur = wd.mult(cur, e)
     # power law
-    assert wd.power(e, 5) == wd.translation((5,))
-    assert wd.power(e, -2) == wd.inv(wd.power(e, 2))
+    assert power(wd, e, 5) == wd.translation((5,))
+    assert power(wd, e, -2) == wd.inv(power(wd, e, 2))
 
 
 def test_length_examples():
@@ -68,7 +88,7 @@ def test_length_examples():
     wd = wd_of("sl2")
     e = wd.mult(wd.generator_elt("s0"), wd.generator_elt("s1"))
     for k in range(1, 6):
-        assert wd.length(wd.power(e, k)) == 2 * k
+        assert wd.length(power(wd, e, k)) == 2 * k
 
 
 def test_length_vs_bfs_radius8():
@@ -195,9 +215,9 @@ def test_finite_order_criterion():
         wd = wd_of(name)
         for e in wd.enumerate_ball(4):
             n = wd.W.order_of(e[1])
-            brute = wd.power(e, n) == wd.identity()
+            brute = power(wd, e, n) == wd.identity()
             nu, _ = wd.newton_point(e)
-            lam_zero = wd.power(e, n)[0] == (0,) * wd.rank
+            lam_zero = power(wd, e, n)[0] == (0,) * wd.rank
             assert brute == (all(c == 0 for c in nu) and lam_zero)
             assert wd.has_finite_order(e) == brute
 
@@ -255,3 +275,73 @@ def test_smith_row_span_equals_in_lattice_over_omega_search_box(path):
                 assert intlinalg.in_smith_row_span(d, v, diff) == intlinalg.in_lattice(amat, diff)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("name", _DATUMS + [_RANK0])
+def test_generator_tables_equal_generic_products(name):
+    """Right multiplication and conjugation by a generator read tables; they
+    equal the generic product and the one-step conjugate for every finite
+    part, and the inverse letter undoes the letter."""
+    wd = wd_of(name)
+    rng = random.Random(f"tables:{name}")
+    elems = [
+        (tuple(rng.randint(-3, 3) for _ in range(wd.rank)), w)
+        for w in range(wd.W.size)
+        for _ in range(3)
+    ] + wd.enumerate_ball(3)
+    for e in elems:
+        for g in wd.gen_names:
+            elt = wd.generator_elt(g)
+            assert wd.mult_gen(e, g) == wd.mult(e, elt), (g, e)
+            assert wd.conjugate_gen(g, e) == wd.conjugate(elt, e), (g, e)
+            assert wd.mult_gen(wd.mult_gen(e, g), wd.gen_inverse[g]) == e, (g, e)
+    word = [rng.choice(wd.gen_names) for _ in range(8)] if wd.gen_names else []
+    brute = wd.identity()
+    for g in word:
+        brute = wd.mult(brute, wd.generator_elt(g))
+    assert wd.evaluate_word(word) == brute
+    with pytest.raises(KeyError, match="unknown generator 'nope'"):
+        wd.mult_gen(wd.identity(), "nope")
+
+
+@pytest.mark.parametrize("name", _DATUMS + [_RANK0])
+def test_finite_order_by_norm_rows_radius6(name):
+    """``has_finite_order`` (N_w x = 0) equals e^n = 1 by generic products,
+    n the order of the finite part, over the radius-6 ball."""
+    wd = wd_of(name)
+    seen = set()
+    for e in wd.enumerate_ball(6):
+        brute = power(wd, e, wd.W.order_of(e[1])) == wd.identity()
+        assert wd.has_finite_order(e) == brute, wd.render(e)
+        seen.add(brute)
+    assert seen == ({True} if wd.rank == 0 else {True, False})
+
+
+def omega_by_length_search(wd):
+    """Omega as the search of ``_build_omega`` finds it through the cached
+    ``length``: per coset of X/Q, the first (x, w) of length 0 in the coset's
+    search box, x in product order, then w; identity first, then sorted."""
+    if wd.rank == 0:
+        return (wd.identity(),)
+    amat = [list(r) for r in wd.datum.simple_roots]
+    d, _u, v = intlinalg.smith_normal_form(amat)
+    vinv = intlinalg.mat_inverse_unimodular(v)
+    found = []
+    for combo in itertools.product(*[range(d[i][i]) for i in range(wd.rank)]):
+        rep = intlinalg.mat_vec(list(zip(*vinv)), list(combo))
+        bound = max(abs(c) for c in rep) + 2
+        hit = next(
+            (x, w)
+            for x in itertools.product(range(-bound, bound + 1), repeat=wd.rank)
+            if intlinalg.in_lattice(amat, [a - b for a, b in zip(x, rep)])
+            for w in range(wd.W.size)
+            if wd.length((x, w)) == 0
+        )
+        found.append(hit)
+    return (wd.identity(),) + tuple(sorted(e for e in found if e != wd.identity()))
+
+
+@pytest.mark.parametrize("name", _DATUMS + [_RANK0])
+def test_omega_equals_cached_length_search(name):
+    wd = wd_of(name)
+    assert wd.omega_elements == omega_by_length_search(wd)
