@@ -2,8 +2,7 @@
 
 Exit codes are a stable contract: 0 success, 1 verification or computation
 failure, 2 usage/input error.  Output is deterministic: identical
-invocations produce byte-identical output.  ``--jobs`` is accepted for
-compatibility and has no effect.
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -240,9 +239,6 @@ def main(argv=None) -> int:
         p.add_argument("--max-length", type=int, default=8, help="class enumeration bound")
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument(
-            "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
-        )
 
     p_classes = sub.add_parser("classes", help="enumerate Newton-zero conjugacy classes")
     common(p_classes, preset_required=True)

@@ -2,10 +2,13 @@
 
 Newton-zero (equivalently, finite-order) classes are enumerated by
 partitioning a length ball under the conjugation moves e ↦ s e s (s ∈ S^a)
-and e ↦ ω e ω^{-1} (ω ∈ Omega).  Minimal-length representatives are found by
-the descent e ↦ s e s whenever the length does not increase; equal-length
-plateaus are explored by BFS.  Minimality is certified against a brute-force
-conjugation oracle in the test suite, not assumed.
+and e ↦ ω e ω^{-1} (ω ∈ Omega).  One walk, :func:`plateau`, explores the
+equal-length plateau of an element by BFS and stops at its first descent
+e ↦ s e s; :func:`descend_to_minimal` (and so :func:`classify`) and the
+cocenter reduction of ``hecke`` alternate it with descents until a plateau
+has none, which by He-Nie is the minimal length of the class.  Minimality is
+certified against a brute-force conjugation oracle in the test suite, not
+assumed.
 """
 
 from __future__ import annotations
@@ -55,47 +58,60 @@ class ConjClassRecord:
         }
 
 
-def descend_to_minimal(
+def plateau(
     wd: WeylData, e: Elt, budget: int = 1_000_000
-) -> tuple[list[Elt], list[tuple[str, Elt]]]:
-    """Full minimal-length plateau reachable from e by non-increasing moves.
+) -> tuple[dict[Elt, Optional[tuple[Elt, str]]], Optional[tuple[Elt, str]]]:
+    """BFS over the equal-length plateau of e under the moves f ↦ g f g^-1,
+    g in ``wd.gen_names`` order (S^a by name, then Omega).
 
-    Returns (plateau, path) where path is one witness chain of conjugation
-    steps (generator name, intermediate element) from e down to a plateau
-    member.
+    Returns (seen, descent): seen maps each plateau element reached to the
+    (element, name) move that reached it (e maps to None), and descent is the
+    first (f, name) whose move shortens f, at which the search stops; None
+    if there is none, and then seen is the whole plateau.  A simple
+    conjugation changes the length by 0 or ±2 and an Omega one keeps it.
     """
-    start_len = wd.length(e)
-    seen = {e: None}
+    seen: dict[Elt, Optional[tuple[Elt, str]]] = {e: None}
     queue = deque([e])
-    best = e
-    best_len = start_len
     while queue:
         f = queue.popleft()
         lf = wd.length(f)
         for name in wd.gen_names:
             h = wd.conjugate_gen(name, f)
-            if h in seen:
-                continue
             lh = wd.length(h)
-            if lh > lf:
-                continue
-            seen[h] = (f, name)
-            if len(seen) > budget:
-                raise PlateauBudgetExceeded(f"exceeded {budget} nodes")
-            queue.append(h)
-            if lh < best_len:
-                best, best_len = h, lh
-    plateau = sorted(
-        (h for h in seen if wd.length(h) == best_len), key=lambda t: (t[0], t[1])
-    )
-    path = []
-    cur = best
-    while seen[cur] is not None:
-        prev, name = seen[cur]
-        path.append((name, cur))
-        cur = prev
-    path.reverse()
-    return plateau, path
+            if lh < lf:
+                return seen, (f, name)
+            if lh == lf and h not in seen:
+                seen[h] = (f, name)
+                queue.append(h)
+        if len(seen) > budget:
+            raise PlateauBudgetExceeded(f"plateau exceeded {budget} nodes")
+    return seen, None
+
+
+def descend_to_minimal(
+    wd: WeylData, e: Elt, budget: int = 1_000_000
+) -> tuple[list[Elt], list[tuple[str, Elt]]]:
+    """The minimal-length plateau reached from e by plateau walks and
+    descents (He-Nie: a non-minimal element has a descent on its plateau).
+
+    Returns (plateau, path).  The plateau is that of the first minimal
+    element reached, not the union of every minimal plateau reachable from
+    e.  path is one witness chain of conjugation steps (generator name,
+    intermediate element) from e to that element.
+    """
+    path: list[tuple[str, Elt]] = []
+    while True:
+        seen, descent = plateau(wd, e, budget)
+        if descent is None:
+            return sorted(seen), path
+        f, name = descent
+        e = wd.conjugate_gen(name, f)
+        steps = [(name, e)]
+        while seen[f] is not None:
+            prev, g = seen[f]
+            steps.append((g, f))
+            f = prev
+        path.extend(reversed(steps))
 
 
 def _finite_order_ball(wd: WeylData, L: int) -> list[Elt]:

@@ -13,7 +13,8 @@ q(s)q(s~) branch when α^ ∈ 2X^.
 Parabolic subalgebras H_J carry the same lattice and the parameter pairs
 inherited from the ambient diagram; their elements are plain BernsteinElts
 supported on W_J.  The cocenter operations (T_O, reduction to minimal
-classes, the r̄_J blocks) all live here.
+classes, the r̄_J blocks) all live here; the reduction finds its descents
+with ``conj.plateau``.
 
 Accumulation: products, basis changes and reductions add every contribution
 into one raw term map per basis key (``exactpoly._addmul``), which becomes a
@@ -23,16 +24,15 @@ work map.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Mapping, Optional, Sequence
 
-from .conj import ConjClassRecord, NotFound, class_record
+from .conj import ConjClassRecord, NotFound, class_record, plateau
 from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean
 from .rootdata import SemisimpleQuotient, semisimple_quotient
-from .weyl import Elt, WeylData
+from .weyl import Elt, WeylData, union_find
 
 Vec = tuple[int, ...]
 BKey = tuple[Vec, int]  # (theta exponent, finite Weyl index)
@@ -73,35 +73,30 @@ def _twin_nodes(wd: WeylData) -> list[Optional[int]]:
     path graph; its twin is the mirror node of that path.
     """
     n = len(wd.affine_simple)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (m := wd.bond_order(i, j)) is None or m > 2
+    ]
     bonds: dict[int, list[int]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = wd.bond_order(i, j)
-            if m is None or m > 2:
-                bonds.setdefault(i, []).append(j)
-                bonds.setdefault(j, []).append(i)
+    for i, j in edges:
+        bonds.setdefault(i, []).append(j)
+        bonds.setdefault(j, []).append(i)
+    root = union_find(n, edges)
     out: list[Optional[int]] = []
     for pos in range(wd.npi):
         if not wd.two_Xvee_flags[pos]:
             out.append(None)
             continue
         k = wd.sa_index[wd.pi_names[pos]]
-        comp = {k}
-        frontier = [k]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in bonds.get(a, []):
-                    if b not in comp:
-                        comp.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        comp = {a for a in range(n) if root[a] == root[k]}
         if len(comp) == 1:
             raise ValueError("2X^-flagged root with isolated diagram node")
-        ends = [a for a in comp if len([b for b in bonds.get(a, []) if b in comp]) <= 1]
+        ends = [a for a in comp if len(bonds[a]) == 1]
         path = [min(ends)]
         while len(path) < len(comp):
-            nbrs = [b for b in bonds.get(path[-1], []) if b in comp and b not in path]
+            nbrs = [b for b in bonds[path[-1]] if b not in path]
             if len(nbrs) != 1:
                 raise ValueError("2X^ component is not a path; cannot find s~")
             path.append(nbrs[0])
@@ -143,7 +138,6 @@ class HeckeContext:
                 kinds.append(TWIST)
             self.table = VarTable(tuple(names), tuple(kinds))
             self.var_of_orbit = [_sqrt_name(d) for d in display]
-        self.n_twist = sum(1 for k in self.table.kinds if k == TWIST)
         self.twist_names = [
             n for n, k in zip(self.table.names, self.table.kinds) if k == TWIST
         ]
@@ -418,34 +412,10 @@ class HeckeContext:
             if steps > budget:
                 raise BudgetExceeded(f"cocenter reduction exceeded {budget} steps")
             lcur = wd.length(cur)
-            # explore the equal-length plateau for a strict descent
-            seen = {cur}
-            queue = deque([cur])
-            descent = None
-            while queue and descent is None:
-                f = queue.popleft()
-                for s in wd.affine_simple:
-                    g = wd.conjugate_gen(s.name, f)
-                    lg = wd.length(g)
-                    if lg <= lcur - 2:
-                        descent = (f, s)
-                        break
-                    if lg == lcur and g not in seen:
-                        seen.add(g)
-                        queue.append(g)
-                if descent is not None:
-                    break
-                for name in wd.omega_names:
-                    g = wd.conjugate_gen(name, f)
-                    if g not in seen:
-                        seen.add(g)
-                        queue.append(g)
-                if len(seen) > budget:
-                    raise BudgetExceeded("plateau exploration exceeded budget")
+            seen, descent = plateau(wd, cur, budget)
             if descent is None:
-                # minimal: a simple conjugation changes the length by 0 or ±2,
-                # so seen is the whole minimal-length plateau of cur
-                rec = next((r for r in known if seen & set(r.min_reps)), None)
+                # minimal: seen is the whole minimal-length plateau of cur
+                rec = next((r for r in known if not seen.keys().isdisjoint(r.min_reps)), None)
                 if rec is None:
                     if not extend:
                         nu, _ = wd.newton_point(cur)
@@ -461,16 +431,17 @@ class HeckeContext:
                     rec_by_label[rec.label] = rec
                 _addmul(out.setdefault(rec.label, {}), c.terms, self._one.terms)
                 continue
-            f, s = descent
-            sf = wd.mult(s.elt, f)
-            sfs = wd.conjugate_gen(s.name, f)
+            f, name = descent
+            k = wd.sa_index[name]
+            sf = wd.mult(wd.affine_simple[k].elt, f)
+            sfs = wd.conjugate_gen(name, f)
             if wd.length(sf) != lcur - 1:
                 # use the right-handed variant: T_f = T_{fs} T_s
-                fs = wd.mult_gen(f, s.name)
+                fs = wd.mult_gen(f, name)
                 if wd.length(fs) != lcur - 1:
                     raise RuntimeError("descent without one-sided length drop")
                 sf = fs
-            _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[wd.sa_index[s.name]])
+            _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[k])
         entries = [(rec_by_label[lab], c) for lab, r in out.items() if (c := _clean(self.table, r))]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
         return CocenterCombination(self, tuple(entries), e)
@@ -503,6 +474,17 @@ class HeckeContext:
                     LaurentPoly.const(self.table, n_k)
                 )
         return cur
+
+
+def _render_sum(items) -> str:
+    """Σ c*T[label] over (coefficient, label) pairs, or "0" if there are none."""
+    parts = []
+    for c, label in items:
+        body = c.render()
+        if len(c.terms) > 1:
+            body = f"({body})"
+        parts.append(f"{body}*T[{label}]")
+    return " + ".join(parts) or "0"
 
 
 class _Combination:
@@ -597,15 +579,7 @@ class HeckeElt(_Combination):
     def render(self) -> str:
         wd = self.ctx.wd
         items = sorted(self.c.items(), key=lambda t: (wd.length(t[0]), t[0][0], t[0][1]))
-        if not items:
-            return "0"
-        parts = []
-        for e, v in items:
-            body = v.render()
-            if len(v.terms) > 1:
-                body = f"({body})"
-            parts.append(f"{body}*T[{wd.render(e)}]")
-        return " + ".join(parts)
+        return _render_sum((v, wd.render(e)) for e, v in items)
 
     def __repr__(self):
         return f"HeckeElt({self.render()})"
@@ -650,19 +624,13 @@ class CocenterCombination:
     def render(self) -> str:
         from .exactpoly import OddDegree, render_in_Q
 
-        if not self.entries:
-            return "0"
-        parts = []
-        for rec, c in self.entries:
+        def shown(c):
             try:
-                shown = render_in_Q(c)
+                return render_in_Q(c)
             except OddDegree:  # IM structure constants live in Q; be safe anyway
-                shown = c
-            body = shown.render()
-            if len(shown.terms) > 1:
-                body = f"({body})"
-            parts.append(f"{body}*T[{rec.label}]")
-        return " + ".join(parts)
+                return c
+
+        return _render_sum((shown(c), rec.label) for rec, c in self.entries)
 
 
 class Parabolic:

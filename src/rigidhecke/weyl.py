@@ -92,14 +92,12 @@ class FinWeylGroup:
         self.datum = datum
         m = datum.rank
         k = len(datum.simple_roots)
-        self.ngens = k
         gen_mats = [reflection_matrix(datum.simple_roots[i], datum.simple_coroots[i]) for i in range(k)]
         ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
         self.mats: list[tuple] = [ident]
         self.index: dict[tuple, int] = {ident: 0}
         self.length: list[int] = [0]
         self.word: list[tuple[int, ...]] = [()]
-        self.gen_mats = gen_mats
         frontier = [0]
         while frontier:
             nxt = []
@@ -165,7 +163,7 @@ class WeylData:
 
     def __init__(self, datum: BasedRootDatum, weyl_bound: int = 100_000):
         self.datum = datum
-        self.weyl_size = validate_datum(datum, weyl_bound)
+        validate_datum(datum, weyl_bound)
         self.rank = datum.rank
         self._identity = ((0,) * self.rank, 0)
         self._length_cache: dict[Elt, int] = {}
@@ -308,7 +306,6 @@ class WeylData:
         ])
         comp_ids = sorted(set(comp))
         # R_m: roots whose coroots are dominance-minimal within their component
-        minimal = []
         for cid_pos, cid in enumerate(comp_ids):
             members = [i for i in range(self.npi) if comp[i] == cid]
             cand = []
@@ -343,12 +340,10 @@ class WeylData:
                             gv,
                         )
                     )
-                    minimal.append(gamma)
                     break  # minimal coroot is unique per component
         self.affine_simple = tuple(
             sorted(simples, key=lambda s: s.name)
         )
-        self.minimal_roots = tuple(minimal)
         self.sa_index = {s.name: i for i, s in enumerate(self.affine_simple)}
         self.sa_by_elt = {s.elt: i for i, s in enumerate(self.affine_simple)}
         self.two_Xvee_flags = tuple(
@@ -379,7 +374,6 @@ class WeylData:
         if m == 0:
             self.omega_elements = (self.identity(),)
             self.omega_names = ()
-            self._omega_name = {self.identity(): None}
             self.omega_mult = ((0,),)
             self.omega_action_sa = ((),)
             return
@@ -418,9 +412,6 @@ class WeylData:
         self.omega_names = tuple(
             "tau" if i == 0 else f"tau{i + 1}" for i in range(len(others))
         )
-        self._omega_name = {e: (None if e == ident else self.omega_names[k])
-                            for k, e in enumerate(self.omega_elements[1:], 0)}
-        self._omega_name[ident] = None
         lookup = {e: i for i, e in enumerate(self.omega_elements)}
         mult = []
         for a in self.omega_elements:

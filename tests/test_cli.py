@@ -69,12 +69,12 @@ def test_table_spec_bad_name(capsys):
     assert "bogus" in err
 
 
-def test_jobs_deterministic(capsys):
-    code, out1, _ = run(capsys, "table", "--preset", "pgl2", "--format", "json")
-    assert code == 0
-    code, out4, _ = run(capsys, "table", "--preset", "pgl2", "--format", "json", "--jobs", "4")
-    assert code == 0
-    assert out1 == out4
+def test_jobs_option_removed(capsys):
+    # there is no --jobs option: argparse rejects it as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--preset", "pgl2", "--format", "json", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_reduce_examples(capsys):

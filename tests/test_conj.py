@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from collections import deque
 
 import pytest
 
@@ -30,6 +31,64 @@ def wd_of(name):
         datum = preset(name) if name in PRESET_NAMES else load_datum(str(_DATA / f"{name}.json"))
         _CACHE[name] = WeylData(datum)
     return _CACHE[name]
+
+
+def _exhaustive_plateau(wd, e):
+    """The minimal-length elements among all those reached from e by
+    non-increasing moves: the plateau the exhaustive descent returned before
+    the plateau walk replaced it, kept here as the reference."""
+    seen = {e}
+    queue = deque([e])
+    while queue:
+        f = queue.popleft()
+        for name in wd.gen_names:
+            h = wd.conjugate_gen(name, f)
+            if h not in seen and wd.length(h) <= wd.length(f):
+                seen.add(h)
+                queue.append(h)
+    best = min(map(wd.length, seen))
+    return {h for h in seen if wd.length(h) == best}
+
+
+@pytest.mark.parametrize(
+    "name", [*PRESET_NAMES, *sorted(p.stem for p in _DATA.glob("*.json"))]
+)
+def test_plateau_walk_radius6(name):
+    wd = wd_of(name)
+    classes = newton_zero_classes(wd, 8)
+    class_of = {
+        e: frozenset(g) for g in oracle_partition(wd, _finite_order_ball(wd, 6), 6) for e in g
+    }
+    for e in wd.enumerate_ball(6):
+        le = wd.length(e)
+        seen, descent = conj.plateau(wd, e)
+        assert seen[e] is None and all(wd.length(f) == le for f in seen)
+        for f, move in seen.items():
+            if move is not None:
+                assert move[0] in seen and wd.conjugate_gen(move[1], move[0]) == f
+        if descent is not None:
+            f, g = descent
+            assert f in seen and wd.length(wd.conjugate_gen(g, f)) < le
+        plateau, path = descend_to_minimal(wd, e)
+        pset = set(plateau)
+        lmin = wd.length(plateau[0])
+        # the plateau is closed under equal-length moves and has no descent
+        for p in plateau:
+            assert wd.length(p) == lmin
+            for g in wd.gen_names:
+                h = wd.conjugate_gen(g, p)
+                assert h in pset or wd.length(h) > lmin, (wd.render(p), g)
+        cur = e
+        for g, h in path:
+            assert wd.conjugate_gen(g, cur) == h
+            cur = h
+        assert cur in pset
+        ref = _exhaustive_plateau(wd, e)
+        assert pset <= ref, wd.render(e)
+        assert lmin == wd.length(next(iter(ref)))
+        if e in class_of:
+            rec = classify(wd, e, classes)
+            assert [r for r in classes if class_of[e] & set(r.min_reps)] == [rec]
 
 
 def test_descend_examples():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from rigidhecke import rigidtab
 from rigidhecke.conj import newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly
 from rigidhecke.hecke import HeckeContext, NonNewtonZeroLeaf
@@ -259,6 +260,23 @@ def test_reduce_omega_conjugation_invariance():
     assert {r.label: c.render() for r, c in c1.entries} == {
         r.label: c.render() for r, c in c2.entries
     }
+
+
+@pytest.mark.parametrize("name", ["sl2", "pgl2", "c2-aff"])
+def test_reduction_reproduces_panel_traces_radius4(name):
+    """Σ a_O tr(T_O) = tr(T_e) on every panel module, for the reduction of
+    each e of the radius-4 ball."""
+    ctx = ctx_of(name)
+    wd = ctx.wd
+    classes = newton_zero_classes(wd, 8)
+    modules = rigidtab.panel_modules(ctx, rigidtab.MANIFESTS[name])
+    for e in wd.enumerate_ball(4):
+        comb = ctx.cocenter_reduce(e, classes, extend=True)
+        for mod in modules:
+            rhs = ctx.zero()
+            for rec, c in comb.entries:
+                rhs = rhs + c * mod.trace(rec.rep)
+            assert mod.trace(e) == rhs, (wd.render(e), mod)
 
 
 def test_reduce_tau():
