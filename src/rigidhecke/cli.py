@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import rigidtab
-from .conj import UnstableAtBound, newton_zero_classes
-from .hecke import HeckeContext
+from .conj import NotFound, PlateauBudgetExceeded, UnstableAtBound, newton_zero_classes
+from .hecke import BudgetExceeded, ConversionBudgetExceeded, HeckeContext, NonNewtonZeroLeaf
+from .repn import RelationFailed
 from .rootdata import (
     PRESET_NAMES,
     DatumFormatError,
@@ -269,7 +270,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK
-    except UnstableAtBound as exc:
+    except (UnstableAtBound, RelationFailed, rigidtab.TableMismatch, NotFound,
+            PlateauBudgetExceeded, BudgetExceeded, ConversionBudgetExceeded,
+            NonNewtonZeroLeaf) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

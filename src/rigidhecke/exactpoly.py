@@ -18,6 +18,16 @@ whose zero sums are kept.  A caller summing many products (a matrix entry, a
 Hecke coefficient) keeps one raw map per result and cleans it once with
 :func:`_clean`, which drops the zeros and applies :func:`_norm`.
 
+A term map is keyed by packed exponent vectors (:meth:`VarTable.pack`, read
+back by :meth:`VarTable.unpack`): the key is Σ e_i·2^(16(n-1-i)), a signed
+16-bit field per variable with variable 0 the most significant.  An exponent
+lies in [-2^14, 2^14); biased by 2^14 it fills the low 15 bits of its field,
+and the top bit is a guard.  So the product of monomials adds keys, the zero
+vector is 0 and the inverse is the negated key.  A sum of two in-range keys
+is still unambiguous, and :func:`_clean` sees a guard bit set exactly when a
+field left the range: it raises ``OverflowError`` and never wraps.  The
+canonical (lexicographic) order is the integer order of the keys.
+
 >>> t = VarTable(("v0", "v1"), ("param-sqrt", "param-sqrt"))
 >>> v0, v1 = t.gens()
 >>> print((v0 + v1) * (v0 - v1))
@@ -35,7 +45,7 @@ from typing import Mapping, Sequence, Union
 
 from .intlinalg import row_reduce
 
-Exponent = tuple[int, ...]
+Exponent = tuple[int, ...]  # an unpacked exponent vector; term maps key a packed int
 Coeff = Union[int, Fraction]  # int-first: a Fraction only if its denominator is not 1
 ScalarLike = Union[int, Fraction, "LaurentPoly"]
 
@@ -44,6 +54,10 @@ TWIST = "twist"
 PARAM = "param"  # rendered tables: Q_i = v_i^2
 
 _KINDS = (PARAM_SQRT, TWIST, PARAM)
+
+_FIELD = 16  # bits per packed exponent: a guard bit, then a biased 15-bit exponent
+_BOUND = 1 << (_FIELD - 2)  # exponents lie in [-_BOUND, _BOUND)
+_MASK = (1 << _FIELD) - 1
 
 
 class VarTableMismatch(ValueError):
@@ -81,6 +95,7 @@ class VarTable:
     names: tuple[str, ...]
     kinds: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _bias: int = field(init=False, repr=False, compare=False)  # _BOUND in every field
 
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
@@ -91,6 +106,7 @@ class VarTable:
             if k not in _KINDS:
                 raise ValueError(f"unknown variable kind {k!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_bias", sum(_BOUND << (_FIELD * i) for i in range(len(self))))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -100,6 +116,23 @@ class VarTable:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r} (have {self.names})") from None
+
+    def pack(self, e: Sequence[int]) -> int:
+        """The packed key of exponent vector e (module docstring)."""
+        if len(e) != len(self.names):
+            raise ValueError(f"exponent {tuple(e)} has wrong arity for {self.names}")
+        key = 0
+        for x in map(int, e):
+            if not -_BOUND <= x < _BOUND:
+                raise OverflowError(f"exponent {x} outside [-{_BOUND}, {_BOUND})")
+            key = (key << _FIELD) + x
+        return key
+
+    def unpack(self, key: int) -> Exponent:
+        """The exponent vector of a packed key: the one decoding accessor."""
+        b = key + self._bias
+        shifts = range(_FIELD * (len(self.names) - 1), -1, -_FIELD)
+        return tuple(((b >> s) & _MASK) - _BOUND for s in shifts)
 
     def gens(self) -> list["LaurentPoly"]:
         return [variable(self, i) for i in range(len(self.names))]
@@ -129,17 +162,19 @@ def _norm(c: Coeff) -> Coeff:
     return c
 
 
-def _addmul(out: dict, a: Mapping[Exponent, Coeff], b: Mapping[Exponent, Coeff]) -> dict:
+def _addmul(out: dict, a: Mapping[int, Coeff], b: Mapping[int, Coeff]) -> dict:
     """out += a·b on raw term maps (module docstring); returns out.  A one-term
-    factor is an exponent shift, and a constant not even that."""
+    factor is a key shift, and a constant not even that."""
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return out
     get = out.get
     if len(b) == 1:
         ((s, cb),) = b.items()
-        if any(s):
+        if s:
             for e, c in a.items():
-                e = tuple(map(add, e, s))
+                e += s
                 out[e] = get(e, 0) + c * cb
         else:
             for e, c in a.items():
@@ -147,17 +182,23 @@ def _addmul(out: dict, a: Mapping[Exponent, Coeff], b: Mapping[Exponent, Coeff])
         return out
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
     return out
 
 
 def _clean(table: "VarTable", raw: dict) -> "LaurentPoly":
-    """The polynomial of a raw term map: one pass that drops the zero sums
-    and puts every coefficient in :func:`_norm` form."""
-    return LaurentPoly._of(
-        table, {e: c if type(c) is int else _norm(c) for e, c in raw.items() if c}
-    )
+    """The polynomial of a raw term map: one pass that drops the zero sums,
+    checks the guard bits of every key kept and puts every coefficient in
+    :func:`_norm` form."""
+    terms = {}
+    bias, guard = table._bias, table._bias << 1  # guard: the top bit of every field
+    for e, c in raw.items():
+        if c:
+            if (e + bias) & guard:
+                raise OverflowError(f"an exponent left [-{_BOUND}, {_BOUND}) over {table.names}")
+            terms[e] = c if type(c) is int else _norm(c)
+    return LaurentPoly._of(table, terms)
 
 
 def _coeff(c) -> Coeff:
@@ -174,24 +215,21 @@ class LaurentPoly:
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponent, Coeff]):
+        """From exponent tuples, each packed (and range-checked) by ``table``."""
         clean = {}
-        n = len(table)
         for e, c in terms.items():
             c = _coeff(c)
-            if c == 0:
-                continue
-            if len(e) != n:
-                raise ValueError(f"exponent {e} has wrong arity for {table.names}")
-            clean[tuple(int(x) for x in e)] = c
+            if c:
+                clean[table.pack(e)] = c
         self.table = table
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _of(table: VarTable, terms: dict[Exponent, Coeff]) -> "LaurentPoly":
-        """Wrap a term map that is already clean: int-tuple keys of the table's
-        arity, no zero coefficient, every coefficient in :func:`_norm` form.
+    def _of(table: VarTable, terms: dict[int, Coeff]) -> "LaurentPoly":
+        """Wrap a term map that is already clean: in-range packed keys of the
+        table, no zero coefficient, every coefficient in :func:`_norm` form.
         The ring's own results come through here, unchecked."""
         p = object.__new__(LaurentPoly)
         p.table = table
@@ -201,7 +239,7 @@ class LaurentPoly:
     @staticmethod
     def const(table: VarTable, c) -> "LaurentPoly":
         c = _coeff(c)
-        return LaurentPoly._of(table, {(0,) * len(table): c} if c else {})
+        return LaurentPoly._of(table, {0: c} if c else {})
 
     @staticmethod
     def monomial(table: VarTable, exps: Sequence[int], c=1) -> "LaurentPoly":
@@ -271,7 +309,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise NotDivisible(f"not a unit monomial: {self}")
         ((e, c),) = self.terms.items()
-        return LaurentPoly._of(self.table, {tuple(-x for x in e): _norm(Fraction(1) / c)})
+        return _clean(self.table, {-e: Fraction(1) / c})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -298,14 +336,13 @@ class LaurentPoly:
         """The value of a constant polynomial (raises if non-constant)."""
         if not self.terms:
             return 0
-        zero = (0,) * len(self.table)
-        if set(self.terms) != {zero}:
+        if set(self.terms) != {0}:
             raise ValueError(f"not a constant: {self}")
-        return self.terms[zero]
+        return self.terms[0]
 
     def uses_variable(self, name: str) -> bool:
         i = self.table.index(name)
-        return any(e[i] for e in self.terms)
+        return any(self.table.unpack(e)[i] for e in self.terms)
 
     # -- exact division ----------------------------------------------------
 
@@ -320,11 +357,13 @@ class LaurentPoly:
             raise NotDivisible("division by zero")
         if self.is_zero():
             return LaurentPoly._of(self.table, {})
-        n = len(self.table)
-        shift_a = tuple(min(e[i] for e in self.terms) for i in range(n))
-        shift_b = tuple(min(e[i] for e in other.terms) for i in range(n))
-        num = {tuple(x - s for x, s in zip(e, shift_a)): c for e, c in self.terms.items()}
-        den = {tuple(x - s for x, s in zip(e, shift_b)): c for e, c in other.terms.items()}
+        unpack = self.table.unpack
+        a = {unpack(e): c for e, c in self.terms.items()}
+        b = {unpack(e): c for e, c in other.terms.items()}
+        shift_a = tuple(map(min, zip(*a)))
+        shift_b = tuple(map(min, zip(*b)))
+        num = {tuple(map(sub, e, shift_a)): c for e, c in a.items()}
+        den = {tuple(map(sub, e, shift_b)): c for e, c in b.items()}
         quo: dict[Exponent, Coeff] = {}
         lead = max(den)  # lex order; any term order works for exact division
         lc = den[lead]
@@ -348,9 +387,7 @@ class LaurentPoly:
                 else:
                     del num[ee]  # cq * c is nonzero, so ee was a term of num
         shift_q = tuple(map(sub, shift_a, shift_b))
-        return LaurentPoly._of(
-            self.table, {tuple(map(add, e, shift_q)): c for e, c in quo.items()}
-        )
+        return LaurentPoly(self.table, {tuple(map(add, e, shift_q)): c for e, c in quo.items()})
 
     # -- substitution ------------------------------------------------------
 
@@ -370,12 +407,12 @@ class LaurentPoly:
             if pv.is_zero() and self.table.kinds[i] == PARAM_SQRT:
                 raise ZeroSubstitutionForUnit(f"{name} is a Laurent unit, got 0")
             vals[i] = pv
-        out = LaurentPoly(self.table, {})
+        raw: dict = {}
         for e, c in self.terms.items():
             term = LaurentPoly.const(self.table, c)
-            rest = list(e)
+            rest = list(self.table.unpack(e))
             for i, pv in vals.items():
-                k = e[i]
+                k = rest[i]
                 rest[i] = 0
                 if k == 0:
                     continue
@@ -385,15 +422,14 @@ class LaurentPoly:
                         f"value {pv} is not invertible"
                     )
                 term = term * pv ** k
-            term = term * LaurentPoly.monomial(self.table, rest)
-            out = out + term
-        return out
+            _addmul(raw, term.terms, {self.table.pack(rest): 1})
+        return _clean(self.table, raw)
 
     # -- rendering ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in the canonical order: lexicographically decreasing exponents."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        return [(self.table.unpack(e), c) for e, c in sorted(self.terms.items(), reverse=True)]
 
     def render(self) -> str:
         """Canonical text form, e.g. ``-1*Q0^3 + 2*Q0^2*Q1``; used in goldens."""
@@ -438,12 +474,12 @@ def render_in_Q(p: LaurentPoly) -> LaurentPoly:
     sqrt_idx = [i for i, k in enumerate(p.table.kinds) if k == PARAM_SQRT]
     out = {}
     for e, c in p.terms.items():
-        ee = list(e)
+        ee = list(p.table.unpack(e))
         for i in sqrt_idx:
-            if e[i] % 2:
+            if ee[i] % 2:
                 raise OddDegree(f"odd exponent of {p.table.names[i]} in {p}")
-            ee[i] = e[i] // 2
-        out[tuple(ee)] = c
+            ee[i] //= 2
+        out[qt.pack(ee)] = c
     return LaurentPoly._of(qt, out)
 
 
@@ -519,18 +555,16 @@ class PolyMatrix:
             )
         )
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return PolyMatrix([list(map(op, r, s)) for r, s in zip(self.entries, other.entries)])
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(-1)
+        return self._entrywise(other, sub)
 
     def scale(self, c) -> "PolyMatrix":
         return PolyMatrix([[e * c for e in row] for row in self.entries])
@@ -620,9 +654,8 @@ def det_bareiss(m: PolyMatrix) -> LaurentPoly:
     for row in m.entries:
         shift = [0] * nvars
         for e in row:
-            for i in range(nvars):
-                for exp in e.terms:
-                    shift[i] = min(shift[i], exp[i])
+            for exp in map(table.unpack, e.terms):
+                shift = list(map(min, shift, exp))
         factor = LaurentPoly.monomial(table, shift)
         extracted = extracted * factor
         inv = factor.inverse()

@@ -792,7 +792,7 @@ class QuotientAlgebra:
                             raise ValueError(
                                 "quotient affine node without a parameter source"
                             )
-                        var = tw.table.names[next(iter(tw.terms)).index(1)]
+                        var = tw.table.names[tw.table.unpack(next(iter(tw.terms))).index(1)]
                         break
             if var is None:
                 raise ValueError("cannot infer parameter for a quotient orbit")

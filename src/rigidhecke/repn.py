@@ -64,7 +64,8 @@ def monomial_roots(p: LaurentPoly, d: int) -> list[LaurentPoly]:
     """All Laurent-monomial d-th roots of a monomial p."""
     if not p.is_monomial():
         return []
-    ((e, c),) = p.terms.items()
+    ((k, c),) = p.terms.items()
+    e = p.table.unpack(k)
     if any(x % d for x in e):
         return []
     ee = tuple(x // d for x in e)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rigidhecke import conj, hecke, repn, rigidtab
 from rigidhecke.cli import main
 
 
@@ -265,3 +266,41 @@ def test_datum_level_verify_builds_no_panel(capsys, monkeypatch, request, preset
     code, out, _ = run(capsys, "verify", "--preset", preset, "--suite", suite)
     assert code == 0
     assert out == want
+
+
+
+_VERIFY_SL2 = ["verify", "--preset", "sl2", "--suite", "relations"]
+_REDUCE_SL2 = ["reduce", "--preset", "sl2", "--word", "s1,s0"]
+# exception, (owner, attribute) of the entry point that raises it, and a
+# command that calls that entry point outside any ``try`` of its own
+COMPUTATION_FAILURES = {
+    "RelationFailed": (repn.RelationFailed, (rigidtab, "induce"), _VERIFY_SL2),
+    "TableMismatch": (rigidtab.TableMismatch, (rigidtab, "_match_signature"), _VERIFY_SL2),
+    "NotFound": (conj.NotFound, (rigidtab, "classify"), _VERIFY_SL2),
+    "PlateauBudgetExceeded": (conj.PlateauBudgetExceeded, (hecke, "plateau"), _REDUCE_SL2),
+    "BudgetExceeded": (hecke.BudgetExceeded, (hecke.HeckeContext, "cocenter_reduce"), _REDUCE_SL2),
+    "NonNewtonZeroLeaf": (
+        hecke.NonNewtonZeroLeaf, (hecke.HeckeContext, "cocenter_reduce"), _REDUCE_SL2
+    ),
+    "ConversionBudgetExceeded": (
+        hecke.ConversionBudgetExceeded,
+        (hecke.HeckeContext, "im_to_bernstein"),
+        ["reduce", "--preset", "pgl2", "--word", "s1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTATION_FAILURES))
+def test_computation_failure_exit1(capsys, monkeypatch, name):
+    """A computation failure is one ``error:`` line and exit 1, not a traceback."""
+    exc, (owner, attr), argv = COMPUTATION_FAILURES[name]
+    assert hasattr(owner, attr)
+
+    def fail(*_args, **_kwargs):
+        raise exc(f"injected {name}")
+
+    monkeypatch.setattr(owner, attr, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: injected {name}\n"

@@ -14,6 +14,9 @@ from rigidhecke.exactpoly import (
     VarTable,
     VarTableMismatch,
     ZeroSubstitutionForUnit,
+    _addmul,
+    _BOUND,
+    _clean,
     det_bareiss,
     det_cofactor,
     parse_poly,
@@ -23,6 +26,8 @@ from rigidhecke.exactpoly import (
 
 T2 = VarTable(("v0", "v1"), ("param-sqrt", "param-sqrt"))
 TZ = VarTable(("v0", "z0"), ("param-sqrt", "twist"))
+T3 = VarTable(("v0", "v1", "z0"), ("param-sqrt", "param-sqrt", "twist"))
+B = _BOUND  # packed exponents lie in [-B, B)
 
 
 def rand_poly(table, rng, terms=4, span=3):
@@ -31,6 +36,11 @@ def rand_poly(table, rng, terms=4, span=3):
         e = tuple(rng.randint(-span, span) for _ in table.names)
         out = out + LaurentPoly.monomial(table, e, Fraction(rng.randint(-5, 5)))
     return out
+
+
+def by_tuple(p):
+    """p's term map keyed by exponent tuples, through the decoding accessor."""
+    return {p.table.unpack(e): c for e, c in p.terms.items()}
 
 
 def test_ring_examples():
@@ -121,12 +131,12 @@ def test_int_first_coefficients():
     assert set(map(type, half.terms.values())) == {Fraction}
     whole = (2 * x + 2).exact_div(2)
     assert whole == x + 1 and set(map(type, whole.terms.values())) == {int}
-    four_halves = LaurentPoly.const(T2, Fraction(4, 2)).terms
+    four_halves = by_tuple(LaurentPoly.const(T2, Fraction(4, 2)))
     assert four_halves == {(0, 0): 2} and type(four_halves[(0, 0)]) is int
     collapsed = (x * Fraction(1, 2)) * 2
-    assert collapsed.terms == {(1, 0): 1} and type(collapsed.terms[(1, 0)]) is int
+    assert by_tuple(collapsed) == {(1, 0): 1} and type(by_tuple(collapsed)[(1, 0)]) is int
     assert type(LaurentPoly(T2, {}).constant_value()) is int
-    from_bool = LaurentPoly(T2, {(0, 0): True}).terms[(0, 0)]
+    from_bool = by_tuple(LaurentPoly(T2, {(0, 0): True}))[(0, 0)]
     assert from_bool == 1 and type(from_bool) is int
 
 
@@ -134,7 +144,7 @@ def test_parse_render_fraction_round_trip():
     qt = T2.q_table()
     p = parse_poly(qt, "3/2*Q0 - 1")
     assert p.render() == "3/2*Q0 - 1"
-    assert p.terms == {(1, 0): Fraction(3, 2), (0, 0): -1}
+    assert by_tuple(p) == {(1, 0): Fraction(3, 2), (0, 0): -1}
     assert [type(c) for c in p.terms.values()] == [Fraction, int]
 
 
@@ -144,7 +154,47 @@ def test_public_constructor_keeps_its_checks():
     with pytest.raises(TypeError):
         LaurentPoly(T2, {(0, 0): 0.5})
     assert LaurentPoly(T2, {(0, 0): 0, (1, 1): Fraction(0)}).is_zero()
-    assert LaurentPoly(T2, {(True, 2): 1}).terms == {(1, 2): 1}
+    assert by_tuple(LaurentPoly(T2, {(True, 2): 1})) == {(1, 2): 1}
+
+
+def test_pack_rejects_out_of_range_exponents():
+    for e in [(B, 0), (0, B), (-B - 1, 0), (0, -B - 1)]:
+        with pytest.raises(OverflowError):
+            T2.pack(e)
+        with pytest.raises(OverflowError):
+            LaurentPoly(T2, {e: 1})
+    for e in [(B - 1, -B), (-B, B - 1), (0, 0)]:
+        assert T2.unpack(T2.pack(e)) == e
+        assert by_tuple(LaurentPoly(T2, {e: 3})) == {e: 3}
+    with pytest.raises(OverflowError):  # -(-B) = B
+        LaurentPoly.monomial(T2, (0, -B)).inverse()
+
+
+@pytest.mark.parametrize("i", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_product_leaving_the_range_raises(i, sign):
+    """A product whose exponent leaves [-B, B) in one field raises in
+    ``_clean``, whatever the neighbouring fields hold; one step back in."""
+    step = [0, 0, 0]
+    step[i] = sign
+    s = LaurentPoly.monomial(T3, step)
+    for other in (-B, 0, B - 1):
+        e = [other] * 3
+        e[i] = B - 1 if sign > 0 else -B
+        m = LaurentPoly.monomial(T3, e)
+        with pytest.raises(OverflowError):
+            m * s  # one-term factor: a key shift
+        with pytest.raises(OverflowError):
+            _clean(T3, _addmul({}, (m + 1).terms, (s + 1).terms))  # generic product
+        e[i] -= sign
+        assert by_tuple(m * s.inverse()) == {tuple(e): 1}
+
+
+def test_empty_factor_leaves_out_untouched():
+    a = (T2.gen("v0") + 1).terms
+    for x, y in ((a, {}), ({}, a), ({}, {})):
+        out = {T2.pack((1, 1)): 3}
+        assert _addmul(out, x, y) is out and out == {T2.pack((1, 1)): 3}
 
 
 def test_det_examples():

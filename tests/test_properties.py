@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidhecke.exactpoly import (
+    _BOUND,
     LaurentPoly,
     PolyMatrix,
     VarTable,
@@ -111,13 +112,44 @@ def test_bareiss_equals_cofactor(m):
     assert det_bareiss(m) == det_cofactor(m)
 
 
+@st.composite
+def _vector_pairs(draw):
+    """A table of 0-4 variables and two exponent vectors in its packed range,
+    their fields often at or next to the ends of the range."""
+    n = draw(st.integers(0, 4))
+    edges = [-_BOUND, -_BOUND + 1, -1, 0, 1, _BOUND - 2, _BOUND - 1]
+    field = st.one_of(st.sampled_from(edges), st.integers(-_BOUND, _BOUND - 1))
+    table = VarTable(tuple(f"v{i}" for i in range(n)), ("param-sqrt",) * n)
+    return table, draw(st.tuples(*[field] * n)), draw(st.tuples(*[field] * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_pairs())
+@example((T2, (-_BOUND, _BOUND - 1), (-_BOUND, 1)))
+def test_packed_keys(tv):
+    """Packing round-trips, integer order is lexicographic order, keys add
+    as vectors do, and a product leaving the range raises."""
+    table, e1, e2 = tv
+    k1, k2 = table.pack(e1), table.pack(e2)
+    assert table.unpack(k1) == e1 and table.unpack(k2) == e2
+    assert (k1 < k2) == (e1 < e2) and (k1 == k2) == (e1 == e2)
+    total = tuple(x + y for x, y in zip(e1, e2))
+    m1, m2 = LaurentPoly.monomial(table, e1), LaurentPoly.monomial(table, e2)
+    if all(-_BOUND <= x < _BOUND for x in total):
+        assert (m1 * m2).terms == {k1 + k2: 1} and table.pack(total) == k1 + k2
+    else:
+        with pytest.raises(OverflowError):
+            m1 * m2
+
+
 def _naive_mul(a, b):
     """a·b as a sum of monomials under ``LaurentPoly.__add__``, with no call
     into the multiply-accumulate kernel."""
-    out = LaurentPoly(a.table, {})
+    out, unpack = LaurentPoly(a.table, {}), a.table.unpack
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
-            out = out + LaurentPoly.monomial(a.table, [x + y for x, y in zip(e1, e2)], c1 * c2)
+            e = [x + y for x, y in zip(unpack(e1), unpack(e2))]
+            out = out + LaurentPoly.monomial(a.table, e, c1 * c2)
     return out
 
 
@@ -193,6 +225,7 @@ def test_matrix_product_equals_naive_sum(pair, mono):
             tr = got.trace()
             _assert_int_first(tr)
             assert tr == sum((want[i][i] for i in range(got.rows)), LaurentPoly(T2, {}))
+    assert (a - a.scale(3)).entries == a.scale(-2).entries and (a - a).is_zero()
 
 
 _C2 = HeckeContext(WeylData(preset("c2-aff")))
