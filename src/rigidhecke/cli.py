@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         g = p.add_mutually_exclusive_group(required=preset_required)
         g.add_argument("--preset", choices=PRESET_NAMES, help="built-in root datum")
         g.add_argument("--datum", help="JSON root datum file")
-        p.add_argument("--max-length", type=int, default=8, help="class enumeration bound")
+        p.add_argument("--max-length", type=int, help="fail if a class has minimal length above this")
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     p_reduce.set_defaults(fn=cmd_reduce)
 
     args = parser.parse_args(argv)
-    if args.max_length < 0:
+    if args.max_length is not None and args.max_length < 0:
         print(f"error: --max-length must be >= 0, got {args.max_length}", file=sys.stderr)
         return EXIT_USAGE
     if not _out_writable(args.out):

@@ -1,14 +1,15 @@
 """Conjugacy classes of the extended affine Weyl group.
 
-Newton-zero (equivalently, finite-order) classes are enumerated by
-partitioning a length ball under the conjugation moves e ↦ s e s (s ∈ S^a)
-and e ↦ ω e ω^{-1} (ω ∈ Omega).  One walk, :func:`plateau`, explores the
-equal-length plateau of an element by BFS and stops at its first descent
-e ↦ s e s; :func:`descend_to_minimal` (and so :func:`classify`) and the
-cocenter reduction of ``hecke`` alternate it with descents until a plateau
-has none, which by He-Nie is the minimal length of the class.  Minimality is
-certified against a brute-force conjugation oracle in the test suite, not
-assumed.
+The Newton-zero (equivalently, finite-order) classes are cl(W~)_0 =
+⊔_[w] H^1(<w>, X)/C_W(w), each named by its key ``WeylData.class_key``.
+:func:`newton_zero_classes` grows the length ball until every key has been
+met, and :func:`classify` matches by key.  The key partition is pinned
+against a brute-force conjugation oracle in the test suite.
+
+One walk, :func:`plateau`, explores the equal-length plateau of an element by
+BFS and stops at its first descent e ↦ s e s; :func:`descend_to_minimal` and
+the cocenter reduction of ``hecke`` alternate it with descents until a
+plateau has none, which by He-Nie is the minimal length of the class.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ class PlateauBudgetExceeded(RuntimeError):
 
 
 class UnstableAtBound(RuntimeError):
-    """Class data changed between the bound L and L+2."""
+    """Some Newton-zero class has minimal length above the given bound L."""
 
 
 class NotFound(LookupError):
-    """The element's class is not in the provided list (bound too small)."""
+    """The element's class is not among the given records."""
 
 
 @dataclass(frozen=True)
@@ -114,27 +115,17 @@ def descend_to_minimal(
         path.extend(reversed(steps))
 
 
-def _finite_order_ball(wd: WeylData, L: int) -> list[Elt]:
-    return [e for e in wd.enumerate_ball(L) if wd.has_finite_order(e)]
-
-
-def _groups(elems: list[Elt], pairs: Iterable[tuple[int, int]]) -> list[list[Elt]]:
-    """The classes of elems after merging every pair of positions."""
-    groups: dict[int, list[Elt]] = {}
-    for e, root in zip(elems, union_find(len(elems), pairs)):
-        groups.setdefault(root, []).append(e)
+def _group_by(elems: Sequence[Elt], keys: Iterable) -> list[list[Elt]]:
+    """elems grouped by their keys, taken in the same order."""
+    groups: dict = {}
+    for e, k in zip(elems, keys):
+        groups.setdefault(k, []).append(e)
     return list(groups.values())
 
 
-def _partition(wd: WeylData, elems: list[Elt]) -> list[list[Elt]]:
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = []
-    for i, e in enumerate(elems):
-        for name in wd.gen_names:
-            j = index.get(wd.conjugate_gen(name, e))
-            if j is not None:
-                pairs.append((i, j))
-    return _groups(elems, pairs)
+def key_partition(wd: WeylData, elems: Sequence[Elt]) -> list[list[Elt]]:
+    """elems grouped by class key, that is, by W~-conjugacy class."""
+    return _group_by(elems, map(wd.class_key, elems))
 
 
 def oracle_partition(wd: WeylData, elems: list[Elt], radius: int) -> list[list[Elt]]:
@@ -163,7 +154,7 @@ def oracle_partition(wd: WeylData, elems: list[Elt], radius: int) -> list[list[E
                 if j is not None:
                     yield i, j
 
-    return _groups(elems, pairs())
+    return _group_by(elems, union_find(len(elems), pairs()))
 
 
 def class_record(wd: WeylData, min_reps: Iterable[Elt]) -> ConjClassRecord:
@@ -182,44 +173,37 @@ def class_record(wd: WeylData, min_reps: Iterable[Elt]) -> ConjClassRecord:
     )
 
 
-def _records_from_partition(wd: WeylData, groups: list[list[Elt]]) -> list[ConjClassRecord]:
+def newton_zero_classes(wd: WeylData, L: Optional[int] = None) -> list[ConjClassRecord]:
+    """All Newton-zero conjugacy classes.  The ball grows one layer at a
+    time: a class's minimal length is the first layer in which its key
+    appears, and its minimal representatives are the finite-order elements
+    of that layer with that key.  A class of minimal length above a given
+    bound L raises :class:`UnstableAtBound`."""
+    missing = set(wd.newton_zero_keys())
+    total = len(missing)
     records = []
-    for grp in groups:
-        min_len = min(wd.length(e) for e in grp)
-        records.append(class_record(wd, [e for e in grp if wd.length(e) == min_len]))
+    n = 0
+    while missing:
+        if L is not None and n > L:
+            raise UnstableAtBound(
+                f"{len(missing)} of {total} Newton-zero classes have minimal length > L={L}"
+            )
+        found: dict[tuple, list[Elt]] = {}
+        for e in wd.ball_layer(n):
+            if wd.has_finite_order(e) and (k := wd.class_key(e)) in missing:
+                found.setdefault(k, []).append(e)
+        missing -= found.keys()
+        records += [class_record(wd, reps) for reps in found.values()]
+        n += 1
     records.sort(key=lambda r: (r.min_length, wd.word(r.rep)))
     return records
 
 
-def newton_zero_classes(
-    wd: WeylData, L: int = 8, check_stability: bool = True
-) -> list[ConjClassRecord]:
-    """All Newton-zero conjugacy classes closed in the length-L ball.
-
-    With ``check_stability`` the enumeration is repeated at L+2 and must give
-    the same records (representatives, minimal representatives, lengths,
-    Newton points, ellipticity), else :class:`UnstableAtBound`.
-    """
-    records = _records_from_partition(wd, _partition(wd, _finite_order_ball(wd, L)))
-    if check_stability:
-        again = _records_from_partition(
-            wd, _partition(wd, _finite_order_ball(wd, L + 2))
-        )
-        if again != records:
-            changed = [r.label for r in records if r not in again]
-            raise UnstableAtBound(
-                f"classes changed between L={L} ({[r.label for r in records]}) "
-                f"and L={L + 2} ({[r.label for r in again]}); changed at L={L}: {changed}"
-            )
-    return records
-
-
 def classify(wd: WeylData, e: Elt, classes: Sequence[ConjClassRecord]) -> ConjClassRecord:
-    """Match e to a known class by descending to its minimal-length plateau."""
-    plateau, _path = descend_to_minimal(wd, e)
-    pset = set(plateau)
+    """The record of e's class among classes, matched by class key."""
+    key = wd.class_key(e)
     for rec in classes:
-        if pset & set(rec.min_reps):
+        if wd.class_key(rec.rep) == key:
             return rec
     raise NotFound(f"class of {wd.render(e)} not among {[r.label for r in classes]}")
 
@@ -265,46 +249,38 @@ def _subset_reps(wd: WeylData) -> list[tuple[int, ...]]:
 
 
 def count_identity_check(
-    wd: WeylData, L: int = 8, classes: Optional[Sequence[ConjClassRecord]] = None
+    wd: WeylData, classes: Optional[Sequence[ConjClassRecord]] = None
 ) -> CountIdentityReport:
     """Check sum_J |elliptic Newton-zero classes of W~_J| / N_J = |cl(W~)_0|.
 
     ``classes`` are the Newton-zero classes of ``wd`` if already enumerated;
-    otherwise they are enumerated in the length-L ball.
+    otherwise they are counted by their keys.
 
     For each J the elliptic classes of the semisimple quotient X_J ⋊ W_J are
-    counted, keeping only those that lift to Newton-zero classes of X ⋊ W_J,
-    i.e. whose translation part lies in image(X ∩ QJ) + (1-u) X_J, and then
-    identifying N_J-orbits.
+    taken from their keys, keeping only those that lift to Newton-zero classes
+    of X ⋊ W_J, i.e. whose translation part lies in image(X ∩ QJ) + (1-u) X_J,
+    and then identifying N_J-orbits by key.
     """
-    if classes is None:
-        classes = newton_zero_classes(wd, L, check_stability=False)
-    expected = len(classes)
+    expected = len(classes) if classes is not None else len(wd.newton_zero_keys())
     total = 0
     per_j = []
     for J in _subset_reps(wd):
         quot = semisimple_quotient(wd.datum, J)
         qwd = WeylData(quot.datum)
-        qclasses = newton_zero_classes(qwd, L, check_stability=False)
         r = quot.datum.rank
         lifting = []
-        for rec in qclasses:
-            if not rec.elliptic:
+        for e in qwd.newton_zero_keys().values():
+            if not qwd.is_elliptic(e):
                 continue
-            x, u = rec.rep
-            if r == 0:
-                lifting.append(rec)
-                continue
-            umat = qwd.W.mats[u]
+            x, u = e
+            umat = qwd.W.mats[u]  # generators: the image, then the columns of 1 - u
             gens = [list(v) for v in quot.root_lattice_image]
-            for j in range(r):
-                col = [int(i == j) - umat[i][j] for i in range(r)]
-                gens.append(col)
-            if intlinalg.solve_integer(gens, list(x)) is not None:
-                lifting.append(rec)
+            gens += [[int(i == j) - umat[i][j] for i in range(r)] for j in range(r)]
+            if r == 0 or intlinalg.solve_integer(gens, list(x)) is not None:
+                lifting.append(e)
         # N_J orbits on the lifting classes
         n_j = wd.normalizer_reps(J)
-        label_to_pos = {rec.label: k for k, rec in enumerate(lifting)}
+        key_to_pos = {qwd.class_key(e): k for k, e in enumerate(lifting)}
         pairs = []
         if r > 0 and len(n_j) > 1 and lifting:
             m = wd.rank
@@ -317,12 +293,10 @@ def count_identity_check(
                 # zbar rows: images of the X_J basis; act on column vectors via transpose
                 zcol = tuple(tuple(zbar[j][i] for j in range(r)) for i in range(r))
                 zinv = intlinalg.mat_inverse_unimodular(zcol)
-                for k, rec in enumerate(lifting):
-                    x, u = rec.rep
+                for k, (x, u) in enumerate(lifting):
                     xx = tuple(intlinalg.mat_vec(zcol, x))
                     uu = qwd.W.index[intlinalg.mat_mul(intlinalg.mat_mul(zcol, qwd.W.mats[u]), zinv)]
-                    target = classify(qwd, (xx, uu), lifting)
-                    pairs.append((k, label_to_pos[target.label]))
+                    pairs.append((k, key_to_pos[qwd.class_key((xx, uu))]))
         orbits = len(set(union_find(len(lifting), pairs)))
         total += orbits
         per_j.append((J, orbits))

@@ -212,19 +212,3 @@ def in_smith_row_span(d: Matrix, v: Matrix, x: Sequence[int]) -> bool:
     return all(
         c % d[i][i] == 0 if i < len(d) and d[i][i] else c == 0 for i, c in enumerate(xv)
     )
-
-
-def rational_kernel_basis(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : x * mat = 0} over Q (rows are rational vectors)."""
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    # x * mat = 0  <=>  mat^T x^T = 0
-    m, pivots = row_reduce([[mat[i][j] for i in range(nr)] for j in range(nc)], nr)
-    basis = []
-    for f in (c for c in range(nr) if c not in pivots):
-        x = [Fraction(0)] * nr
-        x[f] = Fraction(1)
-        for row_i, c in enumerate(pivots):
-            x[c] = -m[row_i][f]
-        basis.append(x)
-    return basis

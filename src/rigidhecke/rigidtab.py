@@ -15,13 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .conj import (
-    _finite_order_ball,
-    _partition,
-    classify,
-    newton_zero_classes,
-    oracle_partition,
-)
+from .conj import classify, key_partition, newton_zero_classes, oracle_partition
 from .exactpoly import (
     LaurentPoly,
     PolyMatrix,
@@ -230,7 +224,7 @@ def panel_modules(ctx: HeckeContext, man: PresetManifest) -> list[FinDimModule]:
 
 
 def datum_context(
-    wd: WeylData, L: int = 8, manifest: Optional[PresetManifest] = None
+    wd: WeylData, L: Optional[int] = None, manifest: Optional[PresetManifest] = None
 ) -> PresetContext:
     """A context without a module panel, for the suites in ``DATUM_SUITES``:
     every Newton-zero class is a row.  A preset's ``manifest`` supplies the
@@ -241,7 +235,7 @@ def datum_context(
     return PresetContext(man, wd, ctx, classes, list(classes), [])
 
 
-def build_preset_context(name: str, L: int = 8) -> PresetContext:
+def build_preset_context(name: str, L: Optional[int] = None) -> PresetContext:
     """The datum context of a preset with the manifest's rows and panel."""
     man = MANIFESTS[name]
     pc = datum_context(WeylData(datum_preset(name)), L, man)
@@ -831,14 +825,14 @@ def suite_classes(pc: PresetContext) -> list[CheckResult]:
     )
     out.append(_check("minimality-certificate", ok, "no move s e s shortens a minimal representative"))
     # oracle agreement on the radius-6 ball
-    elems = _finite_order_ball(wd, ORACLE_RADIUS)
-    graph_sets = {frozenset(g) for g in _partition(wd, elems)}
+    elems = [e for e in wd.enumerate_ball(ORACLE_RADIUS) if wd.has_finite_order(e)]
+    key_sets = {frozenset(g) for g in key_partition(wd, elems)}
     oracle_sets = {frozenset(g) for g in oracle_partition(wd, elems, ORACLE_RADIUS)}
     out.append(
         _check(
             f"oracle-agreement[radius={ORACLE_RADIUS}]",
-            graph_sets == oracle_sets,
-            f"{len(graph_sets)} graph classes vs {len(oracle_sets)} oracle classes",
+            key_sets == oracle_sets,
+            f"{len(key_sets)} graph classes vs {len(oracle_sets)} oracle classes",
         )
     )
     # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant

@@ -28,6 +28,14 @@ v = u w u^-1, so the tables hold (w(y), wu) and (v, y - v(y)) per (g, w).  If
 w has order n then (x, w)^n = (N_w x, 1) with N_w = 1 + w + ... + w^(n-1), so
 (x, w) has finite order iff N_w x = 0; the table holds the nonzero rows of
 N_w.
+
+The class tables, built on first use, hold per w the first element r of its
+W-class, a conjugator u with r = u w u^-1, the Smith form U (1 - r) V and the
+matrices U c u over c in C_W(r).  The classes with finite part conjugate to w
+are X/(1 - r)X modulo C_W(r), and the finite-order ones H^1(<r>, X) =
+ker N_r/(1 - r)X modulo C_W(r) (Serre, *Local Fields*, ch. VIII): ``class_key``
+is a complete class invariant, and ``newton_zero_keys`` lists the Newton-zero
+classes.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -546,6 +555,11 @@ class WeylData:
         out.sort(key=lambda e: (self._ball[e][0], e[0], e[1]))
         return out
 
+    def ball_layer(self, n: int) -> list[Elt]:
+        """All elements of length n, in the order of their words."""
+        self._extend_ball(n)
+        return self._layers[n]
+
     def word(self, e: Elt) -> tuple[str, ...]:
         """Lex-least geodesic word of e over generator names."""
         need = self.length(e)
@@ -609,22 +623,56 @@ class WeylData:
         return not any(sum(map(mul, row, x)) for row in self._norm_rows[w])
 
     def is_elliptic(self, e: Elt) -> bool:
-        """Fixed space of the finite part lies inside the W-invariants."""
-        _x, w = e
-        m = self.rank
-        if m == 0:
-            return True
-        mat = self.W.mats[w]
-        rows = [
-            [Fraction(mat[r][c] - int(r == c)) for c in range(m)] for r in range(m)
-        ]
-        # fixed vectors x: (M - I) x = 0, i.e. x in kernel of columns
-        ker = intlinalg.rational_kernel_basis([[rows[c][r] for c in range(m)] for r in range(m)])
-        for v in ker:
-            for i in range(self.npi):
-                if sum(a * b for a, b in zip(v, self.datum.simple_coroots[i])) != 0:
-                    return False
-        return True
+        """1 - w has full rank.  The data are semisimple, so the W-invariants
+        of X ⊗ Q are 0 and this says that w fixes no nonzero vector."""
+        return all(self._class_tables[e[1]][1])
+
+    # -- the class key ----------------------------------------------------------------
+
+    @cached_property
+    def _class_tables(self) -> list[tuple[int, tuple[int, ...], list]]:
+        """Per w, (r, Smith divisors of 1 - r, the matrices U c u), c = 1
+        first; u is found by BFS over simple-reflection conjugation."""
+        W = self.W
+        mat_mul = intlinalg.mat_mul
+        to_rep: list = [None] * W.size
+        smith = {}
+        for r in range(W.size):
+            if to_rep[r] is None:
+                to_rep[r] = (r, 0)
+                queue = deque([r])
+                while queue:
+                    v = queue.popleft()
+                    for s in W.gen_index:  # r = u v u^-1 = (us)(svs)(us)^-1
+                        if to_rep[t := W.mult(W.mult(s, v), s)] is None:
+                            to_rep[t] = (r, W.mult(to_rep[v][1], s))
+                            queue.append(t)
+                d, U, _v = intlinalg.smith_normal_form(
+                    [[int(i == j) - c for j, c in enumerate(row)] for i, row in enumerate(W.mats[r])])
+                cent = (c for c in range(W.size) if W.mult(c, r) == W.mult(r, c))
+                smith[r] = (tuple(d[i][i] for i in range(self.rank)), [mat_mul(U, W.mats[c]) for c in cent])
+        return [(r, smith[r][0], [mat_mul(m, W.mats[u]) for m in smith[r][1]]) for r, u in to_rep]
+
+    def class_key(self, e: Elt) -> tuple:
+        """r and the least U c u(x) over c in C_W(r), each coordinate reduced
+        modulo its divisor (kept whole where that is 0): a complete invariant
+        of the class of e = (x, w)."""
+        r, divisors, maps = self._class_tables[e[1]]
+        moved = (intlinalg.mat_vec(m, e[0]) for m in maps)
+        return (r, min(tuple(c % d if d else c for c, d in zip(v, divisors)) for v in moved))
+
+    def newton_zero_keys(self) -> dict[tuple, Elt]:
+        """The key of every Newton-zero class, with a representative.  ker N_r
+        is the vectors whose Smith coordinates vanish where the divisor does,
+        so H^1 is represented by U^-1 (c_1, ..., c_k, 0, ...), 0 <= c_i < d_i."""
+        out = {}
+        for w, (r, divisors, maps) in enumerate(self._class_tables):
+            if w == r:
+                uinv = intlinalg.mat_inverse_unimodular(maps[0])  # U: c = u = 1 for w = r
+                for c in itertools.product(*(range(d or 1) for d in divisors)):
+                    e = (tuple(intlinalg.mat_vec(uinv, c)), r)
+                    out.setdefault(self.class_key(e), e)
+        return out
 
     # -- cosets ---------------------------------------------------------------------
 

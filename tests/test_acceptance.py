@@ -78,7 +78,7 @@ def test_criterion_5_class_counts():
     ok = True
     for name, (want, want_ell) in expected.items():
         wd = WeylData(preset(name))
-        classes = newton_zero_classes(wd, 8, check_stability=True)
+        classes = newton_zero_classes(wd, 8)
         n_ell = sum(1 for r in classes if r.elliptic)
         rep = count_identity_check(wd)
         good = len(classes) == want and rep.ok

@@ -230,7 +230,24 @@ def test_unstable_max_length_exit1(capsys, command):
     code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--max-length", "0")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: classes changed between L=0") and err.count("\n") == 1
+    assert err.startswith("error: 2 of 3 Newton-zero classes have minimal length > L=0")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, count", [("b3q", 22), ("b3p", 17), ("c3q", 17), ("c3p", 22)])
+def test_b3_c3_at_default_arguments(capsys, name, count):
+    """B3 and C3 have classes of minimal length 9; with no bound, ``classes``
+    and the three datum suites pass."""
+    import pathlib
+
+    path = str(pathlib.Path(__file__).parent / "data" / f"{name}.json")
+    code, out, _ = run(capsys, "classes", "--datum", path, "--format", "json")
+    assert code == 0
+    recs = json.loads(out)["classes"]
+    assert len(recs) == count and max(r["min_length"] for r in recs) == 9
+    for suite in ("counts", "lengths", "classes"):
+        code, out, _ = run(capsys, "verify", "--datum", path, "--suite", suite)
+        assert code == 0, out
 
 
 def test_datum_named_like_a_preset_gets_no_class_counts(capsys, tmp_path):

@@ -10,12 +10,11 @@ from rigidhecke import conj
 from rigidhecke.conj import (
     NotFound,
     UnstableAtBound,
-    _finite_order_ball,
-    _partition,
     brute_force_conjugacy_oracle,
     classify,
     count_identity_check,
     descend_to_minimal,
+    key_partition,
     newton_zero_classes,
     oracle_partition,
 )
@@ -23,7 +22,9 @@ from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData, union_find
 
 _CACHE = {}
+_ORACLE = {}
 _DATA = pathlib.Path(__file__).parent / "data"
+_DATUMS = [*PRESET_NAMES, *sorted(p.stem for p in _DATA.glob("*.json"))]
 
 
 def wd_of(name):
@@ -31,6 +32,18 @@ def wd_of(name):
         datum = preset(name) if name in PRESET_NAMES else load_datum(str(_DATA / f"{name}.json"))
         _CACHE[name] = WeylData(datum)
     return _CACHE[name]
+
+
+def finite_order_ball(wd, radius):
+    return [e for e in wd.enumerate_ball(radius) if wd.has_finite_order(e)]
+
+
+def oracle_sets6(name):
+    """The oracle partition of the radius-6 finite-order ball, as sets."""
+    if name not in _ORACLE:
+        wd = wd_of(name)
+        _ORACLE[name] = {frozenset(g) for g in oracle_partition(wd, finite_order_ball(wd, 6), 6)}
+    return _ORACLE[name]
 
 
 def _exhaustive_plateau(wd, e):
@@ -50,15 +63,11 @@ def _exhaustive_plateau(wd, e):
     return {h for h in seen if wd.length(h) == best}
 
 
-@pytest.mark.parametrize(
-    "name", [*PRESET_NAMES, *sorted(p.stem for p in _DATA.glob("*.json"))]
-)
+@pytest.mark.parametrize("name", _DATUMS)
 def test_plateau_walk_radius6(name):
     wd = wd_of(name)
-    classes = newton_zero_classes(wd, 8)
-    class_of = {
-        e: frozenset(g) for g in oracle_partition(wd, _finite_order_ball(wd, 6), 6) for e in g
-    }
+    classes = newton_zero_classes(wd)
+    class_of = {e: g for g in oracle_sets6(name) for e in g}
     for e in wd.enumerate_ball(6):
         le = wd.length(e)
         seen, descent = conj.plateau(wd, e)
@@ -159,17 +168,18 @@ def test_oracle():
 
 
 def test_oracle_agreement_radius6():
-    for name in ("sl2", "pgl2", "c2-aff"):
+    """The class-key partition of the radius-6 finite-order ball equals the
+    brute-force oracle's, on every preset and data file."""
+    for name in _DATUMS:
         wd = wd_of(name)
-        elems = _finite_order_ball(wd, 6)
-        graph_sets = {frozenset(g) for g in _partition(wd, elems)}
-        assert graph_sets == {frozenset(g) for g in oracle_partition(wd, elems, 6)}
+        key_sets = {frozenset(g) for g in key_partition(wd, finite_order_ball(wd, 6))}
+        assert key_sets == oracle_sets6(name), name
 
 
 @pytest.mark.parametrize("name", ["sl2", "pgl2", "c2-aff", "sl3"])
 def test_oracle_partition_equals_pairwise_conjugation(name):
     wd = wd_of(name)
-    elems = _finite_order_ball(wd, 6)
+    elems = finite_order_ball(wd, 6)
     index = {e: i for i, e in enumerate(elems)}
     pairs = [
         (index[e], index[h])
@@ -229,19 +239,15 @@ def test_classes_sorted_and_records():
         assert set(js) == {"rep", "min_length", "newton", "elliptic", "label"}
 
 
-def test_stability_compares_whole_records(monkeypatch):
-    import dataclasses
-
-    real = conj._records_from_partition
-    calls = []
-
-    def flipped_at_second_bound(wd, groups):
-        recs = real(wd, groups)
-        calls.append(recs)
-        if len(calls) == 2:  # the enumeration at L+2: same labels, one record differs
-            recs[0] = dataclasses.replace(recs[0], elliptic=not recs[0].elliptic)
-        return recs
-
-    monkeypatch.setattr(conj, "_records_from_partition", flipped_at_second_bound)
-    with pytest.raises(UnstableAtBound, match=r"changed at L=8: \['1'\]"):
-        newton_zero_classes(WeylData(preset("sl2")), 8)
+def test_bound_below_a_minimal_length_raises():
+    """A bound L is an assertion: below the largest minimal length it raises,
+    naming how many classes lie above it; at that length it gives the
+    unbounded records."""
+    wd = WeylData(load_datum(str(_DATA / "b3q.json")))
+    records = newton_zero_classes(wd)
+    top = max(r.min_length for r in records)
+    above = sum(r.min_length > top - 1 for r in records)
+    want = rf"^{above} of {len(records)} Newton-zero classes have minimal length > L={top - 1}$"
+    with pytest.raises(UnstableAtBound, match=want):
+        newton_zero_classes(wd, top - 1)
+    assert newton_zero_classes(wd, top) == records

@@ -1,0 +1,36 @@
+"""The class labels and datum-suite check names that the benchmark's checker
+compares against ``perfbench/data/pins.json``.  The pins are read, never
+written, so a change the checker would reject fails here first."""
+
+import json
+import pathlib
+
+import pytest
+
+from rigidhecke import rigidtab
+from rigidhecke.conj import newton_zero_classes
+from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
+from rigidhecke.weyl import WeylData
+
+_BENCH_DATA = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
+PINS = json.loads((_BENCH_DATA / "pins.json").read_text())
+
+
+def _weyl(name):
+    if name in PRESET_NAMES:
+        return WeylData(preset(name))
+    return WeylData(load_datum(str(_BENCH_DATA / f"{name}.json")))
+
+
+@pytest.mark.parametrize("name", sorted(PINS["classes"]))
+def test_class_labels_equal_the_pins(name):
+    assert [r.label for r in newton_zero_classes(_weyl(name))] == PINS["classes"][name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS["classes"]))
+def test_datum_suite_check_names_equal_the_pins(name):
+    wd = _weyl(name)
+    pc = rigidtab.datum_context(wd, manifest=rigidtab.MANIFESTS.get(name))
+    for suite in rigidtab.DATUM_SUITES:
+        names = [c.name for c in rigidtab.run_suite(pc, suite)]
+        assert names == PINS["verify"][f"{name}/{suite}"], suite

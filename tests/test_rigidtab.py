@@ -239,22 +239,24 @@ def test_datum_family_suites(name):
 
 
 def test_counts_suite_enumerates_the_group_once(monkeypatch):
-    """The counts suite takes the context's classes: the length ball of the
-    datum itself is enumerated only when the context is built."""
+    """The counts suite takes the context's classes: the datum's classes are
+    enumerated only when the context is built, and the quotients are read
+    from their class keys, so the suite grows no length ball at all."""
     import pathlib
 
-    from rigidhecke import conj
     from rigidhecke.rootdata import load_datum
     from rigidhecke.weyl import WeylData
 
     path = pathlib.Path(__file__).parent / "data" / "sl4.json"
     pc = rigidtab.datum_context(WeylData(load_datum(str(path))))
-    seen = []
-    real = conj._finite_order_ball
-    monkeypatch.setattr(conj, "_finite_order_ball", lambda wd, L: seen.append(wd) or real(wd, L))
+    grown, keyed = [], []
+    real_grow, real_keys = WeylData._extend_ball, WeylData.newton_zero_keys
+    monkeypatch.setattr(WeylData, "_extend_ball", lambda wd, r: grown.append(wd) or real_grow(wd, r))
+    monkeypatch.setattr(WeylData, "newton_zero_keys", lambda wd: keyed.append(wd) or real_keys(wd))
     (check,) = rigidtab.run_suite(pc, "counts")
     assert check.ok
-    assert seen and all(wd.datum != pc.wd.datum for wd in seen)
+    assert not grown
+    assert keyed and all(wd is not pc.wd for wd in keyed)
 
 
 def test_all_is_every_suite_in_order_with_one_table(pc_sl2, monkeypatch):
