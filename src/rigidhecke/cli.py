@@ -233,30 +233,31 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset_required=False):
-        g = p.add_mutually_exclusive_group(required=preset_required)
+    def common(p):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--preset", choices=PRESET_NAMES, help="built-in root datum")
         g.add_argument("--datum", help="JSON root datum file")
         p.add_argument("--max-length", type=int, help="fail if a class has minimal length above this")
-        p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     p_classes = sub.add_parser("classes", help="enumerate Newton-zero conjugacy classes")
-    common(p_classes, preset_required=True)
+    common(p_classes)
+    p_classes.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p_classes.set_defaults(fn=cmd_classes)
 
     p_table = sub.add_parser("table", help="build a rigid character table")
-    common(p_table, preset_required=True)
+    common(p_table)
+    p_table.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p_table.add_argument("--spec", help="evaluate at name=rational,... parameter values")
     p_table.set_defaults(fn=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify, preset_required=True)
+    common(p_verify)
     p_verify.add_argument("--suite", default="all", help=f"one of {rigidtab.SUITES}")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="reduce T_w to the T_O spanning set")
-    common(p_reduce, preset_required=True)
+    common(p_reduce)
     p_reduce.add_argument("--word", required=True, help="comma-separated generators, e.g. s1,s0,s1")
     p_reduce.set_defaults(fn=cmd_reduce)
 

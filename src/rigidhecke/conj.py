@@ -46,7 +46,6 @@ class ConjClassRecord:
     min_length: int
     min_reps: tuple[Elt, ...]
     newton: tuple[Fraction, ...]
-    J_O: tuple[int, ...]
     elliptic: bool
 
     def to_json(self, wd: WeylData) -> dict:
@@ -161,14 +160,13 @@ def class_record(wd: WeylData, min_reps: Iterable[Elt]) -> ConjClassRecord:
     """The record of a class from its minimal-length elements min_reps."""
     min_reps = tuple(sorted(min_reps))
     rep = min(min_reps, key=wd.word)
-    nu, j_o = wd.newton_point(rep)
+    nu, _ = wd.newton_point(rep)
     return ConjClassRecord(
         rep=rep,
         label=wd.label(rep),
         min_length=wd.length(rep),
         min_reps=min_reps,
         newton=nu,
-        J_O=j_o,
         elliptic=wd.is_elliptic(rep),
     )
 

@@ -444,7 +444,7 @@ class HeckeContext:
             _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[k])
         entries = [(rec_by_label[lab], c) for lab, r in out.items() if (c := _clean(self.table, r))]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
-        return CocenterCombination(self, tuple(entries), e)
+        return CocenterCombination(self, tuple(entries))
 
     # -- restriction to parabolic blocks ----------------------------------------------
 
@@ -615,11 +615,10 @@ class BernsteinElt(_Combination):
 
 @dataclass(frozen=True)
 class CocenterCombination:
-    """Σ a_O T_O with pairwise distinct classes, plus the source element."""
+    """Σ a_O T_O with pairwise distinct classes."""
 
     ctx: HeckeContext
     entries: tuple[tuple[ConjClassRecord, LaurentPoly], ...]
-    source: Elt
 
     def render(self) -> str:
         from .exactpoly import OddDegree, render_in_Q

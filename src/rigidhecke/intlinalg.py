@@ -201,14 +201,3 @@ def in_lattice(gens: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
     """Is x in the integer span of the generator rows?"""
     return solve_integer(list(gens), list(x)) is not None
 
-
-def in_smith_row_span(d: Matrix, v: Matrix, x: Sequence[int]) -> bool:
-    """Is x in the integer row span of A, given ``d, _u, v = smith_normal_form(A)``?
-
-    With U A V = d, x = y A iff x V = (y U^-1) d: coordinate i of x V is a
-    multiple of d_ii, and 0 where d has no nonzero (i, i) entry.
-    """
-    xv = [sum(a * b for a, b in zip(x, col)) for col in zip(*v)]
-    return all(
-        c % d[i][i] == 0 if i < len(d) and d[i][i] else c == 0 for i, c in enumerate(xv)
-    )

@@ -82,7 +82,6 @@ class FinDimModule:
     tmat: dict  # generator name -> PolyMatrix
     theta_pos: list  # per lattice basis vector
     theta_neg: list
-    provenance: str = ""
     twist_vars: tuple[str, ...] = ()
 
     # -- actions -------------------------------------------------------------
@@ -223,11 +222,11 @@ def _theta_mats(m: int, theta) -> tuple[list, list]:
     return pos, neg
 
 
-def _scalar_module(alg: HeckeContext, tvals: dict, theta_vals: list, provenance: str) -> FinDimModule:
+def _scalar_module(alg: HeckeContext, tvals: dict, theta_vals: list) -> FinDimModule:
     tmat = {name: PolyMatrix([[v]]) for name, v in tvals.items()}
     pos = [PolyMatrix([[v]]) for v in theta_vals]
     neg = [PolyMatrix([[v.inverse()]]) for v in theta_vals]
-    return FinDimModule(alg, None, 1, tmat, pos, neg, provenance)
+    return FinDimModule(alg, None, 1, tmat, pos, neg)
 
 
 def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
@@ -241,7 +240,7 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     """
     wd = alg.wd
     if wd.rank == 0:
-        return [FinDimModule(alg, None, 1, {}, [], [], "trivial")]
+        return [FinDimModule(alg, None, 1, {}, [], [])]
     finite_orbits = sorted(
         {wd.orbit_of_sa[wd.sa_index[name]] for name in wd.pi_names}
     )
@@ -311,10 +310,7 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                         tvals[s.name] = scalar_of_bernstein(alg.bernstein_seed(s.name))
                 for name in wd.omega_names:
                     tvals[name] = scalar_of_bernstein(alg.bernstein_seed(name))
-                mod = _scalar_module(
-                    alg, tvals, theta_e,
-                    "onedim:" + ",".join(f"{n}={tvals[n].render()}" for n in sorted(tvals)),
-                )
+                mod = _scalar_module(alg, tvals, theta_e)
                 try:
                     mod.verify_relations()
                 except RelationFailed:
@@ -406,16 +402,7 @@ def inflate_chi_t(
     twist_vars = tuple(
         name for v in t.values for name in v.table.names if v.uses_variable(name)
     )
-    mod = FinDimModule(
-        parent,
-        tuple(J),
-        sigma.dim,
-        tmat,
-        pos_mats,
-        neg_mats,
-        f"inflate[J={list(J)}]({sigma.provenance})",
-        twist_vars,
-    )
+    mod = FinDimModule(parent, tuple(J), sigma.dim, tmat, pos_mats, neg_mats, twist_vars)
     mod.verify_relations()
     return mod
 
@@ -498,9 +485,7 @@ def lift_from_parahoric(
             else alg.Q_of_sa[wd.sa_index[s.name]]
         )
         tmat[s.name] = PolyMatrix.identity(alg.table, dim).scale(val)
-    mod = FinDimModule(
-        alg, None, dim, tmat, [], [], f"lift[K={list(K)}:{module}]", ()
-    )
+    mod = FinDimModule(alg, None, dim, tmat, [], [])
     mod.theta_pos, mod.theta_neg = _theta_mats(wd.rank, lambda x: mod.act(alg.theta_im(x)))
     mod.verify_relations()
     return mod
@@ -513,7 +498,6 @@ def _induced(
     reps: Sequence[int],
     scope: Optional[tuple[int, ...]],
     names: Sequence[str],
-    provenance: str,
 ) -> FinDimModule:
     """The module on {T_u ⊗ e_i}, u ∈ reps, induced from the H_J-module sigma.
 
@@ -541,9 +525,7 @@ def _induced(
 
     tmat = {name: assemble(alg.bernstein_seed(name)) for name in names}
     pos_mats, neg_mats = _theta_mats(alg.wd.rank, lambda x: assemble(alg.theta_element(x)))
-    mod = FinDimModule(
-        alg, scope, dim, tmat, pos_mats, neg_mats, provenance, sigma.twist_vars
-    )
+    mod = FinDimModule(alg, scope, dim, tmat, pos_mats, neg_mats, sigma.twist_vars)
     mod.verify_relations()
     return mod
 
@@ -553,11 +535,7 @@ def induce(alg: HeckeContext, J: Sequence[int], sigma: FinDimModule) -> FinDimMo
     J = tuple(sorted(J))
     if sigma.scope is None or tuple(sigma.scope) != J:
         raise ValueError(f"sigma must be an H_J-module for J={J}")
-    wd = alg.wd
-    return _induced(
-        alg, J, sigma, alg.parabolic(J).coset_reps, None, wd.gen_names,
-        f"induce[J={list(J)}]({sigma.provenance})",
-    )
+    return _induced(alg, J, sigma, alg.parabolic(J).coset_reps, None, alg.wd.gen_names)
 
 
 def induce_in_parabolic(
@@ -572,10 +550,7 @@ def induce_in_parabolic(
         raise ValueError(f"sigma must be an H_J-module for J={J}")
     parK = alg.parabolic(K)
     reps = [u for u in alg.parabolic(J).coset_reps if u in parK.member_set]
-    return _induced(
-        alg, J, sigma, reps, K, [alg.wd.pi_names[j] for j in K],
-        f"induce[{list(J)}->{list(K)}]({sigma.provenance})",
-    )
+    return _induced(alg, J, sigma, reps, K, [alg.wd.pi_names[j] for j in K])
 
 
 def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
@@ -586,16 +561,7 @@ def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
         raise ValueError(f"K={K} not contained in scope {sorted(in_scope)}")
     names = mod.alg.wd.pi_names
     tmat = {names[j]: mod.tmat[names[j]] for j in K}
-    out = FinDimModule(
-        mod.alg,
-        K,
-        mod.dim,
-        tmat,
-        mod.theta_pos,
-        mod.theta_neg,
-        f"restrict[{list(K)}]({mod.provenance})",
-        mod.twist_vars,
-    )
+    out = FinDimModule(mod.alg, K, mod.dim, tmat, mod.theta_pos, mod.theta_neg, mod.twist_vars)
     out.verify_relations()
     return out
 
@@ -620,9 +586,7 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
             raise ValueError("w(J) is not inside the module scope")
         tmat[wd.pi_names[j]] = mod.tmat[wd.pi_names[k]]
     pos, neg = _theta_mats(wd.rank, lambda x: mod.theta_of(wd.W.act(w, x)))
-    out = FinDimModule(
-        alg, J, mod.dim, tmat, pos, neg, f"twist[w={w}]({mod.provenance})", mod.twist_vars
-    )
+    out = FinDimModule(alg, J, mod.dim, tmat, pos, neg, mod.twist_vars)
     out.verify_relations()
     return out
 

@@ -55,7 +55,6 @@ class ColumnSpec:
     J: tuple[int, ...] = ()
     module: str = ""
     scalars: dict = field(default_factory=dict)
-    twist: str = "trivial"
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,6 @@ class RigidTable:
     col_labels: tuple[str, ...]
     entries: list  # rows of LaurentPoly over the Q-table
     qtable: VarTable
-    col_specs: tuple[ColumnSpec, ...]
     _det: Optional[LaurentPoly] = field(default=None, init=False, repr=False, compare=False)
 
     def det(self) -> LaurentPoly:
@@ -330,14 +328,7 @@ def build_rigid_table(pc: PresetContext) -> RigidTable:
         for mod in pc.modules:
             row.append(render_in_Q(mod.trace(rec.rep)))
         entries.append(row)
-    return RigidTable(
-        man.name,
-        man.row_labels,
-        tuple(c.label for c in man.columns),
-        entries,
-        qtable,
-        man.columns,
-    )
+    return RigidTable(man.name, man.row_labels, tuple(c.label for c in man.columns), entries, qtable)
 
 
 @dataclass(frozen=True)
@@ -832,7 +823,7 @@ def suite_classes(pc: PresetContext) -> list[CheckResult]:
         _check(
             f"oracle-agreement[radius={ORACLE_RADIUS}]",
             key_sets == oracle_sets,
-            f"{len(key_sets)} graph classes vs {len(oracle_sets)} oracle classes",
+            f"{len(key_sets)} key classes vs {len(oracle_sets)} oracle classes",
         )
     )
     # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant

@@ -20,6 +20,15 @@ The convention above is pinned by two mandatory certificates: every affine
 simple reflection has length 1, and lengths agree with BFS word length over
 S^a ∪ Omega on radius-8 balls of every preset.
 
+Omega is built by descent, with no search.  The extended group is
+W_a ⋊ Omega, with W_a the Coxeter group on S^a, and l(omega w) = l(w) for
+omega in Omega.  So t_x lies in omega W_a for exactly one omega, the only
+element of length 0 in that coset, and every element of positive length in it
+has a right descent s in S^a, l(e s) < l(e).  Descending from t_x, for x a
+Smith representative of X/Q, ends at omega within l(t_x) steps whatever the
+order of the steps, so no bound is needed.  An element of positive length
+without a descent would contradict the length convention, and raises.
+
 Right multiplication by a generator, conjugation by a generator and the
 finite-order test read tables built once per datum, one entry per generator
 and finite part w (|W| <= 48 for every datum in use).  For g = (y, u),
@@ -63,7 +72,10 @@ Elt = tuple[Vec, int]  # (translation vector, finite part index)
 
 
 class OmegaSearchExhausted(RuntimeError):
-    """No length-zero representative found within the search box."""
+    """Omega cannot be built: X/Q is infinite (the datum is not semisimple),
+    or a certificate of the descent failed (an element of positive length
+    with no right descent in S^a, a product leaving Omega, or an omega not
+    normalizing S^a).  No search is involved."""
 
 
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -164,7 +176,6 @@ class AffineSimple:
     kind: str  # "finite" | "affine"
     pi_index: Optional[int]  # position into Pi for finite ones
     root: Vec  # reflecting root (gamma for affine ones)
-    coroot: Vec
 
 
 class WeylData:
@@ -302,10 +313,8 @@ class WeylData:
         self.pi_names = tuple(f"s{i + 1}" for i in range(self.npi))
         simples = []
         for i, name in enumerate(self.pi_names):
-            a = datum.simple_roots[i]
-            av = datum.simple_coroots[i]
             w = self.W.gen_index[i]
-            simples.append(AffineSimple(name, ((0,) * self.rank, w), "finite", i, a, av))
+            simples.append(AffineSimple(name, ((0,) * self.rank, w), "finite", i, datum.simple_roots[i]))
         # components of the finite diagram (by simple-root adjacency)
         comp = union_find(self.npi, [
             (i, j)
@@ -314,7 +323,9 @@ class WeylData:
             if datum.pairing(datum.simple_roots[i], datum.simple_coroots[j]) != 0
         ])
         comp_ids = sorted(set(comp))
-        # R_m: roots whose coroots are dominance-minimal within their component
+        # per component, the root gamma whose coroot is the lowest coroot
+        # (Bourbaki, Lie Groups, ch. VI §1.8): the unique minimal coroot in
+        # the dominance order, so the one of least height in Pi^
         for cid_pos, cid in enumerate(comp_ids):
             members = [i for i in range(self.npi) if comp[i] == cid]
             cand = []
@@ -325,31 +336,12 @@ class WeylData:
                 if all(coords[i] == 0 for i in members):
                     continue
                 cand.append(k)
-            def leq(b, a):  # b <= a in (R^, <=): a^ - b^ nonneg integer comb of Pi^
-                diff = tuple(
-                    p - q for p, q in zip(self.roots.coroots[a], self.roots.coroots[b])
-                )
-                coords = _coroot_coords(datum, diff)
-                return coords is not None and all(
-                    c >= 0 and c.denominator == 1 for c in coords
-                )
-            for k in cand:
-                if all(k == j or not leq(j, k) for j in cand):
-                    gamma = self.roots.roots[k]
-                    gv = self.roots.coroots[k]
-                    w = self._reflection_index(k)
-                    name = "s0" if len(comp_ids) == 1 else f"s0{chr(ord('a') + cid_pos)}"
-                    simples.append(
-                        AffineSimple(
-                            name,
-                            (tuple(-t for t in gamma), w),
-                            "affine",
-                            None,
-                            gamma,
-                            gv,
-                        )
-                    )
-                    break  # minimal coroot is unique per component
+            k = min(cand, key=lambda k: sum(_coroot_coords(datum, self.roots.coroots[k])))
+            gamma = self.roots.roots[k]
+            name = "s0" if len(comp_ids) == 1 else f"s0{chr(ord('a') + cid_pos)}"
+            simples.append(AffineSimple(
+                name, (tuple(-t for t in gamma), self._reflection_index(k)), "affine", None, gamma
+            ))
         self.affine_simple = tuple(
             sorted(simples, key=lambda s: s.name)
         )
@@ -378,60 +370,41 @@ class WeylData:
     # -- Omega ----------------------------------------------------------------
 
     def _build_omega(self):
-        datum = self.datum
         m = self.rank
         if m == 0:
             self.omega_elements = (self.identity(),)
             self.omega_names = ()
-            self.omega_mult = ((0,),)
             self.omega_action_sa = ((),)
             return
-        amat = [list(r) for r in datum.simple_roots]
-        d, _u, v = intlinalg.smith_normal_form(amat)
+        d, _u, v = intlinalg.smith_normal_form([list(r) for r in self.datum.simple_roots])
         divisors = [d[i][i] if i < min(len(d), m) else 0 for i in range(m)]
         if any(x == 0 for x in divisors):
             raise OmegaSearchExhausted(
                 "X/Q is infinite (datum not semisimple); Omega not materialized"
             )
-        vinv = intlinalg.mat_inverse_unimodular(v)
-        reps = []
-        for combo in itertools.product(*[range(abs(di)) for di in divisors]):
-            reps.append(tuple(intlinalg.mat_vec(list(zip(*vinv)), list(combo))))
+        vinv_t = list(zip(*intlinalg.mat_inverse_unimodular(v)))
         found = []
-        for rep in reps:
-            bound = max(abs(c) for c in rep) + 2
-            hit = None
-            for x in itertools.product(range(-bound, bound + 1), repeat=m):
-                diff = [a - b for a, b in zip(x, rep)]
-                if not intlinalg.in_smith_row_span(d, v, diff):
-                    continue
-                # the first (x, w) of length 0: no closed-form term positive
-                for w, terms in enumerate(self._length_terms):
-                    if all(sum(map(mul, x, cv)) + t <= 0 for cv, t in terms):
-                        hit = (x, w)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                raise OmegaSearchExhausted(f"no length-0 element in coset of {rep}")
-            found.append(hit)
+        for combo in itertools.product(*(range(di) for di in divisors)):
+            # descend from t_x to the length-0 element of its coset t_x W_a
+            e = self.translation(intlinalg.mat_vec(vinv_t, combo))
+            while (n := self.length(e)) > 0:
+                step = next(
+                    (f for s in self.affine_simple if self.length(f := self.mult(e, s.elt)) < n), None
+                )
+                if step is None:
+                    raise OmegaSearchExhausted(
+                        f"{self.render(e)} has length {n} and no right descent in S^a")
+                e = step
+            found.append(e)
         ident = self.identity()
         others = sorted([e for e in found if e != ident])
         self.omega_elements = (ident,) + tuple(others)
         self.omega_names = tuple(
             "tau" if i == 0 else f"tau{i + 1}" for i in range(len(others))
         )
-        lookup = {e: i for i, e in enumerate(self.omega_elements)}
-        mult = []
-        for a in self.omega_elements:
-            row = []
-            for b in self.omega_elements:
-                p = self.mult(a, b)
-                if p not in lookup:
-                    raise OmegaSearchExhausted("Omega candidates not closed")
-                row.append(lookup[p])
-            mult.append(tuple(row))
-        self.omega_mult = tuple(mult)
+        members = set(self.omega_elements)
+        if any(self.mult(a, b) not in members for a in members for b in members):
+            raise OmegaSearchExhausted("Omega candidates not closed")
         acts = []
         for om in self.omega_elements:
             perm = []

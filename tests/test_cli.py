@@ -1,11 +1,15 @@
 """CLI: subcommands, exit codes, determinism, file input."""
 
+import argparse
 import json
+import pathlib
 
 import pytest
 
 from rigidhecke import conj, hecke, repn, rigidtab
 from rigidhecke.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -78,6 +82,68 @@ def test_jobs_option_removed(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "sl2", "--suite", "lengths", "--format", "json"],
+    ["reduce", "--preset", "sl2", "--word", "s1", "--format", "csv"],
+], ids=["verify", "reduce"])
+def test_format_option_only_where_read(capsys, argv):
+    # verify always writes JSON and reduce plain text: --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+# a cheap value for each option other than --preset, --datum and --out
+_CHEAP = {"max_length": "8", "format": "json", "spec": "q=2", "suite": "lengths", "word": "s1,s0"}
+
+
+def _subparsers(capsys, monkeypatch):
+    """The CLI's subcommand parsers by name, caught at the top-level parse."""
+    caught = []
+    parse = argparse.ArgumentParser.parse_args
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_args",
+                  lambda self, *a, **k: caught.append(self) or parse(self, *a, **k))
+        with pytest.raises(SystemExit):
+            main(["--help"])
+    capsys.readouterr()
+    return next(a for a in caught[0]._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_option_is_read(capsys, monkeypatch, tmp_path):
+    """Each subcommand runs once on --preset sl2 and once on a datum file,
+    with every other option it accepts set.  Each option must be read in
+    some run, unless every run that sets it is rejected (exit 2): an option
+    that is accepted but does nothing fails here."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    commands = _subparsers(capsys, monkeypatch)
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: Recording(**vars(parse(self, *a, **k))))
+    sources = {"preset": "sl2", "datum": str(DATA / "sl3.json")}
+    for command, sub in commands.items():
+        flags = {a.dest: a.option_strings[0] for a in sub._actions if a.dest != "help"}
+        values = dict(_CHEAP, out=str(tmp_path / "out"))
+        others = [arg for dest in flags if dest not in sources for arg in (flags[dest], values[dest])]
+        read, set_in_accepted_run = set(), set()
+        for dest, value in sources.items():
+            reads.clear()
+            code = main([command, flags[dest], value, *others])
+            capsys.readouterr()
+            read |= reads
+            if code != 2:
+                set_in_accepted_run |= set(flags) - (set(sources) - {dest})
+        unused = sorted(dest for dest in flags if dest not in read and dest in set_in_accepted_run)
+        assert not unused, f"{command}: options never read: {unused}"
+
+
 def test_reduce_examples(capsys):
     code, out, _ = run(capsys, "reduce", "--preset", "sl2", "--word", "s1,s0,s1")
     assert code == 0
@@ -133,6 +199,21 @@ def test_datum_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "classes", "--datum", str(path), "--format", "json")
     assert code == 0
     assert len(json.loads(out)["classes"]) == 3
+
+
+def test_datum_in_another_basis_of_x(capsys, tmp_path):
+    # pgl3 written in the basis g = [[-4, -3], [-1, -1]] of X: roots g(a),
+    # coroots g^-T(a^)
+    path = tmp_path / "pgl3g.json"
+    path.write_text(json.dumps({
+        "name": "pgl3g",
+        "lattice_rank": 2,
+        "simple_roots": [[-5, -1], [-2, -1]],
+        "simple_coroots": [[-1, 3], [1, -4]],
+    }))
+    code, out, err = run(capsys, "classes", "--datum", str(path), "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["classes"]) == 5
 
 
 def test_datum_file_error_exit2(capsys, tmp_path):

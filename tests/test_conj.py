@@ -234,7 +234,6 @@ def test_classes_sorted_and_records():
     assert lengths == sorted(lengths)
     for r in classes:
         assert all(wd.length(e) == r.min_length for e in r.min_reps)
-        assert r.J_O == tuple(range(wd.npi))  # Newton-zero => J_O = Pi
         js = r.to_json(wd)
         assert set(js) == {"rep", "min_length", "newton", "elliptic", "label"}
 

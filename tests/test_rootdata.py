@@ -87,8 +87,9 @@ def test_omega_groups():
     assert len(WeylData(preset("sl2")).omega_elements) == 1
     og = WeylData(preset("pgl2"))
     assert len(og.omega_elements) == 2
-    # tau^2 = 1: the mult table row of tau at tau gives the identity index
-    assert og.omega_mult[1][1] == 0
+    # tau^2 = 1
+    tau = og.omega_elements[1]
+    assert og.mult(tau, tau) == og.identity()
     assert len(WeylData(preset("c2-ext")).omega_elements) == 2
     assert len(WeylData(preset("c2-aff")).omega_elements) == 1
 

@@ -1,6 +1,7 @@
 """Extended affine Weyl arithmetic: lengths, balls, cosets, Newton points."""
 
 import itertools
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rigidhecke import intlinalg
+from rigidhecke.conj import count_identity_check, newton_zero_classes
 from rigidhecke.rootdata import PRESET_NAMES, BasedRootDatum, load_datum, preset
 from rigidhecke.weyl import WeylData
 
@@ -247,36 +249,6 @@ def test_dominant_rep():
         assert sum(a * b for a, b in zip(nu, wd.datum.simple_coroots[i])) >= 0
 
 
-_PERFBENCH_DATA = pathlib.Path(__file__).parent.parent / "perfbench" / "data"
-
-
-@pytest.mark.parametrize(
-    "path",
-    [None] + sorted(_DATA.glob("*.json"))
-    + [p for p in sorted(_PERFBENCH_DATA.glob("*.json")) if p.stem != "pins"],
-    ids=lambda p: "presets" if p is None else f"{p.parent.parent.name}/{p.stem}",
-)
-def test_smith_row_span_equals_in_lattice_over_omega_search_box(path):
-    """``_build_omega`` tests lattice membership against its one Smith form;
-    that test equals ``in_lattice`` (a fresh Smith form per vector) over the
-    whole search box of every coset representative."""
-    datums = [preset(n) for n in PRESET_NAMES] if path is None else [load_datum(str(path))]
-    checked = 0
-    for datum in datums:
-        amat = [list(r) for r in datum.simple_roots]
-        m = len(amat[0])
-        d, _u, v = intlinalg.smith_normal_form(amat)
-        vinv = intlinalg.mat_inverse_unimodular(v)
-        for combo in itertools.product(*[range(d[i][i]) for i in range(m)]):
-            rep = intlinalg.mat_vec(list(zip(*vinv)), list(combo))
-            bound = max(abs(c) for c in rep) + 2
-            for x in itertools.product(range(-bound, bound + 1), repeat=m):
-                diff = [a - b for a, b in zip(x, rep)]
-                assert intlinalg.in_smith_row_span(d, v, diff) == intlinalg.in_lattice(amat, diff)
-                checked += 1
-    assert checked
-
-
 @pytest.mark.parametrize("name", _DATUMS + [_RANK0])
 def test_generator_tables_equal_generic_products(name):
     """Right multiplication and conjugation by a generator read tables; they
@@ -345,3 +317,46 @@ def omega_by_length_search(wd):
 def test_omega_equals_cached_length_search(name):
     wd = wd_of(name)
     assert wd.omega_elements == omega_by_length_search(wd)
+
+
+# fixed unimodular changes of basis of X, per rank
+_BASES = {
+    2: ([[-4, -3], [-1, -1]], [[2, 1], [1, 1]]),
+    3: ([[1, 2, 0], [0, 1, 3], [1, 2, 1]], [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+}
+_PERFBENCH_PGL4 = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "pgl4.json"
+
+
+def change_of_basis(datum, g):
+    """The same datum written in the basis g of X: roots g(a), coroots g^-T(a^)."""
+    g_inv_t = [list(r) for r in zip(*intlinalg.mat_inverse_unimodular(g))]
+    return BasedRootDatum(
+        datum.name,
+        datum.rank,
+        tuple(tuple(intlinalg.mat_vec(g, a)) for a in datum.simple_roots),
+        tuple(tuple(intlinalg.mat_vec(g_inv_t, a)) for a in datum.simple_coroots),
+    )
+
+
+def class_summary(wd):
+    classes = newton_zero_classes(wd)
+    shape = sorted((r.min_length, r.elliptic, len(r.min_reps)) for r in classes)
+    return shape, count_identity_check(wd, classes=classes)
+
+
+@pytest.mark.parametrize("name", ["pgl3", "c2-ext", "pgl4", "b3p", "c3p"])
+def test_basis_change_keeps_omega_and_classes(name):
+    """Omega by descent needs no bound, so the datum may be written in any
+    basis of X: Omega has |X/Q| elements, all of length 0, and the classes
+    and the count identity are those of the original basis."""
+    if name == "pgl4":
+        datum = load_datum(str(_PERFBENCH_PGL4))
+    else:
+        datum = wd_of(name).datum
+    want = class_summary(WeylData(datum))
+    for g in _BASES[datum.rank]:
+        wd = WeylData(change_of_basis(datum, g))
+        d, _u, _v = intlinalg.smith_normal_form([list(a) for a in wd.datum.simple_roots])
+        assert len(wd.omega_elements) == math.prod(d[i][i] for i in range(wd.rank)), g
+        assert all(wd.length(om) == 0 for om in wd.omega_elements), g
+        assert class_summary(wd) == want, g
