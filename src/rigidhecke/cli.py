@@ -3,6 +3,11 @@
 Exit codes are a stable contract: 0 success, 1 verification or computation
 failure, 2 usage/input error.  Output is deterministic: identical
 invocations produce byte-identical output.
+
+At module level only the group layer and the datum suites are imported, so
+``classes`` and the datum-level ``verify`` suites never load the coefficient
+ring, the Hecke algebra or the module panels; ``table``, ``reduce`` and the
+panel suites import ``rigidtab`` and ``hecke`` when they run.
 """
 
 from __future__ import annotations
@@ -12,12 +17,18 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from . import rigidtab
-from .conj import NotFound, PlateauBudgetExceeded, UnstableAtBound, newton_zero_classes
-from .hecke import BudgetExceeded, ConversionBudgetExceeded, HeckeContext, NonNewtonZeroLeaf
-from .repn import RelationFailed
+from .conj import ComputationFailed, newton_zero_classes
+from .datumsuites import (
+    CLASS_COUNTS,
+    DATUM_SUITES,
+    SUITES,
+    datum_context,
+    render_csv,
+    render_markdown,
+)
 from .rootdata import (
     PRESET_NAMES,
     DatumFormatError,
@@ -102,7 +113,7 @@ def cmd_classes(args) -> int:
              str(r["elliptic"]).lower()]
             for r in records
         ]
-        render = rigidtab.render_csv if args.format == "csv" else rigidtab.render_markdown
+        render = render_csv if args.format == "csv" else render_markdown
         text = render(["label", "rep", "min_length", "newton", "elliptic"], rows)
     return _emit(text, args.out)
 
@@ -121,6 +132,8 @@ def _parse_spec(spec: str) -> dict:
 
 
 def cmd_table(args) -> int:
+    from . import rigidtab
+
     if not args.preset:
         print("error: table requires --preset (panel manifests are preset-bound)", file=sys.stderr)
         return EXIT_USAGE
@@ -155,25 +168,28 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in rigidtab.SUITES:
-        print(f"error: unknown suite {args.suite!r}; have {rigidtab.SUITES}", file=sys.stderr)
+    if args.suite not in SUITES:
+        print(f"error: unknown suite {args.suite!r}; have {SUITES}", file=sys.stderr)
         return EXIT_USAGE
-    manifest = rigidtab.MANIFESTS.get(args.preset)
-    if args.suite in rigidtab.DATUM_SUITES:
+    if args.suite in DATUM_SUITES:
         wd = _load_weyl(args)
         if wd is None:
             return EXIT_USAGE
-        pc = rigidtab.datum_context(wd, L=args.max_length, manifest=manifest)
-    elif manifest is not None:
-        pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
+        pc = datum_context(wd, args.max_length, CLASS_COUNTS.get(args.preset))
+        run = DATUM_SUITES[args.suite]
     else:
-        print(
-            "error: this suite needs a preset module panel (use --preset)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        from . import rigidtab
+
+        if args.preset not in rigidtab.MANIFESTS:
+            print(
+                "error: this suite needs a preset module panel (use --preset)",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
+        run = partial(rigidtab.run_suite, suite=args.suite)
     try:
-        checks = rigidtab.run_suite(pc, args.suite)
+        checks = run(pc)
     except Exception as exc:
         print(f"error: suite {args.suite} crashed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -194,6 +210,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import rigidtab
+    from .hecke import HeckeContext
+
     wd = _load_weyl(args)
     if wd is None:
         return EXIT_USAGE
@@ -253,7 +272,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
-    p_verify.add_argument("--suite", default="all", help=f"one of {rigidtab.SUITES}")
+    p_verify.add_argument("--suite", default="all", help=f"one of {SUITES}")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_reduce = sub.add_parser("reduce", help="reduce T_w to the T_O spanning set")
@@ -271,9 +290,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (UnstableAtBound, RelationFailed, rigidtab.TableMismatch, NotFound,
-            PlateauBudgetExceeded, BudgetExceeded, ConversionBudgetExceeded,
-            NonNewtonZeroLeaf) as exc:
+    except ComputationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -15,30 +15,34 @@ plateau has none, which by He-Nie is the minimal length of the class.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import intlinalg
 from .rootdata import semisimple_quotient
 from .weyl import Elt, WeylData, pi_subsets, union_find
 
 
-class PlateauBudgetExceeded(RuntimeError):
+class ComputationFailed(Exception):
+    """A computation that could not finish or certify its result; the CLI
+    reports it as one error line and exit 1.  Each subclass also keeps a
+    built-in base (RuntimeError, LookupError or AssertionError)."""
+
+
+class PlateauBudgetExceeded(ComputationFailed, RuntimeError):
     pass
 
 
-class UnstableAtBound(RuntimeError):
+class UnstableAtBound(ComputationFailed, RuntimeError):
     """Some Newton-zero class has minimal length above the given bound L."""
 
 
-class NotFound(LookupError):
+class NotFound(ComputationFailed, LookupError):
     """The element's class is not among the given records."""
 
 
-@dataclass(frozen=True)
-class ConjClassRecord:
+class ConjClassRecord(NamedTuple):
     """One Newton-zero conjugacy class, anchored on a canonical minimal rep."""
 
     rep: Elt
@@ -214,8 +218,7 @@ def brute_force_conjugacy_oracle(wd: WeylData, a: Elt, b: Elt, L: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CountIdentityReport:
+class CountIdentityReport(NamedTuple):
     """Per-parabolic elliptic counts versus the Newton-zero class total."""
 
     ok: bool

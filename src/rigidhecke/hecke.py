@@ -29,7 +29,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Mapping, Optional, Sequence
 
-from .conj import ConjClassRecord, NotFound, class_record, plateau
+from .conj import ComputationFailed, ConjClassRecord, NotFound, class_record, plateau
 from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean
 from .rootdata import SemisimpleQuotient, semisimple_quotient
 from .weyl import Elt, WeylData, union_find
@@ -38,15 +38,15 @@ Vec = tuple[int, ...]
 BKey = tuple[Vec, int]  # (theta exponent, finite Weyl index)
 
 
-class ConversionBudgetExceeded(RuntimeError):
+class ConversionBudgetExceeded(ComputationFailed, RuntimeError):
     pass
 
 
-class NonNewtonZeroLeaf(RuntimeError):
+class NonNewtonZeroLeaf(ComputationFailed, RuntimeError):
     """Cocenter reduction reached a class outside the provided list."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ComputationFailed, RuntimeError):
     pass
 
 

@@ -195,9 +195,3 @@ def solve_integer(cols: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
             if t[i] != 0:
                 return None
     return mat_vec(v, y)
-
-
-def in_lattice(gens: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
-    """Is x in the integer span of the generator rows?"""
-    return solve_integer(list(gens), list(x)) is not None
-

@@ -21,12 +21,13 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import intlinalg
+from .conj import ComputationFailed
 from .exactpoly import LaurentPoly, PolyMatrix
 from .hecke import BernsteinElt, HeckeContext, HeckeElt, QuotientAlgebra
 from .weyl import Elt
 
 
-class RelationFailed(RuntimeError):
+class RelationFailed(ComputationFailed, RuntimeError):
     """A defining relation does not hold; names the relation family."""
 
 

@@ -15,7 +15,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .conj import classify, key_partition, newton_zero_classes, oracle_partition
+from .conj import ComputationFailed, classify, newton_zero_classes
+from .datumsuites import (
+    CLASS_COUNTS,
+    DATUM_SUITES,
+    SUITES,
+    CheckResult,
+    _check,
+    render_csv,
+    render_markdown,
+    suite_classes,
+    suite_counts,
+    suite_lengths,
+)
 from .exactpoly import (
     LaurentPoly,
     PolyMatrix,
@@ -41,7 +53,7 @@ from .rootdata import preset as datum_preset
 from .weyl import WeylData, pi_subsets
 
 
-class TableMismatch(AssertionError):
+class TableMismatch(ComputationFailed, AssertionError):
     pass
 
 
@@ -111,7 +123,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_sl2_det,
         det_text="-(q+1)^2",
-        class_counts=(3, 2),
+        class_counts=CLASS_COUNTS["sl2"],
     ),
     "pgl2": PresetManifest(
         name="pgl2",
@@ -125,7 +137,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_pgl2_det,
         det_text="2(q+1)",
-        class_counts=(3, 2),
+        class_counts=CLASS_COUNTS["pgl2"],
     ),
     "c2-aff": PresetManifest(
         name="c2-aff",
@@ -165,7 +177,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_c2_det,
         det_text="-(1+q0)^3(1+q1)^3(1+q2)^3(q0+q1)(q1+q2)(1+q0*q1)(1+q1*q2)",
-        class_counts=(9, 5),
+        class_counts=CLASS_COUNTS["c2-aff"],
     ),
 }
 
@@ -180,6 +192,11 @@ class PresetContext:
     classes: list
     rows: list  # ConjClassRecord per manifest row
     modules: list  # FinDimModule per column
+
+    @property
+    def class_counts(self) -> Optional[tuple[int, int]]:
+        """The manifest's expected class counts, read by the datum suites."""
+        return self.manifest.class_counts
 
 
 def _match_signature(alg: HeckeContext, mods: Sequence[FinDimModule], sig: dict) -> FinDimModule:
@@ -225,9 +242,10 @@ def panel_modules(ctx: HeckeContext, man: PresetManifest) -> list[FinDimModule]:
 def datum_context(
     wd: WeylData, L: Optional[int] = None, manifest: Optional[PresetManifest] = None
 ) -> PresetContext:
-    """A context without a module panel, for the suites in ``DATUM_SUITES``:
-    every Newton-zero class is a row.  A preset's ``manifest`` supplies the
-    parameter merging and the expected class counts."""
+    """A context without a module panel: every Newton-zero class is a row.
+    A preset's ``manifest`` supplies the parameter merging and the expected
+    class counts.  (The CLI runs the datum suites on the lighter
+    ``datumsuites.datum_context``, which builds no algebra.)"""
     man = manifest if manifest is not None else PresetManifest(wd.datum.name)
     ctx = HeckeContext(wd, orbit_assignment=man.orbit_assignment)
     classes = newton_zero_classes(wd, L)
@@ -244,18 +262,6 @@ def build_preset_context(name: str, L: Optional[int] = None) -> PresetContext:
         raise TableMismatch("manifest rows do not enumerate the Newton-zero classes")
     pc.modules = panel_modules(pc.ctx, man)
     return pc
-
-
-def render_markdown(head: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """A markdown table: header row, separator, then one line per row."""
-    lines = ["| " + " | ".join(head) + " |", "|" + "|".join(["---"] * len(head)) + "|"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(head: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Comma-separated lines, header first (cells are never quoted)."""
-    return "\n".join(",".join(row) for row in [head, *rows]) + "\n"
 
 
 @dataclass
@@ -331,21 +337,6 @@ def build_rigid_table(pc: PresetContext) -> RigidTable:
     return RigidTable(man.name, man.row_labels, tuple(c.label for c in man.columns), entries, qtable)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    detail: str
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-
-def _check(name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", detail)
-
-
 def determinant_check(table: RigidTable, expected: LaurentPoly, up_to_monomial: bool = False) -> CheckResult:
     """Compare det(table) with the expected product, up to sign.
 
@@ -396,8 +387,6 @@ ADJUNCTION_SEED = 20240
 ADJUNCTION_SAMPLES = 6
 DENSITY_SEED = 41
 DENSITY_EXTRAS = 5
-LENGTH_RADIUS = 8
-ORACLE_RADIUS = 6
 
 
 def _all_params(table_or_qt, value) -> dict:
@@ -680,20 +669,6 @@ def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
     ]
 
 
-def suite_counts(pc: PresetContext) -> list[CheckResult]:
-    from .conj import count_identity_check
-
-    rep = count_identity_check(pc.wd, classes=pc.classes)
-    return [
-        _check(
-            "count-identity",
-            rep.ok,
-            f"sum_J |elliptic/N_J| = {rep.total}, |cl(W~)_0| = {rep.expected}; "
-            + ", ".join(f"J={list(J)}:{n}" for J, n in rep.per_J),
-        )
-    ]
-
-
 def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
     """Module relation certificates plus algebra-level structural checks."""
     ctx = pc.ctx
@@ -773,69 +748,6 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
     return out
 
 
-def suite_lengths(pc: PresetContext) -> list[CheckResult]:
-    wd = pc.wd
-    ball = wd.enumerate_ball(LENGTH_RADIUS)
-    bad = sum(1 for e in ball if sum(1 for w in wd.word(e) if w in wd.sa_index) != wd.length(e))
-    ok_inverse = all(wd.length(e) == wd.length(wd.inv(e)) for e in ball)
-    ok_omega = all(
-        wd.length(wd.conjugate(om, e)) == wd.length(e)
-        for om in wd.omega_elements[1:]
-        for e in ball[:200]
-    )
-    return [
-        _check(
-            f"length-vs-bfs[radius={LENGTH_RADIUS}]",
-            bad == 0,
-            f"{len(ball)} elements, {bad} mismatches",
-        ),
-        _check("length-inverse", ok_inverse, "l(e) = l(e^-1)"),
-        _check("length-omega-invariance", ok_omega, "l(ω e ω^-1) = l(e)"),
-    ]
-
-
-def suite_classes(pc: PresetContext) -> list[CheckResult]:
-    wd = pc.wd
-    out = []
-    n_ell = sum(1 for r in pc.classes if r.elliptic)
-    if pc.manifest.class_counts is not None:
-        want, want_ell = pc.manifest.class_counts
-        out.append(
-            _check(
-                "class-counts",
-                len(pc.classes) == want and n_ell == want_ell,
-                f"{len(pc.classes)} Newton-zero classes, {n_ell} elliptic",
-            )
-        )
-    # minimality certificate: no single conjugation strictly shortens a min rep
-    ok = all(
-        wd.length(wd.conjugate(s.elt, e)) >= rec.min_length
-        for rec in pc.classes
-        for e in rec.min_reps
-        for s in wd.affine_simple
-    )
-    out.append(_check("minimality-certificate", ok, "no move s e s shortens a minimal representative"))
-    # oracle agreement on the radius-6 ball
-    elems = [e for e in wd.enumerate_ball(ORACLE_RADIUS) if wd.has_finite_order(e)]
-    key_sets = {frozenset(g) for g in key_partition(wd, elems)}
-    oracle_sets = {frozenset(g) for g in oracle_partition(wd, elems, ORACLE_RADIUS)}
-    out.append(
-        _check(
-            f"oracle-agreement[radius={ORACLE_RADIUS}]",
-            key_sets == oracle_sets,
-            f"{len(key_sets)} key classes vs {len(oracle_sets)} oracle classes",
-        )
-    )
-    # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant
-    ok = all(
-        classify(wd, wd.conjugate(om, rec.rep), pc.classes).label == rec.label
-        for rec in pc.classes
-        for om in wd.omega_elements[1:]
-    ) and all(wd.is_elliptic(e) == rec.elliptic for rec in pc.classes for e in rec.min_reps)
-    out.append(_check("class-invariants", ok, "Ω-closure and elliptic constancy"))
-    return out
-
-
 class _SuiteInputs:
     """The table and bar-A elements of one context, each built at most once
     and shared by the suites of one ``run_suite`` call."""
@@ -866,11 +778,6 @@ _SUITE_TABLE: dict[str, Callable[[_SuiteInputs], list[CheckResult]]] = {
     "density": lambda s: suite_density(s.pc, s.table),
     "counts": lambda s: suite_counts(s.pc),
 }
-
-SUITES = tuple(_SUITE_TABLE) + ("all",)
-
-# the suites that read only the group data, never the module panel
-DATUM_SUITES = ("lengths", "classes", "counts")
 
 
 def run_suite(pc: PresetContext, suite: str) -> list[CheckResult]:

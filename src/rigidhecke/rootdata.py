@@ -10,9 +10,8 @@ re-exported here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import intlinalg
 
@@ -39,8 +38,7 @@ class DatumFormatError(ValueError):
     """Malformed datum file; the message cites the offending field."""
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(NamedTuple):
     name: str
     rank: int
     simple_roots: tuple[Vec, ...]
@@ -51,8 +49,7 @@ class BasedRootDatum:
         return sum(a * b for a, b in zip(x, cv))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """All roots of a datum, each carried with its coroot and positivity."""
 
     roots: tuple[Vec, ...]
@@ -168,8 +165,7 @@ def _simple_root_coords(datum: BasedRootDatum, v: Sequence[int]):
     return out
 
 
-@dataclass(frozen=True)
-class SemisimpleQuotient:
+class SemisimpleQuotient(NamedTuple):
     """The datum (X_J, R_J, X_J^, R_J^, J) plus the lattice maps around it.
 
     ``proj`` maps X-coordinates to X_J-coordinates (rows of the matrix act on

@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import intlinalg
 from .rootdata import (
@@ -167,8 +166,7 @@ class FinWeylGroup:
         return n
 
 
-@dataclass(frozen=True)
-class AffineSimple:
+class AffineSimple(NamedTuple):
     """One element of S^a = S ∪ {t_{-gamma} s_gamma : gamma in R_m}."""
 
     name: str

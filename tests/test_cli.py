@@ -246,9 +246,9 @@ def test_out_unwritable_exit2(capsys, tmp_path, monkeypatch, command):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work ran before --out was checked")
 
-    for module, name in ((cli, "WeylData"), (cli, "newton_zero_classes"), (cli, "HeckeContext"),
-                         (rigidtab, "build_preset_context"), (rigidtab, "build_rigid_table"),
-                         (rigidtab, "run_suite")):
+    for module, name in ((cli, "WeylData"), (cli, "newton_zero_classes"), (cli, "datum_context"),
+                         (hecke, "HeckeContext"), (rigidtab, "build_preset_context"),
+                         (rigidtab, "build_rigid_table"), (rigidtab, "run_suite")):
         monkeypatch.setattr(module, name, no_work)
     out_path = tmp_path / "missing-dir" / "out.txt"
     code, out, err = run(capsys, *SL2_COMMANDS[command], "--preset", "sl2", "--out", str(out_path))
@@ -402,3 +402,33 @@ def test_computation_failure_exit1(capsys, monkeypatch, name):
     assert code == 1
     assert out == ""
     assert err == f"error: injected {name}\n"
+
+
+def test_panel_verify_builds_its_context_once(capsys, monkeypatch):
+    builds = []
+    real = rigidtab.build_preset_context
+    monkeypatch.setattr(rigidtab, "build_preset_context",
+                        lambda *a, **k: builds.append(a) or real(*a, **k))
+    code, _, err = run(capsys, "verify", "--preset", "sl2", "--suite", "twist")
+    assert code == 0, err
+    assert builds == [("sl2",)]
+
+
+# each computation failure, with the built-in base it had before it shared one
+COMPUTATION_FAILURE_BASES = {
+    conj.UnstableAtBound: RuntimeError,
+    conj.NotFound: LookupError,
+    conj.PlateauBudgetExceeded: RuntimeError,
+    hecke.BudgetExceeded: RuntimeError,
+    hecke.ConversionBudgetExceeded: RuntimeError,
+    hecke.NonNewtonZeroLeaf: RuntimeError,
+    repn.RelationFailed: RuntimeError,
+    rigidtab.TableMismatch: AssertionError,
+}
+
+
+@pytest.mark.parametrize("exc", sorted(COMPUTATION_FAILURE_BASES, key=lambda e: e.__name__),
+                         ids=lambda e: e.__name__)
+def test_computation_failures_share_one_base(exc):
+    assert issubclass(exc, conj.ComputationFailed)
+    assert issubclass(exc, COMPUTATION_FAILURE_BASES[exc])

@@ -373,3 +373,10 @@ def test_theta_laws_failure_names_pair(monkeypatch):
     x, y, _x_plus_y = seen[-3:]  # the failing draw asks for θ_x, θ_y, θ_{x+y}
     assert (1,) in (x, y) and (0,) not in (x, y)
     assert detail == f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {(x, y)}"
+
+
+def test_cli_suite_names_are_the_suite_table():
+    from rigidhecke import datumsuites
+
+    assert datumsuites.SUITES == tuple(rigidtab._SUITE_TABLE) + ("all",)
+    assert set(datumsuites.DATUM_SUITES) < set(rigidtab._SUITE_TABLE)

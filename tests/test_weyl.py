@@ -289,6 +289,11 @@ def test_finite_order_by_norm_rows_radius6(name):
     assert seen == ({True} if wd.rank == 0 else {True, False})
 
 
+def in_lattice(gens, x):
+    """Is x in the integer span of the generator rows?"""
+    return intlinalg.solve_integer(list(gens), list(x)) is not None
+
+
 def omega_by_length_search(wd):
     """Omega as the search of ``_build_omega`` finds it through the cached
     ``length``: per coset of X/Q, the first (x, w) of length 0 in the coset's
@@ -305,7 +310,7 @@ def omega_by_length_search(wd):
         hit = next(
             (x, w)
             for x in itertools.product(range(-bound, bound + 1), repeat=wd.rank)
-            if intlinalg.in_lattice(amat, [a - b for a, b in zip(x, rep)])
+            if in_lattice(amat, [a - b for a, b in zip(x, rep)])
             for w in range(wd.W.size)
             if wd.length((x, w)) == 0
         )
