@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .conj import ComputationFailed, classify, newton_zero_classes
+# DATUM_SUITES and SUITES are re-exported: callers of run_suite read them here
 from .datumsuites import (
     CLASS_COUNTS,
     DATUM_SUITES,
