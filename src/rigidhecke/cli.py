@@ -190,6 +190,8 @@ def cmd_verify(args) -> int:
         run = partial(rigidtab.run_suite, suite=args.suite)
     try:
         checks = run(pc)
+    except ComputationFailed:
+        raise  # main reports it, as it does for a panel that fails to build
     except Exception as exc:
         print(f"error: suite {args.suite} crashed: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -38,8 +38,8 @@ canonical (lexicographic) order is the integer order of the keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Mapping, Sequence, Union
 
@@ -84,29 +84,43 @@ class PolyParseError(ValueError):
     """Malformed canonical polynomial string."""
 
 
-@dataclass(frozen=True)
 class VarTable:
     """Ordered variable context for a computation.
 
     The order is fixed for the lifetime of a context: the canonical monomial
-    ordering (and hence printing and golden files) depends on it.
+    ordering (and hence printing and golden files) depends on it.  A table is
+    immutable, and two tables are equal when their names and kinds are.
     """
 
-    names: tuple[str, ...]
-    kinds: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-    _bias: int = field(init=False, repr=False, compare=False)  # _BOUND in every field
+    __slots__ = ("names", "kinds", "_index", "_bias")
 
-    def __post_init__(self):
-        if len(self.names) != len(set(self.names)):
-            raise ValueError(f"duplicate variable names: {self.names}")
-        if len(self.names) != len(self.kinds):
+    def __init__(self, names: tuple[str, ...], kinds: tuple[str, ...]):
+        if len(names) != len(set(names)):
+            raise ValueError(f"duplicate variable names: {names}")
+        if len(names) != len(kinds):
             raise ValueError("names and kinds must have equal length")
-        for k in self.kinds:
+        for k in kinds:
             if k not in _KINDS:
                 raise ValueError(f"unknown variable kind {k!r}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
-        object.__setattr__(self, "_bias", sum(_BOUND << (_FIELD * i) for i in range(len(self))))
+        init = object.__setattr__
+        init(self, "names", names)
+        init(self, "kinds", kinds)
+        init(self, "_index", {n: i for i, n in enumerate(names)})
+        init(self, "_bias", sum(_BOUND << (_FIELD * i) for i in range(len(names))))  # _BOUND per field
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a VarTable is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VarTable):
+            return NotImplemented
+        return self.names == other.names and self.kinds == other.kinds
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.kinds))
+
+    def __repr__(self) -> str:
+        return f"VarTable(names={self.names!r}, kinds={self.kinds!r})"
 
     def __len__(self) -> int:
         return len(self.names)
@@ -199,6 +213,12 @@ def _clean(table: "VarTable", raw: dict) -> "LaurentPoly":
                 raise OverflowError(f"an exponent left [-{_BOUND}, {_BOUND}) over {table.names}")
             terms[e] = c if type(c) is int else _norm(c)
     return LaurentPoly._of(table, terms)
+
+
+def _degree_box(table: "VarTable", terms: Mapping[int, Coeff]) -> tuple[list, list]:
+    """The least and the greatest exponent of each variable in a term map."""
+    cols = list(zip(*map(table.unpack, terms)))
+    return [min(c) for c in cols], [max(c) for c in cols]
 
 
 def _coeff(c) -> Coeff:
@@ -349,45 +369,67 @@ class LaurentPoly:
     def exact_div(self, other) -> "LaurentPoly":
         """Quotient q with other * q == self, or :class:`NotDivisible`.
 
-        Laurent divisibility: both operands are shifted by monomials into the
-        ordinary polynomial ring, where sparse lead-term division applies.
+        Laurent divisibility on packed keys: both operands are shifted by
+        their packed minima into the ordinary polynomial ring, where sparse
+        lead-term division applies.  If other divides self, the quotient's
+        degree in each variable is the difference of the operands' degree
+        spans, so every quotient term lies in the box [0, span_self -
+        span_other]; one mask test on the guard bits checks a term against
+        both faces of the box.  Every remainder term then lies in [0,
+        span_self], a field of at most 15 bits, so key arithmetic never
+        carries.  The remainder's terms come off a max-heap, and the result
+        goes through :func:`_clean`, whose guard check raises
+        ``OverflowError`` on a quotient outside the exponent range.
         """
         other = self._lift(other)
         if other.is_zero():
             raise NotDivisible("division by zero")
         if self.is_zero():
             return LaurentPoly._of(self.table, {})
-        unpack = self.table.unpack
-        a = {unpack(e): c for e, c in self.terms.items()}
-        b = {unpack(e): c for e, c in other.terms.items()}
-        shift_a = tuple(map(min, zip(*a)))
-        shift_b = tuple(map(min, zip(*b)))
-        num = {tuple(map(sub, e, shift_a)): c for e, c in a.items()}
-        den = {tuple(map(sub, e, shift_b)): c for e, c in b.items()}
-        quo: dict[Exponent, Coeff] = {}
+        table = self.table
+        lo_a, hi_a = _degree_box(table, self.terms)
+        lo_b, hi_b = _degree_box(table, other.terms)
+        span = [(h - l) - (hb - lb) for l, h, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+        if any(d < 0 for d in span):
+            raise NotDivisible(f"{other} does not divide {self}")
+        shift_a, shift_b = table.pack(lo_a), table.pack(lo_b)
+        box = sum(d << (_FIELD * i) for i, d in enumerate(reversed(span)))
+        guard = table._bias << 1  # the top bit of every field
+        num = {e - shift_a: c for e, c in self.terms.items()}
+        den = {e - shift_b: c for e, c in other.terms.items()}
         lead = max(den)  # lex order; any term order works for exact division
         lc = den[lead]
-        while num:
-            t = max(num)
-            q = tuple(map(sub, t, lead))
-            if any(x < 0 for x in q):
+        heap = [-e for e in num]
+        heapify(heap)
+        quo: dict[int, Coeff] = {}
+        while heap:
+            t = -heappop(heap)
+            a = num.pop(t, 0)
+            if not a:  # cancelled after it was pushed
+                continue
+            q = t - lead
+            # every field of q in [0, box]: q + guard and box - q + guard keep their guard bits
+            if (q + guard) & (box - q + guard) & guard != guard:
                 raise NotDivisible(f"{other} does not divide {self}")
-            a = num[t]
             # int // int stays exact only when lc divides a; int / int is a float
             if type(a) is int and type(lc) is int and a % lc == 0:
                 cq = a // lc
             else:
-                cq = _norm(Fraction(a) / lc)
+                cq = Fraction(a) / lc
             quo[q] = cq
             for e, c in den.items():
-                ee = tuple(map(add, q, e))
+                if e == lead:
+                    continue
+                ee = q + e
                 s = num.get(ee, 0) - cq * c
                 if s:
-                    num[ee] = _norm(s)
+                    if ee not in num:
+                        heappush(heap, -ee)
+                    num[ee] = s
                 else:
                     del num[ee]  # cq * c is nonzero, so ee was a term of num
-        shift_q = tuple(map(sub, shift_a, shift_b))
-        return LaurentPoly(self.table, {tuple(map(add, e, shift_q)): c for e, c in quo.items()})
+        shift_q = shift_a - shift_b
+        return _clean(table, {q + shift_q: c for q, c in quo.items()})
 
     # -- substitution ------------------------------------------------------
 

@@ -20,14 +20,21 @@ Accumulation: products, basis changes and reductions add every contribution
 into one raw term map per basis key (``exactpoly._addmul``), which becomes a
 coefficient once: at the end, or when an elimination takes its key off the
 work map.
+
+Products run along the prefix tree of reduced words.  ``WeylData.word`` gives
+the lex-least geodesic word, and every prefix of such a word is the lex-least
+word of its own element, so h·T_w for the support of a product is computed as
+h·T_{w'}·T_s from the memoised h·T_{w'} of the prefix w' = w minus its last
+letter s: each distinct prefix costs one generator step.  Right division by
+T_s is one pass of the same step: T_e T_s^{-1} = T_{es} when the length goes
+down, and Q^{-1} T_{es} + (Q^{-1} - 1) T_e when it goes up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .conj import ComputationFailed, ConjClassRecord, NotFound, class_record, plateau
 from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean
@@ -150,6 +157,9 @@ class HeckeContext:
         ]
         self.Q_of_sa = [v * v for v in self.v_of_sa]
         self._quad_of_sa = [(self._one.terms, Q.terms, (Q - 1).terms) for Q in self.Q_of_sa]
+        # the same for T_s^{-1} = Q^{-1} T_s + (Q^{-1} - 1): 1, Q^{-1} and Q^{-1} - 1
+        inverses = [Q.inverse() for Q in self.Q_of_sa]
+        self._quadinv_of_sa = [(self._one.terms, Qi.terms, (Qi - 1).terms) for Qi in inverses]
         # per finite simple root: v, Q, and the q(s)q(s~) twin data
         self._build_finite_pairs()
         self.two_rho_vee = [0] * wd.rank
@@ -552,15 +562,21 @@ class HeckeElt(_Combination):
         return HeckeElt._of_raw(ctx, raw)
 
     def mul_geninv_right(self, name: str) -> "HeckeElt":
-        """Multiply by T_s^{-1} = Q^{-1} T_s + (Q^{-1} - 1), or T_ω^{-1}."""
+        """Multiply by T_s^{-1} = Q^{-1} T_s + (Q^{-1} - 1), or T_ω^{-1}, in one
+        pass: T_e T_s^{-1} is T_{es} if the length goes down, else
+        Q^{-1} T_{es} + (Q^{-1} - 1) T_e (the step of ``_quadratic_step``
+        with Q^{-1} for Q and the length test reversed)."""
         ctx = self.ctx
         wd = ctx.wd
         if name not in wd.sa_index:
             inv = wd.gen_inverse[name]
             return HeckeElt(ctx, {wd.mult_gen(e, inv): v for e, v in self.c.items()})
-        Q = ctx.Q_of_sa[wd.sa_index[name]]
-        qi = Q.inverse()
-        return self.mul_gen_right(name).scale(qi) + self.scale(qi - 1)
+        quad = ctx._quadinv_of_sa[wd.sa_index[name]]
+        raw: dict = {}
+        for e, v in self.c.items():
+            es = wd.mult_gen(e, name)
+            _quadratic_step(raw, e, es, wd.length(es) < wd.length(e), v, quad)
+        return HeckeElt._of_raw(ctx, raw)
 
     def mul_word_right(self, letters: Sequence[str], inverse: bool = False) -> "HeckeElt":
         """self T_{l1} ... T_{lk} for the generator names l, or with
@@ -571,10 +587,18 @@ class HeckeElt(_Combination):
         return out
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
+        """Σ_w (self·T_w) c_w, each self·T_w one step from that of its word's
+        prefix (module docstring)."""
         word = self.ctx.wd.word
-        return HeckeElt.combination(
-            self.ctx, ((self.mul_word_right(word(e)), v) for e, v in other.c.items())
-        )
+        right = {(): self}  # letters -> self·T_letters, for this product only
+
+        def times(letters: tuple[str, ...]) -> "HeckeElt":
+            got = right.get(letters)
+            if got is None:
+                got = right[letters] = times(letters[:-1]).mul_gen_right(letters[-1])
+            return got
+
+        return HeckeElt.combination(self.ctx, ((times(word(e)), v) for e, v in other.c.items()))
 
     def render(self) -> str:
         wd = self.ctx.wd
@@ -613,8 +637,7 @@ class BernsteinElt(_Combination):
         return f"BernsteinElt({len(self.c)} terms)"
 
 
-@dataclass(frozen=True)
-class CocenterCombination:
+class CocenterCombination(NamedTuple):
     """Σ a_O T_O with pairwise distinct classes."""
 
     ctx: HeckeContext

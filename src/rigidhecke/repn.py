@@ -5,19 +5,23 @@ for modules of the full algebra; the J-reflections for parabolic modules)
 plus matrices for θ of ± each lattice basis vector.  Construction goes
 through four paths: the one-dimensional solver, parahoric lifts, inflation
 along χ_t, and parabolic induction.  Every constructor re-verifies the
-defining relations as exact matrix identities; a module that fails
+defining relations as exact matrix identities; a module that fails its
+certificate is never returned.
 
-its certificate is never returned.
+A module is fixed at construction: its generator and θ matrices are set by
+the constructor and cannot be reassigned.  So its actions are memoised on the
+module: the matrix of a word is that of its prefix times the last generator's,
+and the matrix of θ_x is that of x with one unit taken off its last nonzero
+coordinate times the matching θ_{±e_i}.  Each memo multiplies in the order of
+the uncached product, so a memoised matrix equals the uncached one exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 from . import intlinalg
@@ -73,33 +77,68 @@ def monomial_roots(p: LaurentPoly, d: int) -> list[LaurentPoly]:
     return [LaurentPoly.monomial(p.table, ee, r) for r in _nth_root_fraction(c, d)]
 
 
-@dataclass
 class FinDimModule:
-    """Generator matrices of a representation; immutable after verification."""
+    """Generator matrices of a representation, fixed at construction.
 
-    alg: HeckeContext
-    scope: Optional[tuple[int, ...]]  # None: full algebra; else the subset J of Pi
-    dim: int
-    tmat: dict  # generator name -> PolyMatrix
-    theta_pos: list  # per lattice basis vector
-    theta_neg: list
-    twist_vars: tuple[str, ...] = ()
+    ``scope`` is None for a module of the full algebra, else the subset J of
+    Pi; ``tmat`` maps generator names to matrices; ``theta_pos`` and
+    ``theta_neg`` hold θ of +e_i and -e_i per lattice basis vector.
+    """
+
+    __slots__ = (
+        "alg", "scope", "dim", "tmat", "theta_pos", "theta_neg", "twist_vars",
+        "_words", "_thetas",
+    )
+
+    def __init__(
+        self,
+        alg: HeckeContext,
+        scope: Optional[tuple[int, ...]],
+        dim: int,
+        tmat: dict,
+        theta_pos: Sequence[PolyMatrix],
+        theta_neg: Sequence[PolyMatrix],
+        twist_vars: tuple[str, ...] = (),
+    ):
+        init = object.__setattr__
+        init(self, "alg", alg)
+        init(self, "scope", scope)
+        init(self, "dim", dim)
+        init(self, "tmat", MappingProxyType(dict(tmat)))
+        init(self, "theta_pos", tuple(theta_pos))
+        init(self, "theta_neg", tuple(theta_neg))
+        init(self, "twist_vars", tuple(twist_vars))
+        ident = PolyMatrix.identity(alg.table, dim)
+        init(self, "_words", {(): ident})  # letters -> matrix of T_letters
+        init(self, "_thetas", {(0,) * alg.wd.rank: ident})  # x -> matrix of θ_x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a FinDimModule is fixed at construction; cannot set {name!r}")
 
     # -- actions -------------------------------------------------------------
 
-    def _product(self, factors: Sequence[PolyMatrix]) -> PolyMatrix:
-        """The product of the factor matrices, the identity for none."""
-        return reduce(mul, factors) if factors else PolyMatrix.identity(self.alg.table, self.dim)
-
     def theta_of(self, x: Sequence[int]) -> PolyMatrix:
-        return self._product([
-            self.theta_pos[i] if k > 0 else self.theta_neg[i]
-            for i, k in enumerate(x) for _ in range(abs(k))
-        ])
+        """The matrix of θ_x: the product over i of θ_{±e_i}^{|x_i|}, in order."""
+        x = tuple(x)
+        got = self._thetas.get(x)
+        if got is None:
+            i = max(k for k, c in enumerate(x) if c)
+            step = 1 if x[i] > 0 else -1
+            factor = (self.theta_pos if step > 0 else self.theta_neg)[i]
+            rest = x[:i] + (x[i] - step,) + x[i + 1:]
+            got = self.theta_of(rest) * factor if any(rest) else factor
+            self._thetas[x] = got
+        return got
 
     def word_mat(self, letters: Sequence[str]) -> PolyMatrix:
         """The matrix of T_{l1} ... T_{lk} for the generator names l."""
-        return self._product([self.tmat[name] for name in letters])
+        letters = tuple(letters)
+        got = self._words.get(letters)
+        if got is None:
+            last = self.tmat[letters[-1]]
+            got = last if len(letters) == 1 else self.word_mat(letters[:-1]) * last
+            self._words[letters] = got
+        return got
 
     def act_parabolic(self, elt: BernsteinElt) -> PolyMatrix:
         """The matrix of an element of H_J in Bernstein form."""
@@ -486,8 +525,11 @@ def lift_from_parahoric(
             else alg.Q_of_sa[wd.sa_index[s.name]]
         )
         tmat[s.name] = PolyMatrix.identity(alg.table, dim).scale(val)
-    mod = FinDimModule(alg, None, dim, tmat, [], [])
-    mod.theta_pos, mod.theta_neg = _theta_mats(wd.rank, lambda x: mod.act(alg.theta_im(x)))
+    # θ acts through the IM form of θ_x, on the generators alone
+    gens = FinDimModule(alg, None, dim, tmat, [], [])
+    pos, neg = _theta_mats(wd.rank, lambda x: gens.act(alg.theta_im(x)))
+    mod = FinDimModule(alg, None, dim, tmat, pos, neg)
+    mod._words.update(gens._words)  # the same generator matrices
     mod.verify_relations()
     return mod
 

@@ -5,15 +5,18 @@ and one column per module of the preset panel; entries are exact traces,
 rendered in the squared parameters Q.  The three table presets pin the
 row order, the column selection (by trace signature), and the determinant,
 which is compared up to sign against the expanded product formula.
+
+A preset context builds its module panel the first time a suite reads it, so
+the suites that build their own modules (``mackey``, ``adjunction``,
+``twist``) never pay for the panel.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .conj import ComputationFailed, classify, newton_zero_classes
 # DATUM_SUITES and SUITES are re-exported: callers of run_suite read them here
@@ -58,20 +61,19 @@ class TableMismatch(ComputationFailed, AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Module descriptor, as in the CLI JSON interface."""
+class ColumnSpec(NamedTuple):
+    """Module descriptor, as in the CLI JSON interface (the default dicts
+    are shared and never written)."""
 
     label: str
     kind: str  # "onedim" | "lift" | "induced"
-    signature: dict = field(default_factory=dict)
+    signature: dict = {}
     J: tuple[int, ...] = ()
     module: str = ""
-    scalars: dict = field(default_factory=dict)
+    scalars: dict = {}
 
 
-@dataclass(frozen=True)
-class PresetManifest:
+class PresetManifest(NamedTuple):
     """A preset's table layout and expectations; a datum without a preset
     gets ``PresetManifest(name)``, which has no panel and expects nothing."""
 
@@ -183,16 +185,38 @@ MANIFESTS: dict[str, PresetManifest] = {
 }
 
 
-@dataclass
 class PresetContext:
-    """Everything the table and suites need, built once per preset."""
+    """Everything the table and suites need, built once per preset.
 
-    manifest: PresetManifest
-    wd: WeylData
-    ctx: HeckeContext
-    classes: list
-    rows: list  # ConjClassRecord per manifest row
-    modules: list  # FinDimModule per column
+    ``rows`` holds the ConjClassRecord of each manifest row.  ``modules``, the
+    certified FinDimModule of each manifest column, is built by
+    :func:`panel_modules` the first time it is read, unless the constructor
+    is given the panel.
+    """
+
+    __slots__ = ("manifest", "wd", "ctx", "classes", "rows", "_modules")
+
+    def __init__(
+        self,
+        manifest: PresetManifest,
+        wd: WeylData,
+        ctx: HeckeContext,
+        classes: list,
+        rows: list,
+        modules: Optional[list] = None,
+    ):
+        self.manifest = manifest
+        self.wd = wd
+        self.ctx = ctx
+        self.classes = classes
+        self.rows = rows
+        self._modules = modules
+
+    @property
+    def modules(self) -> list:
+        if self._modules is None:
+            self._modules = panel_modules(self.ctx, self.manifest)
+        return self._modules
 
     @property
     def class_counts(self) -> Optional[tuple[int, int]]:
@@ -254,27 +278,37 @@ def datum_context(
 
 
 def build_preset_context(name: str, L: Optional[int] = None) -> PresetContext:
-    """The datum context of a preset with the manifest's rows and panel."""
+    """The context of a preset with the manifest's rows; its panel is built
+    when first read."""
     man = MANIFESTS[name]
-    pc = datum_context(WeylData(datum_preset(name)), L, man)
-    wd = pc.wd
-    pc.rows = [classify(wd, wd.evaluate_word(word), pc.classes) for word in man.row_words]
-    if len({r.label for r in pc.rows}) != len(man.row_labels) or len(pc.rows) != len(pc.classes):
+    wd = WeylData(datum_preset(name))
+    ctx = HeckeContext(wd, orbit_assignment=man.orbit_assignment)
+    classes = newton_zero_classes(wd, L)
+    rows = [classify(wd, wd.evaluate_word(word), classes) for word in man.row_words]
+    if len({r.label for r in rows}) != len(man.row_labels) or len(rows) != len(classes):
         raise TableMismatch("manifest rows do not enumerate the Newton-zero classes")
-    pc.modules = panel_modules(pc.ctx, man)
-    return pc
+    return PresetContext(man, wd, ctx, classes, rows)
 
 
-@dataclass
 class RigidTable:
     """Exact rigid character table, entries in the Q-variables."""
 
-    name: str
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    entries: list  # rows of LaurentPoly over the Q-table
-    qtable: VarTable
-    _det: Optional[LaurentPoly] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "row_labels", "col_labels", "entries", "qtable", "_det")
+
+    def __init__(
+        self,
+        name: str,
+        row_labels: tuple[str, ...],
+        col_labels: tuple[str, ...],
+        entries: list,  # rows of LaurentPoly over the Q-table
+        qtable: VarTable,
+    ):
+        self.name = name
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        self.entries = entries
+        self.qtable = qtable
+        self._det: Optional[LaurentPoly] = None
 
     def det(self) -> LaurentPoly:
         """The determinant, computed once per table."""
@@ -735,7 +769,8 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
         x = tuple(rng.randint(-1, 1) for _ in range(m))
         y = tuple(rng.randint(-1, 1) for _ in range(m))
         tx, ty = ctx.theta_im(x), ctx.theta_im(y)
-        if tx * ty != ty * tx or tx * ty != ctx.theta_im(tuple(a + b for a, b in zip(x, y))):
+        txy = tx * ty
+        if txy != ty * tx or txy != ctx.theta_im(tuple(a + b for a, b in zip(x, y))):
             bad = (x, y)
             break
     out.append(

@@ -366,6 +366,21 @@ def test_datum_level_verify_builds_no_panel(capsys, monkeypatch, request, preset
     assert out == want
 
 
+@pytest.mark.parametrize("suite", ["mackey", "adjunction", "twist"])
+@pytest.mark.parametrize("preset", ["sl2", "pgl2", "c2-aff"])
+def test_self_building_suites_build_no_panel(capsys, monkeypatch, preset, suite):
+    """mackey, adjunction and twist build the modules they test themselves,
+    so under ``verify`` they never build a module of the preset panel."""
+
+    def no_panel(*_args, **_kwargs):
+        raise AssertionError(f"verify --suite {suite} built a panel module")
+
+    monkeypatch.setattr(rigidtab, "resolve_column", no_panel)
+    code, out, err = run(capsys, "verify", "--preset", preset, "--suite", suite)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "pass" for c in checks)
+
 
 _VERIFY_SL2 = ["verify", "--preset", "sl2", "--suite", "relations"]
 _REDUCE_SL2 = ["reduce", "--preset", "sl2", "--word", "s1,s0"]

@@ -1,9 +1,10 @@
-"""What the package and the datum commands load.
+"""What the package and its commands load.
 
 ``import rigidhecke`` loads no submodule, and ``classes`` and the datum-level
 ``verify`` suites load only the group layer: no Laurent ring, Hecke algebra,
-module panel or table code, and no ``dataclasses``.  Each command runs in a
-fresh interpreter, since this one has loaded everything already.
+module panel or table code, and no ``dataclasses``.  The panel commands load
+no ``dataclasses`` either.  Each command runs in a fresh interpreter, since
+this one has loaded everything already.
 """
 
 import json
@@ -92,6 +93,18 @@ def test_datum_command_loads_only_the_group_layer(command, source):
     stdout = _fresh("-c", _PROBE, json.dumps(NOT_ON_THE_DATUM_PATH), *command, *source)
     code, loaded, probed = json.loads(stdout.splitlines()[-1])
     assert code == 0
+    assert probed == [], loaded
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--preset", "sl2"],
+    ["verify", "--preset", "sl2", "--suite", "relations"],
+], ids=["table", "verify-relations"])
+def test_panel_command_loads_no_dataclasses(command):
+    stdout = _fresh("-c", _PROBE, json.dumps(["dataclasses"]), *command)
+    code, loaded, probed = json.loads(stdout.splitlines()[-1])
+    assert code == 0
+    assert "rigidhecke.repn" in loaded
     assert probed == [], loaded
 
 

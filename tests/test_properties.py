@@ -4,6 +4,7 @@ Bareiss against cofactor expansion, the IM -> Bernstein -> IM round trip and
 its elimination order, and the parabolic subgroups W_J read off the
 lex-least reduced words."""
 
+import heapq
 import pathlib
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from rigidhecke.exactpoly import (
     _BOUND,
     LaurentPoly,
+    NotDivisible,
     PolyMatrix,
     VarTable,
     _addmul,
@@ -50,6 +52,67 @@ def test_laurent_ring_laws(a, b, c):
 @given(polys, nonzero_polys)
 def test_exact_div_undoes_multiplication(a, b):
     assert (a * b).exact_div(b) == a
+
+
+T3 = VarTable(("v0", "v1", "z0"), ("param-sqrt", "param-sqrt", "twist"))
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-3, 3)), coeffs, max_size=5
+).map(lambda t: LaurentPoly(T3, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys, wide_polys.filter(bool), wide_polys.filter(bool))
+def test_packed_exact_div(a, b, r):
+    """Division on packed keys: it undoes a product of Laurent polynomials
+    with negative exponents and Fraction coefficients, and it rejects a
+    dividend that is a product plus a remainder the divisor does not divide."""
+    assert (a * b).exact_div(b) == a
+    if any(x < y for x, y in zip(_spans(r), _spans(b))):
+        # a degree span of b·q is that of b plus that of q, so r is no multiple of b
+        with pytest.raises(NotDivisible):
+            (a * b + r).exact_div(b)
+
+
+def _spans(p):
+    """The degree span (greatest minus least exponent) of each variable."""
+    cols = list(zip(*(e for e, _ in p.sorted_terms())))
+    return [max(c) - min(c) for c in cols]
+
+
+def test_packed_exact_div_edges():
+    v0, v1 = T2.gens()
+    one = LaurentPoly.const(T2, 1)
+    assert (v0 + v1).exact_div(v0 + v1) == one
+    with pytest.raises(NotDivisible):
+        (v0 + 1).exact_div(v0 - 1)
+    with pytest.raises(NotDivisible):  # the divisor spans more than the dividend
+        (v0 + 1).exact_div(v0 * v0 + 1)
+    with pytest.raises(NotDivisible):
+        one.exact_div(LaurentPoly(T2, {}))
+    # operands that span the whole exponent range
+    lo = LaurentPoly.monomial(T2, (-_BOUND, 0))
+    hi = LaurentPoly.monomial(T2, (_BOUND - 1, 0))
+    assert (lo + hi).exact_div(one) == lo + hi
+    assert (lo * v1 + hi * v1).exact_div(v1) == lo + hi
+    with pytest.raises(OverflowError):  # x^(-2^14) / x^(2^14 - 1) leaves the range
+        lo.exact_div(hi)
+    with pytest.raises(OverflowError):
+        (lo + lo * v1).exact_div(hi + hi * v1)
+
+
+def test_packed_exact_div_stops_outside_the_box(monkeypatch):
+    """A quotient term outside the degree box ends the division at once: for
+    x^5 + y^16383 over x + y^16383 the box is [0, 4] x [0, 0], and the second
+    quotient term x^3 y^16383 leaves it."""
+    import rigidhecke.exactpoly as ep
+
+    pops = []
+    monkeypatch.setattr(ep, "heappop", lambda heap: pops.append(1) or heapq.heappop(heap))
+    x, _ = T2.gens()
+    y_top = LaurentPoly.monomial(T2, (0, 16383))
+    with pytest.raises(NotDivisible):
+        (x ** 5 + y_top).exact_div(x + y_top)
+    assert len(pops) == 2
 
 
 def _assert_int_first(p):
@@ -270,6 +333,55 @@ def test_hecke_product_equals_sum_of_word_products(a_terms, b_terms):
     assert got == want
     for v in got.c.values():
         _assert_int_first(v)
+
+
+_PRESET_CTX = {name: HeckeContext(WeylData(preset(name))) for name in ("sl2", "pgl2", "c2-aff")}
+
+
+@st.composite
+def _preset_elts(draw, name, size=4):
+    """An element Σ c T_e of the preset's algebra over its radius-4 ball (the
+    ball of pgl2 has words with the Ω letter tau)."""
+    ctx = _PRESET_CTX[name]
+    v = ctx.table.gens()[0]
+    ball = ctx.wd.enumerate_ball(4)
+    h = ctx.elt({})
+    for _ in range(draw(st.integers(1, size))):
+        e = draw(st.sampled_from(ball))
+        c = draw(st.fractions(-3, 3, max_denominator=2).filter(bool))
+        h = h + ctx.T(e).scale(v ** draw(st.integers(-1, 2)) * c)
+    return h
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_CTX))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_prefix_tree_product_equals_letter_by_letter(name, data):
+    """a·b along the prefix tree of the words of b's support equals the sum
+    of a·T_{l1}·...·T_{lk} c taken letter by letter for each term c T_w."""
+    ctx = _PRESET_CTX[name]
+    a = data.draw(_preset_elts(name))
+    b = data.draw(_preset_elts(name, size=6))
+    want = ctx.elt({})
+    for e, c in b.c.items():
+        want = want + a.mul_word_right(ctx.wd.word(e)).scale(c)
+    assert a * b == want
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_CTX))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fused_inverse_step(name, data):
+    """h·T_s·T_s^{-1} = h, and the one-pass inverse step equals
+    h·(Q^{-1} T_s + (Q^{-1} - 1)) for every generator s of S^a and Ω."""
+    ctx = _PRESET_CTX[name]
+    h = data.draw(_preset_elts(name))
+    for g in ctx.wd.gen_names:
+        assert h.mul_gen_right(g).mul_geninv_right(g) == h
+        assert h.mul_geninv_right(g).mul_gen_right(g) == h
+        if g in ctx.wd.sa_index:
+            qi = ctx.Q_of_sa[ctx.wd.sa_index[g]].inverse()
+            assert h.mul_geninv_right(g) == h.mul_gen_right(g).scale(qi) + h.scale(qi - 1)
 
 
 def _im_to_bernstein_by_max(ctx, h):

@@ -1,7 +1,10 @@
 """Modules: certificates, constructors, traces, twists, the A-projector on traces."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -10,6 +13,7 @@ from rigidhecke.exactpoly import LaurentPoly, PolyMatrix, render_in_Q
 from rigidhecke.hecke import HeckeContext
 from rigidhecke.repn import (
     _nth_root_fraction,
+    FinDimModule,
     RelationFailed,
     TwistChar,
     apply_iKrK,
@@ -64,13 +68,16 @@ def test_certificates_and_corruption():
     )
     assert "quadratic" in st.verify_relations()
     broken = PolyMatrix([[LaurentPoly.const(ctx.table, 7)]])
-    st.tmat = dict(st.tmat)
-    orig = st.tmat["s1"]
-    st.tmat["s1"] = broken
+    corrupt = FinDimModule(
+        ctx, st.scope, st.dim, {**st.tmat, "s1": broken}, st.theta_pos, st.theta_neg
+    )
     with pytest.raises(RelationFailed):
-        st.verify_relations()
-    st.tmat["s1"] = orig
+        corrupt.verify_relations()
     st.verify_relations()
+    with pytest.raises(AttributeError):
+        st.tmat = {}
+    with pytest.raises(TypeError):
+        st.tmat["s1"] = broken
 
 
 def test_trivial_module_certificate():
@@ -282,3 +289,23 @@ def test_nth_root_fraction_is_exact_for_huge_values():
     assert _nth_root_fraction(big**2 + 1, 2) == []
     assert _nth_root_fraction(Fraction(3**40), 4) == [Fraction(3**10), Fraction(-(3**10))]
     assert _nth_root_fraction(Fraction(-(7**60), 2**90), 3) == [Fraction(-(7**20), 2**30)]
+
+
+def test_memoised_actions_equal_uncached_products(pc_c2):
+    """On every c2-aff panel module, the memoised matrices of words and of θ_x
+    equal the uncached products, for every word of length <= 4 and every x
+    with |x|_1 <= 3."""
+    wd = pc_c2.wd
+    words = [w for k in range(5) for w in itertools.product(wd.gen_names, repeat=k)]
+    xs = [x for x in itertools.product(range(-3, 4), repeat=wd.rank) if sum(map(abs, x)) <= 3]
+    assert len(words) == 121 and len(xs) == 25
+    for mod in pc_c2.modules:
+        ident = PolyMatrix.identity(pc_c2.ctx.table, mod.dim)
+        for w in words:
+            assert mod.word_mat(w) == reduce(mul, [mod.tmat[name] for name in w], ident), w
+        for x in xs:
+            factors = [
+                mod.theta_pos[i] if k > 0 else mod.theta_neg[i]
+                for i, k in enumerate(x) for _ in range(abs(k))
+            ]
+            assert mod.theta_of(x) == reduce(mul, factors, ident), x

@@ -199,18 +199,17 @@ def test_T_O_well_defined_across_min_reps(pc_sl2, pc_pgl2, pc_c2):
 
 
 def test_pairing_at_minus_one_can_fail(pc_sl2, table_sl2):
-    import dataclasses
-
     from rigidhecke.exactpoly import LaurentPoly
 
     def status(pc):
         return {c.name: c.status for c in rigidtab.suite_pairing(pc, table_sl2)}
 
     assert status(pc_sl2)["pairing-at-q=-1"] == "pass"
-    wrong = dataclasses.replace(
-        pc_sl2.manifest, det_product=lambda qt: LaurentPoly.const(qt, 1)
+    wrong = pc_sl2.manifest._replace(det_product=lambda qt: LaurentPoly.const(qt, 1))
+    pc_wrong = rigidtab.PresetContext(
+        wrong, pc_sl2.wd, pc_sl2.ctx, pc_sl2.classes, pc_sl2.rows, pc_sl2.modules
     )
-    assert status(dataclasses.replace(pc_sl2, manifest=wrong))["pairing-at-q=-1"] == "fail"
+    assert status(pc_wrong)["pairing-at-q=-1"] == "fail"
 
 
 def test_pairing_runs_one_determinant(pc_sl2, monkeypatch):
@@ -283,9 +282,8 @@ def _check_named(checks, name):
 def _bare_sl2():
     """A fresh sl2 context without module columns: the fakes below may
     poison its caches, and the module certificates are not under test."""
-    import dataclasses
-
-    return dataclasses.replace(rigidtab.build_preset_context("sl2"), modules=[])
+    pc = rigidtab.build_preset_context("sl2")
+    return rigidtab.PresetContext(pc.manifest, pc.wd, pc.ctx, pc.classes, pc.rows, [])
 
 
 def test_mackey_failure_names_probe(pc_sl2, monkeypatch):
