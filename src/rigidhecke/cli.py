@@ -76,15 +76,8 @@ def _out_writable(out_path) -> bool:
 
 
 # input errors of a root datum: unreadable, malformed or out of scope
-_DATUM_ERRORS = (
-    OSError,
-    DatumFormatError,
-    KeyError,
-    NotCartan,
-    InfiniteWeylGroup,
-    NotReduced,
-    OmegaSearchExhausted,
-)
+_DATUM_ERRORS = (OSError, DatumFormatError, KeyError, NotCartan, InfiniteWeylGroup, NotReduced,
+                 OmegaSearchExhausted)
 
 
 def _load_weyl(args) -> Optional[WeylData]:

@@ -1,33 +1,44 @@
-"""Based root data: validation, root systems, quotients, presets, file IO.
+"""Based root data: validation, the finite Weyl group, root systems,
+quotients, presets, file IO.
 
 A based root datum is (X, R, X^, R^, Pi) with X = Z^m, the pairing being the
-dot product, and simple roots/coroots given as integer vectors.  The derived
-affine data (affine simple system, parameter orbits, Omega) needs extended
-affine Weyl arithmetic and lives in :mod:`rigidhecke.weyl`; thin wrappers are
-re-exported here.
+dot product, and simple roots/coroots given as integer vectors.  Validation
+decides finite type from the Cartan matrix, and the finite Weyl group is then
+enumerated once.  The derived affine data (affine simple system, parameter
+orbits, Omega) needs extended affine Weyl arithmetic and lives in
+:mod:`rigidhecke.weyl`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import intlinalg
 
 Vec = tuple[int, ...]
 
+W_LIMIT = 100_000  # the largest |W| enumerated; B7 (645,120 elements) exceeds it
+
 
 class NotCartan(ValueError):
-    """Some <alpha_i, alpha_i^> is not 2."""
+    """The simple roots and coroots give no generalized Cartan matrix
+    a_ij = <alpha_j, alpha_i^>: their numbers or ranks differ, some a_ii is
+    not 2, some a_ij with i != j is positive, or a_ij = 0 while a_ji != 0;
+    the last two name the pair (i, j)."""
 
 
 class InfiniteWeylGroup(ValueError):
-    """Weyl closure exceeded the finiteness bound."""
+    """W is infinite or too large to enumerate: the Dynkin graph has a cycle
+    (the message names the edge closing it), a leading principal minor of
+    the Cartan matrix is not positive (it names the order k), or |W| exceeds
+    :data:`W_LIMIT`."""
 
 
 class NotReduced(ValueError):
-    """Some root is twice another root."""
+    """Some simple root is twice another."""
 
 
 class UnknownPreset(KeyError):
@@ -68,28 +79,84 @@ def _reflect(datum: BasedRootDatum, i: int, v: Vec, cv: Vec) -> tuple[Vec, Vec]:
     )
 
 
-def validate_datum(datum: BasedRootDatum, weyl_bound: int = 100_000) -> int:
-    """Check the datum invariants; return |W| as the certificate.
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Class representative of each of 0..n-1 after merging every pair.
 
-    Raises :class:`NotCartan`, :class:`InfiniteWeylGroup` or
-    :class:`NotReduced`.
+    Merging (i, j) attaches the class of i below the class of j.
     """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
+
+
+def _check_finite_type(datum: BasedRootDatum) -> None:
+    """Raise unless the datum is a based root datum of finite type; see
+    :func:`validate_datum`.  Nothing is enumerated."""
     m = datum.rank
-    if len(datum.simple_roots) != len(datum.simple_coroots):
+    roots, coroots = datum.simple_roots, datum.simple_coroots
+    if len(roots) != len(coroots):
         raise NotCartan("unequal numbers of simple roots and coroots")
-    for v in list(datum.simple_roots) + list(datum.simple_coroots):
+    for v in (*roots, *coroots):
         if len(v) != m:
             raise NotCartan(f"vector {v} has wrong rank (expected {m})")
-    for i, (a, av) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
-        if datum.pairing(a, av) != 2:
-            raise NotCartan(f"<alpha_{i}, alpha_{i}^> = {datum.pairing(a, av)} != 2")
-    size = _weyl_order(datum, weyl_bound)
-    rs = generate_root_system(datum, weyl_bound)
-    root_set = set(rs.roots)
-    for v in rs.roots:
-        if tuple(2 * x for x in v) in root_set:
-            raise NotReduced(f"root {v} and its double both occur")
-    return size
+    k = len(roots)
+    a = [[datum.pairing(x, cv) for x in roots] for cv in coroots]
+    for i in range(k):
+        if a[i][i] != 2:
+            raise NotCartan(f"<alpha_{i}, alpha_{i}^> = {a[i][i]} != 2")
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    for i, j in pairs:
+        if all(2 * x == y for x, y in zip(roots[i], roots[j])):
+            raise NotReduced(f"simple root alpha_{j} = {roots[j]} is twice alpha_{i}")
+    for i, j in pairs:
+        if a[i][j] > 0:
+            raise NotCartan(f"Cartan entry a_({i},{j}) = <alpha_{j}, alpha_{i}^> = {a[i][j]} > 0")
+        if (a[i][j] == 0) != (a[j][i] == 0):
+            raise NotCartan(f"Cartan entries a_({i},{j}) = {a[i][j]} and a_({j},{i}) = {a[j][i]}: "
+                            "one is 0, the other not")
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]]
+    for t, (i, j) in enumerate(edges):
+        comp = union_find(k, edges[:t])
+        if comp[i] == comp[j]:
+            raise InfiniteWeylGroup(f"the Dynkin graph has a cycle through edge ({i}, {j}), so W is infinite")
+    # Bareiss elimination: a[t][t] is the leading principal minor of order t + 1
+    prev = 1
+    for t in range(k):
+        if a[t][t] <= 0:
+            raise InfiniteWeylGroup(
+                f"leading principal minor {t + 1} of the Cartan matrix is {a[t][t]} <= 0, so W is infinite")
+        for i in range(t + 1, k):
+            for j in range(t + 1, k):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+
+
+def validate_datum(datum: BasedRootDatum) -> int:
+    """Check that the datum is a based root datum of finite type; return |W|.
+
+    With A = (a_ij), a_ij = <alpha_j, alpha_i^>, in exact integer arithmetic:
+    1. equal numbers of simple roots and coroots, all of rank m, and a_ii = 2;
+    2. no simple root is twice another (else :class:`NotReduced`);
+    3. a_ij <= 0 for i != j, and a_ij = 0 exactly when a_ji = 0;
+    4. the Dynkin graph, with an edge where a_ij != 0, has no cycle;
+    5. every leading principal minor of A is positive.
+    1 and 3 raise :class:`NotCartan`, 4 and 5 :class:`InfiniteWeylGroup`.
+    Under 3 and 4, A = D B with D positive diagonal and B symmetric, so by
+    Sylvester 5 says that B is positive definite: A has finite type (Kac,
+    *Infinite-dimensional Lie algebras*, ch. 4; Humphreys, *Reflection Groups
+    and Coxeter Groups*, §2.3–2.7) and W is finite.  W is then enumerated
+    once; past :data:`W_LIMIT` elements it raises :class:`InfiniteWeylGroup`.
+    """
+    _check_finite_type(datum)
+    return FinWeylGroup(datum).size
 
 
 def reflection_matrix(a: Sequence[int], av: Sequence[int]) -> tuple[Vec, ...]:
@@ -99,29 +166,66 @@ def reflection_matrix(a: Sequence[int], av: Sequence[int]) -> tuple[Vec, ...]:
     return tuple(tuple(int(r == j) - av[j] * a[r] for j in range(m)) for r in range(m))
 
 
-def _weyl_order(datum: BasedRootDatum, bound: int) -> int:
-    m = datum.rank
-    if m == 0 or not datum.simple_roots:
-        return 1
-    gens = [reflection_matrix(a, av) for a, av in zip(datum.simple_roots, datum.simple_coroots)]
-    ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                prod = intlinalg.mat_mul(s, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise InfiniteWeylGroup(f"Weyl closure exceeded {bound}")
-        frontier = nxt
-    return len(seen)
+class FinWeylGroup:
+    """The finite Weyl group of a datum that passes the finite-type test of
+    :func:`validate_datum`, fully materialized with BFS data.
+
+    Element 0 is the identity; ``word[i]`` is the lexicographically least
+    reduced word (as a tuple of simple-reflection positions into Pi).
+    """
+
+    def __init__(self, datum: BasedRootDatum):
+        self.datum = datum
+        m = datum.rank
+        k = len(datum.simple_roots)
+        gen_mats = [reflection_matrix(datum.simple_roots[i], datum.simple_coroots[i]) for i in range(k)]
+        ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        self.mats: list[tuple] = [ident]
+        self.index: dict[tuple, int] = {ident: 0}
+        self.length: list[int] = [0]
+        self.word: list[tuple[int, ...]] = [()]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for wi in sorted(frontier, key=lambda t: self.word[t]):
+                for g in range(k):
+                    mat = intlinalg.mat_mul(self.mats[wi], gen_mats[g])
+                    if mat not in self.index:
+                        self.index[mat] = len(self.mats)
+                        self.mats.append(mat)
+                        self.length.append(self.length[wi] + 1)
+                        self.word.append(self.word[wi] + (g,))
+                        nxt.append(self.index[mat])
+                        if len(self.mats) > W_LIMIT:
+                            raise InfiniteWeylGroup(f"|W| exceeds the limit of {W_LIMIT} elements")
+            frontier = nxt
+        self.size = len(self.mats)
+        self.gen_index = [self.index[gm] for gm in gen_mats]
+        self._mult_memo: dict[tuple[int, int], int] = {}
+        self.inverse = [self.index[tuple(map(tuple, intlinalg.mat_inverse_unimodular(a)))]
+                        for a in self.mats]
+
+    def mult(self, a: int, b: int) -> int:
+        key = (a, b)
+        got = self._mult_memo.get(key)
+        if got is None:
+            got = self.index[intlinalg.mat_mul(self.mats[a], self.mats[b])]
+            self._mult_memo[key] = got
+        return got
+
+    def act(self, w: int, x: Sequence[int]) -> Vec:
+        return tuple(sum(map(mul, row, x)) for row in self.mats[w])
+
+    def order_of(self, w: int) -> int:
+        n = 1
+        cur = w
+        while cur != 0:
+            cur = self.mult(cur, w)
+            n += 1
+        return n
 
 
-def generate_root_system(datum: BasedRootDatum, bound: int = 100_000) -> RootSystem:
+def generate_root_system(datum: BasedRootDatum) -> RootSystem:
     """Orbit closure of the simple roots under the simple reflections."""
     pairs = {(a, av) for a, av in zip(datum.simple_roots, datum.simple_coroots)}
     frontier = list(pairs)
@@ -133,22 +237,16 @@ def generate_root_system(datum: BasedRootDatum, bound: int = 100_000) -> RootSys
                 if p not in pairs:
                     pairs.add(p)
                     nxt.append(p)
-                    if len(pairs) > bound:
-                        raise InfiniteWeylGroup(f"root closure exceeded {bound}")
+                    if len(pairs) > W_LIMIT:
+                        raise InfiniteWeylGroup(f"more than {W_LIMIT} roots")
         frontier = nxt
     roots = sorted(pairs)
-    pos = [_is_positive(datum, v) for v, _ in roots]
+    # the reflections preserve the span of the simple roots, so every root has
+    # coordinates in them; it is positive when they are nonnegative
+    pos = [all(c >= 0 for c in _simple_root_coords(datum, v)) for v, _ in roots]
     return RootSystem(
         tuple(v for v, _ in roots), tuple(cv for _, cv in roots), tuple(pos)
     )
-
-
-def _is_positive(datum: BasedRootDatum, v: Vec) -> bool:
-    """Is v a nonnegative rational combination of the simple roots?"""
-    coeffs = _simple_root_coords(datum, v)
-    if coeffs is None:
-        raise ValueError(f"{v} is not in the span of the simple roots")
-    return all(c >= 0 for c in coeffs)
 
 
 def _simple_root_coords(datum: BasedRootDatum, v: Sequence[int]):
@@ -279,7 +377,7 @@ def datum_from_dict(raw: dict, source: str = "<datum>") -> BasedRootDatum:
     if not isinstance(name, str) or not name:
         fail("name", "required nonempty string")
     rank = raw.get("lattice_rank")
-    if not isinstance(rank, int) or rank < 0:
+    if type(rank) is not int or rank < 0:
         fail("lattice_rank", "required nonnegative integer")
 
     def vectors(field):
@@ -289,7 +387,7 @@ def datum_from_dict(raw: dict, source: str = "<datum>") -> BasedRootDatum:
         out = []
         for k, row in enumerate(v):
             if not isinstance(row, list) or len(row) != rank or not all(
-                isinstance(x, int) for x in row
+                type(x) is int for x in row
             ):
                 fail(field, f"entry {k} must be a length-{rank} integer vector")
             out.append(tuple(row))

@@ -57,12 +57,15 @@ from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import intlinalg
-from .rootdata import (
+from .rootdata import (  # noqa: F401  perfbench/traced_job.py wraps weyl.validate_datum
     BasedRootDatum,
     DatumFormatError,
+    FinWeylGroup,
     generate_root_system,
     reflection_matrix,
+    union_find,
     validate_datum,
+    _check_finite_type,
     _simple_root_coords,
 )
 
@@ -77,93 +80,10 @@ class OmegaSearchExhausted(RuntimeError):
     normalizing S^a).  No search is involved."""
 
 
-def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Class representative of each of 0..n-1 after merging every pair.
-
-    Merging (i, j) attaches the class of i below the class of j.
-    """
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    return [find(i) for i in range(n)]
-
-
 def pi_subsets(npi: int) -> list[tuple[int, ...]]:
     """All subsets of the simple-root positions 0..npi-1, by size, then
     lexicographically (so the full set comes last)."""
     return [c for r in range(npi + 1) for c in itertools.combinations(range(npi), r)]
-
-
-class FinWeylGroup:
-    """The finite Weyl group, fully materialized with BFS data.
-
-    Element 0 is the identity; ``word[i]`` is the lexicographically least
-    reduced word (as a tuple of simple-reflection positions into Pi).
-    """
-
-    def __init__(self, datum: BasedRootDatum, bound: int = 100_000):
-        self.datum = datum
-        m = datum.rank
-        k = len(datum.simple_roots)
-        gen_mats = [reflection_matrix(datum.simple_roots[i], datum.simple_coroots[i]) for i in range(k)]
-        ident = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-        self.mats: list[tuple] = [ident]
-        self.index: dict[tuple, int] = {ident: 0}
-        self.length: list[int] = [0]
-        self.word: list[tuple[int, ...]] = [()]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for wi in sorted(frontier, key=lambda t: self.word[t]):
-                for g in range(k):
-                    mat = intlinalg.mat_mul(self.mats[wi], gen_mats[g])
-                    if mat not in self.index:
-                        self.index[mat] = len(self.mats)
-                        self.mats.append(mat)
-                        self.length.append(self.length[wi] + 1)
-                        self.word.append(self.word[wi] + (g,))
-                        nxt.append(self.index[mat])
-                        if len(self.mats) > bound:
-                            raise RuntimeError("Weyl group exceeded bound")
-            frontier = nxt
-        self.size = len(self.mats)
-        self.gen_index = [self.index[gm] for gm in gen_mats]
-        self._mult_memo: dict[tuple[int, int], int] = {}
-        self.inverse = [self.index[self._matinv(mat)] for mat in self.mats]
-
-    @staticmethod
-    def _matinv(a):
-        m = len(a)
-        if m == 0:
-            return ()
-        inv = intlinalg.mat_inverse_unimodular([list(r) for r in a])
-        return tuple(tuple(row) for row in inv)
-
-    def mult(self, a: int, b: int) -> int:
-        key = (a, b)
-        got = self._mult_memo.get(key)
-        if got is None:
-            got = self.index[intlinalg.mat_mul(self.mats[a], self.mats[b])]
-            self._mult_memo[key] = got
-        return got
-
-    def act(self, w: int, x: Sequence[int]) -> Vec:
-        return tuple(sum(map(mul, row, x)) for row in self.mats[w])
-
-    def order_of(self, w: int) -> int:
-        n = 1
-        cur = w
-        while cur != 0:
-            cur = self.mult(cur, w)
-            n += 1
-        return n
 
 
 class AffineSimple(NamedTuple):
@@ -179,14 +99,17 @@ class AffineSimple(NamedTuple):
 class WeylData:
     """All derived group data of a based root datum, lazily materialized."""
 
-    def __init__(self, datum: BasedRootDatum, weyl_bound: int = 100_000):
+    def __init__(self, datum: BasedRootDatum):
         self.datum = datum
-        validate_datum(datum, weyl_bound)
+        _check_finite_type(datum)
         self.rank = datum.rank
+        self.npi = len(datum.simple_roots)
+        if self.npi != self.rank:  # the simple roots are independent, so Q has rank npi
+            raise OmegaSearchExhausted("X/Q is infinite (datum not semisimple); Omega not materialized")
         self._identity = ((0,) * self.rank, 0)
         self._length_cache: dict[Elt, int] = {}
-        self.roots = generate_root_system(datum, weyl_bound)
-        self.W = FinWeylGroup(datum, weyl_bound)
+        self.W = FinWeylGroup(datum)
+        self.roots = generate_root_system(datum)
         self.root_index = {v: i for i, v in enumerate(self.roots.roots)}
         pos = self.roots.positive
         # per w, one (beta_i^, [beta_i < 0] - [beta_k < 0]) for each root
@@ -200,7 +123,6 @@ class WeylData:
             )
             for w in range(self.W.size)
         ]
-        self.npi = len(datum.simple_roots)
         self._build_affine_simples()
         self._build_omega()
         self._build_orbits()
@@ -369,17 +291,8 @@ class WeylData:
 
     def _build_omega(self):
         m = self.rank
-        if m == 0:
-            self.omega_elements = (self.identity(),)
-            self.omega_names = ()
-            self.omega_action_sa = ((),)
-            return
         d, _u, v = intlinalg.smith_normal_form([list(r) for r in self.datum.simple_roots])
-        divisors = [d[i][i] if i < min(len(d), m) else 0 for i in range(m)]
-        if any(x == 0 for x in divisors):
-            raise OmegaSearchExhausted(
-                "X/Q is infinite (datum not semisimple); Omega not materialized"
-            )
+        divisors = [d[i][i] for i in range(m)]
         vinv_t = list(zip(*intlinalg.mat_inverse_unimodular(v)))
         found = []
         for combo in itertools.product(*(range(di) for di in divisors)):
@@ -647,20 +560,14 @@ class WeylData:
 
     # -- cosets ---------------------------------------------------------------------
 
+    def _keeps_positive(self, w: int, j: int) -> bool:
+        """w(alpha_j) > 0, that is l(w s_j) > l(w)."""
+        return self.roots.positive[self.root_index[self.W.act(w, self.datum.simple_roots[j])]]
+
     def minimal_coset_reps(self, J: Sequence[int]) -> list[int]:
         """W^J = {w : l(w s_j) > l(w) for all j in J}, sorted by (length, word)."""
-        out = []
-        for w in range(self.W.size):
-            ok = True
-            for j in J:
-                img = self.W.act(w, self.datum.simple_roots[j])
-                if not self.roots.positive[self.root_index[img]]:
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-        out.sort(key=lambda w: (self.W.length[w], self.W.word[w]))
-        return out
+        out = [w for w in range(self.W.size) if all(self._keeps_positive(w, j) for j in J)]
+        return sorted(out, key=lambda w: (self.W.length[w], self.W.word[w]))
 
     def double_coset_reps(self, K: Sequence[int], J: Sequence[int]):
         """^K W^J with K_w = K ∩ wJw^{-1} and J_w = J ∩ w^{-1}Kw per rep."""
@@ -670,10 +577,7 @@ class WeylData:
         reps = []
         for w in self.minimal_coset_reps(J):
             wi = self.W.inverse[w]
-            if any(
-                not self.roots.positive[self.root_index[self.W.act(wi, roots[k])]]
-                for k in K
-            ):
+            if not all(self._keeps_positive(wi, k) for k in K):
                 continue
             kw = tuple(k for k in K if self.W.act(wi, roots[k]) in jroots)
             jw = tuple(j for j in J if self.W.act(w, roots[j]) in kroots)
@@ -688,8 +592,7 @@ class WeylData:
         while moved:
             moved = False
             for j in J:
-                img = self.W.act(u, self.datum.simple_roots[j])
-                if not self.roots.positive[self.root_index[img]]:
+                if not self._keeps_positive(u, j):
                     u = self.W.mult(u, self.W.gen_index[j])
                     wj = self.W.mult(self.W.gen_index[j], wj)
                     moved = True

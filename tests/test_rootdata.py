@@ -1,6 +1,7 @@
 """Root data: validation, presets, derived affine data, quotients, file IO."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -19,6 +20,8 @@ from rigidhecke.rootdata import (
 )
 from rigidhecke.weyl import WeylData
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 def test_validate_presets():
     assert validate_datum(preset("sl2")) == 2
@@ -35,13 +38,21 @@ def test_validate_errors():
         validate_datum(
             BasedRootDatum(
                 "hyp", 2, ((1, 0), (0, 1)), ((2, -3), (-3, 2))
-            ),
-            weyl_bound=500,
+            )
         )
     with pytest.raises(NotReduced):
         validate_datum(
             BasedRootDatum("bc1", 1, ((1,), (2,)), ((2,), (1,)))
         )
+
+
+def test_weyl_group_over_the_limit(monkeypatch):
+    """A finite W with more elements than the enumeration limit is refused,
+    and the error says that |W| is too large, not that W is infinite."""
+    monkeypatch.setattr(rootdata, "W_LIMIT", 20)
+    assert validate_datum(rootdata.load_datum(str(DATA / "sl3.json"))) == 6
+    with pytest.raises(InfiniteWeylGroup, match=r"^\|W\| exceeds the limit of 20 elements$"):
+        WeylData(rootdata.load_datum(str(DATA / "sl4.json")))
 
 
 def test_unknown_preset():
@@ -161,6 +172,8 @@ def test_datum_json_io(tmp_path):
         ({"name": "x", "simple_roots": [[1]], "simple_coroots": [[2]]}, "lattice_rank"),
         ({"name": "x", "lattice_rank": 1, "simple_roots": [[1, 2]], "simple_coroots": [[2]]}, "simple_roots"),
         ({"name": "x", "lattice_rank": 1, "simple_roots": [[1]], "simple_coroots": []}, "simple_coroots"),
+        ({"name": "b", "lattice_rank": True, "simple_roots": [[True]], "simple_coroots": [[2]]}, "lattice_rank"),
+        ({"name": "b", "lattice_rank": 1, "simple_roots": [[True]], "simple_coroots": [[2]]}, "simple_roots"),
     ],
 )
 def test_datum_errors_cite_field(tmp_path, payload, field):

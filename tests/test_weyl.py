@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidhecke import intlinalg
+from rigidhecke import intlinalg, rootdata, weyl
 from rigidhecke.conj import count_identity_check, newton_zero_classes
 from rigidhecke.rootdata import PRESET_NAMES, BasedRootDatum, load_datum, preset
 from rigidhecke.weyl import WeylData
@@ -19,16 +19,40 @@ _DATUMS = list(PRESET_NAMES) + sorted(p.stem for p in _DATA.glob("*.json"))
 _RANK0 = "rank0"
 
 
+def datum_of(name):
+    if name == _RANK0:
+        return BasedRootDatum("pt", 0, (), ())
+    if name in PRESET_NAMES:
+        return preset(name)
+    return load_datum(str(_DATA / f"{name}.json"))
+
+
 def wd_of(name):
     if name not in _CACHE:
-        if name == _RANK0:
-            datum = BasedRootDatum("pt", 0, (), ())
-        elif name in PRESET_NAMES:
-            datum = preset(name)
-        else:
-            datum = load_datum(str(_DATA / f"{name}.json"))
-        _CACHE[name] = WeylData(datum)
+        _CACHE[name] = WeylData(datum_of(name))
     return _CACHE[name]
+
+
+@pytest.mark.parametrize("name", _DATUMS)
+def test_one_enumeration_per_construction(name, monkeypatch):
+    """Building the group data enumerates W once and generates the roots once."""
+    calls = {"W": 0, "roots": 0}
+    enumerate_w = rootdata.FinWeylGroup.__init__
+    generate = rootdata.generate_root_system
+
+    def counted_w(self, *args):
+        calls["W"] += 1
+        enumerate_w(self, *args)
+
+    def counted_roots(*args):
+        calls["roots"] += 1
+        return generate(*args)
+
+    monkeypatch.setattr(rootdata.FinWeylGroup, "__init__", counted_w)
+    for module in (rootdata, weyl):
+        monkeypatch.setattr(module, "generate_root_system", counted_roots)
+    WeylData(datum_of(name))
+    assert calls == {"W": 1, "roots": 1}
 
 
 def power(wd, e, n):
