@@ -1,7 +1,10 @@
 """Command-line interface: classes, table, verify, reduce.
 
 Exit codes are a stable contract: 0 success, 1 verification or computation
-failure, 2 usage/input error.  Output is deterministic: identical
+failure, 2 usage/input error.  A command raises :class:`UsageError` where it
+reads a bad input; ``main`` alone prints one ``error:`` line and picks the
+code: 2 for a :class:`UsageError`, 1 for any other exception (a
+``ComputationFailed`` or a defect).  Output is deterministic: identical
 invocations produce byte-identical output.
 
 At module level only the group layer and the datum suites are imported, so
@@ -18,9 +21,8 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
-from .conj import ComputationFailed, newton_zero_classes
+from .conj import newton_zero_classes
 from .datumsuites import (
     CLASS_COUNTS,
     DATUM_SUITES,
@@ -29,72 +31,58 @@ from .datumsuites import (
     render_csv,
     render_markdown,
 )
-from .rootdata import (
-    PRESET_NAMES,
-    DatumFormatError,
-    InfiniteWeylGroup,
-    NotCartan,
-    NotReduced,
-    load_datum,
-    preset,
-)
-from .weyl import OmegaSearchExhausted, WeylData
+from .rootdata import PRESET_NAMES, InvalidDatum, load_datum, preset
+from .weyl import WeylData
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _emit(text: str, out_path) -> int:
-    """Write to --out or stdout; EXIT_USAGE after an error on stderr if --out fails."""
+class UsageError(Exception):
+    """A usage or input error: exit 2.  Raised ``from`` the input error it
+    was caught as, it reports that error's message."""
+
+
+def _emit(text: str, out_path) -> None:
+    """Write to --out or stdout."""
     if not out_path:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise UsageError from exc
 
 
-def _out_writable(out_path) -> bool:
-    """Whether --out (if given) can be opened for writing, an error on stderr
-    if not.  Tested before any work; a file the probe creates is removed."""
+def _probe_out(out_path) -> None:
+    """Check that --out (if given) can be opened for writing, before any
+    work; a file the probe creates is removed."""
     if not out_path:
-        return True
+        return
     existed = os.path.lexists(out_path)
     try:
         open(out_path, "a").close()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
+        raise UsageError from exc
     if not existed:
         os.remove(out_path)
-    return True
 
 
-# input errors of a root datum: unreadable, malformed or out of scope
-_DATUM_ERRORS = (OSError, DatumFormatError, KeyError, NotCartan, InfiniteWeylGroup, NotReduced,
-                 OmegaSearchExhausted)
-
-
-def _load_weyl(args) -> Optional[WeylData]:
-    """The group data of --preset/--datum, or None after an error on stderr."""
+def _load_weyl(args) -> WeylData:
+    """The group data of --preset/--datum; a datum that cannot be read, is
+    malformed or is out of scope is an input error."""
     try:
         if args.preset:
             return WeylData(preset(args.preset))
         return WeylData(load_datum(args.datum))
-    except _DATUM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    except (OSError, InvalidDatum) as exc:
+        raise UsageError from exc
 
 
 def cmd_classes(args) -> int:
     wd = _load_weyl(args)
-    if wd is None:
-        return EXIT_USAGE
     classes = newton_zero_classes(wd, args.max_length)
     records = [r.to_json(wd) for r in classes]
     if args.format == "json":
@@ -108,7 +96,8 @@ def cmd_classes(args) -> int:
         ]
         render = render_csv if args.format == "csv" else render_markdown
         text = render(["label", "rep", "min_length", "newton", "elliptic"], rows)
-    return _emit(text, args.out)
+    _emit(text, args.out)
+    return EXIT_OK
 
 
 def _parse_spec(spec: str) -> dict:
@@ -118,9 +107,10 @@ def _parse_spec(spec: str) -> dict:
         if not part:
             continue
         name, _, val = part.partition("=")
-        if not val:
-            raise ValueError(f"bad --spec entry {part!r} (want name=rational)")
-        out[name.strip()] = Fraction(val.strip())
+        try:
+            out[name.strip()] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad --spec entry {part!r} (want name=rational)") from None
     return out
 
 
@@ -128,25 +118,18 @@ def cmd_table(args) -> int:
     from . import rigidtab
 
     if not args.preset:
-        print("error: table requires --preset (panel manifests are preset-bound)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("table requires --preset (panel manifests are preset-bound)")
     if args.preset not in rigidtab.MANIFESTS:
-        print(f"error: no table manifest for preset {args.preset!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
-        table = rigidtab.build_rigid_table(pc)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"no table manifest for preset {args.preset!r}")
+    pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
+    table = rigidtab.build_rigid_table(pc)
     cells = None
     if args.spec:
+        assignment = _parse_spec(args.spec)
         try:
-            assignment = _parse_spec(args.spec)
             cells = [[str(v) for v in row] for row in table.evaluate(assignment)]
         except (ValueError, KeyError, ZeroDivisionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError from exc
     if args.format == "json":
         data = table.to_json_dict(cells)
         if args.spec:
@@ -157,51 +140,36 @@ def cmd_table(args) -> int:
         text = table.to_csv(cells)
     else:
         text = table.to_markdown(cells)
-    return _emit(text, args.out)
+    _emit(text, args.out)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; have {SUITES}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown suite {args.suite!r}; have {SUITES}")
     if args.suite in DATUM_SUITES:
         wd = _load_weyl(args)
-        if wd is None:
-            return EXIT_USAGE
         pc = datum_context(wd, args.max_length, CLASS_COUNTS.get(args.preset))
         run = DATUM_SUITES[args.suite]
     else:
         from . import rigidtab
 
         if args.preset not in rigidtab.MANIFESTS:
-            print(
-                "error: this suite needs a preset module panel (use --preset)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise UsageError("this suite needs a preset module panel (use --preset)")
         pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
         run = partial(rigidtab.run_suite, suite=args.suite)
-    try:
-        checks = run(pc)
-    except ComputationFailed:
-        raise  # main reports it, as it does for a panel that fails to build
-    except Exception as exc:
-        print(f"error: suite {args.suite} crashed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    checks = run(pc)
     report = {
         "suite": args.suite,
         "checks": [
             {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
         ],
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if _emit(text, args.out) != EXIT_OK:
-        return EXIT_USAGE
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if args.out:
         for c in checks:
             print(f"{c.status.upper():4} {c.name}: {c.detail}")
-    ok = all(c.ok for c in checks)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_FAIL
 
 
 def cmd_reduce(args) -> int:
@@ -209,22 +177,18 @@ def cmd_reduce(args) -> int:
     from .hecke import HeckeContext
 
     wd = _load_weyl(args)
-    if wd is None:
-        return EXIT_USAGE
     letters = [w.strip() for w in args.word.split(",") if w.strip()]
     try:
         e = wd.evaluate_word(letters)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError from exc
     ctx = HeckeContext(wd)
     classes = newton_zero_classes(wd, args.max_length)
     comb = ctx.cocenter_reduce(e, classes, extend=True)
     # trace verification against the preset module panel where available,
     # built over this unmerged context: the reduction is rendered in its
     # per-orbit parameter names
-    status = "skipped (no preset module panel)"
-    code = EXIT_OK
+    status, code = "skipped (no preset module panel)", EXIT_OK
     manifest = rigidtab.MANIFESTS.get(args.preset)
     if manifest is not None:
         ok = True
@@ -234,10 +198,9 @@ def cmd_reduce(args) -> int:
                 rhs = rhs + c * mod.trace(rec.rep)
             if mod.trace(e) != rhs:
                 ok = False
-        status = "ok" if ok else "FAILED"
-        if not ok:
-            code = EXIT_FAIL
-    return _emit(f"{comb.render()}\ntrace-verification: {status}\n", args.out) or code
+        status, code = ("ok", EXIT_OK) if ok else ("FAILED", EXIT_FAIL)
+    _emit(f"{comb.render()}\ntrace-verification: {status}\n", args.out)
+    return code
 
 
 def main(argv=None) -> int:
@@ -276,18 +239,21 @@ def main(argv=None) -> int:
     p_reduce.set_defaults(fn=cmd_reduce)
 
     args = parser.parse_args(argv)
-    if args.max_length is not None and args.max_length < 0:
-        print(f"error: --max-length must be >= 0, got {args.max_length}", file=sys.stderr)
-        return EXIT_USAGE
-    if not _out_writable(args.out):
-        return EXIT_USAGE
     try:
+        if args.max_length is not None and args.max_length < 0:
+            raise UsageError(f"--max-length must be >= 0, got {args.max_length}")
+        _probe_out(args.out)
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK
-    except ComputationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except UsageError as exc:
+        err, code = exc.__cause__ or exc, EXIT_USAGE
+    except Exception as exc:  # a ComputationFailed, or a defect
+        err, code = exc, EXIT_FAIL
+    # str() of a KeyError is the repr of its argument, quotes and all
+    text = err.args[0] if isinstance(err, KeyError) and err.args else err
+    print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

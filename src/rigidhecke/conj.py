@@ -25,9 +25,10 @@ from .weyl import Elt, WeylData, pi_subsets, union_find
 
 
 class ComputationFailed(Exception):
-    """A computation that could not finish or certify its result; the CLI
-    reports it as one error line and exit 1.  Each subclass also keeps a
-    built-in base (RuntimeError, LookupError or AssertionError)."""
+    """A computation that could not finish or certify its result.  The CLI
+    does not catch it by name: like any exception that is not a usage error,
+    it is one error line and exit 1.  Each subclass also keeps a built-in
+    base (RuntimeError, LookupError or AssertionError)."""
 
 
 class PlateauBudgetExceeded(ComputationFailed, RuntimeError):

@@ -372,27 +372,21 @@ def build_rigid_table(pc: PresetContext) -> RigidTable:
     return RigidTable(man.name, man.row_labels, tuple(c.label for c in man.columns), entries, qtable)
 
 
-def determinant_check(table: RigidTable, expected: LaurentPoly, up_to_monomial: bool = False) -> CheckResult:
+def determinant_check(table: RigidTable, expected: LaurentPoly) -> CheckResult:
     """Compare det(table) with the expected product, up to sign.
 
     Row order only affects the determinant's sign, so the comparison accepts
-    ±expected; with ``up_to_monomial`` any single-term quotient passes (the
-    extended-C2 identity is only claimed up to a scalar).
+    ±expected: it passes iff det/expected is the constant 1 or -1.
     """
     det = table.det()
     try:
         quo = det.exact_div(expected)
     except Exception:
         return _check("determinant", False, f"det = {det.render()} does not divide by expected")
-    if quo.is_zero():
+    try:
+        ok = abs(quo.constant_value()) == 1
+    except ValueError:
         ok = False
-    elif up_to_monomial:
-        ok = quo.is_monomial()
-    else:
-        try:
-            ok = abs(quo.constant_value()) == 1
-        except ValueError:
-            ok = False
     return _check("determinant", ok, f"det/expected = {quo.render()}")
 
 

@@ -23,29 +23,35 @@ Vec = tuple[int, ...]
 W_LIMIT = 100_000  # the largest |W| enumerated; B7 (645,120 elements) exceeds it
 
 
-class NotCartan(ValueError):
+class InvalidDatum(Exception):
+    """A root datum that cannot be used: malformed or out of scope.  Each
+    subclass also keeps a built-in base (ValueError, KeyError or
+    RuntimeError)."""
+
+
+class NotCartan(InvalidDatum, ValueError):
     """The simple roots and coroots give no generalized Cartan matrix
     a_ij = <alpha_j, alpha_i^>: their numbers or ranks differ, some a_ii is
     not 2, some a_ij with i != j is positive, or a_ij = 0 while a_ji != 0;
     the last two name the pair (i, j)."""
 
 
-class InfiniteWeylGroup(ValueError):
+class InfiniteWeylGroup(InvalidDatum, ValueError):
     """W is infinite or too large to enumerate: the Dynkin graph has a cycle
     (the message names the edge closing it), a leading principal minor of
     the Cartan matrix is not positive (it names the order k), or |W| exceeds
     :data:`W_LIMIT`."""
 
 
-class NotReduced(ValueError):
+class NotReduced(InvalidDatum, ValueError):
     """Some simple root is twice another."""
 
 
-class UnknownPreset(KeyError):
+class UnknownPreset(InvalidDatum, KeyError):
     pass
 
 
-class DatumFormatError(ValueError):
+class DatumFormatError(InvalidDatum, ValueError):
     """Malformed datum file; the message cites the offending field."""
 
 

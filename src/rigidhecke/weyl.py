@@ -61,6 +61,7 @@ from .rootdata import (  # noqa: F401  perfbench/traced_job.py wraps weyl.valida
     BasedRootDatum,
     DatumFormatError,
     FinWeylGroup,
+    InvalidDatum,
     generate_root_system,
     reflection_matrix,
     union_find,
@@ -73,7 +74,7 @@ Vec = tuple[int, ...]
 Elt = tuple[Vec, int]  # (translation vector, finite part index)
 
 
-class OmegaSearchExhausted(RuntimeError):
+class OmegaSearchExhausted(InvalidDatum, RuntimeError):
     """Omega cannot be built: X/Q is infinite (the datum is not semisimple),
     or a certificate of the descent failed (an element of positive length
     with no right descent in S^a, a product leaving Omega, or an omega not

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from rigidhecke import conj, hecke, repn, rigidtab
+from rigidhecke import cli, conj, hecke, repn, rigidtab
 from rigidhecke.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -68,10 +68,22 @@ def test_table_spec_evaluation(capsys):
     assert lines[2].split(",")[2] == "2"
 
 
+# a bad --spec and the exact stderr it gives: an unknown name, or a value
+# that Fraction rejects
+BAD_SPECS = {
+    "bogus=2": "unknown parameter 'bogus'; have ('Q',)",
+    "q0=2": "unknown parameter 'q0'; have ('Q',)",
+    "q=1/0": "bad --spec entry 'q=1/0' (want name=rational)",
+    "q=2=3": "bad --spec entry 'q=2=3' (want name=rational)",
+    "q=nan": "bad --spec entry 'q=nan' (want name=rational)",
+    "q": "bad --spec entry 'q' (want name=rational)",
+}
+
+
 def test_table_spec_bad_name(capsys):
-    code, _, err = run(capsys, "table", "--preset", "sl2", "--spec", "bogus=2")
-    assert code == 2
-    assert "bogus" in err
+    for spec, err in BAD_SPECS.items():
+        got = run(capsys, "table", "--preset", "sl2", "--spec", spec)
+        assert got == (2, "", f"error: {err}\n"), spec
 
 
 def test_jobs_option_removed(capsys):
@@ -158,9 +170,14 @@ def test_reduce_examples(capsys):
 
 
 def test_reduce_unknown_generator(capsys):
-    code, _, err = run(capsys, "reduce", "--preset", "sl2", "--word", "s9")
-    assert code == 2
-    assert "s9" in err
+    rows = [
+        (["--preset", "sl2"], "s9", "unknown generator 's9'; have ['s0', 's1']"),
+        (["--datum", str(DATA / "sl2xsl2.json")], "s1,s0,s1",
+         "unknown generator 's0'; have ['s0a', 's0b', 's1', 's2']"),
+    ]
+    for source, word, err in rows:
+        got = run(capsys, "reduce", *source, "--word", word)
+        assert got == (2, "", f"error: {err}\n"), word
 
 
 def test_verify_counts(capsys):
@@ -241,8 +258,6 @@ SL2_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(SL2_COMMANDS))
 def test_out_unwritable_exit2(capsys, tmp_path, monkeypatch, command):
-    from rigidhecke import cli, rigidtab
-
     def no_work(*_args, **_kwargs):
         raise AssertionError("work ran before --out was checked")
 
@@ -400,12 +415,25 @@ COMPUTATION_FAILURES = {
         (hecke.HeckeContext, "im_to_bernstein"),
         ["reduce", "--preset", "pgl2", "--word", "s1"],
     ),
+    # a defect: any other exception is one error line and exit 1 as well
+    "RuntimeError-classes": (
+        RuntimeError, (cli, "newton_zero_classes"), ["classes", "--preset", "sl2"]
+    ),
+    "RuntimeError-table": (
+        RuntimeError, (rigidtab, "build_rigid_table"), ["table", "--preset", "sl2"]
+    ),
+    "RuntimeError-verify": (
+        RuntimeError, (conj, "count_identity_check"),
+        ["verify", "--preset", "sl2", "--suite", "counts"],
+    ),
+    "RuntimeError-reduce": (RuntimeError, (hecke.HeckeContext, "cocenter_reduce"), _REDUCE_SL2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMPUTATION_FAILURES))
 def test_computation_failure_exit1(capsys, monkeypatch, name):
-    """A computation failure is one ``error:`` line and exit 1, not a traceback."""
+    """A computation failure or a defect is one ``error:`` line and exit 1,
+    not a traceback."""
     exc, (owner, attr), argv = COMPUTATION_FAILURES[name]
     assert hasattr(owner, attr)
 

@@ -1,8 +1,11 @@
-"""The exit-code contract on out-of-scope and malformed root data.
+"""The exit-code contract on out-of-scope and malformed root data, and on
+the usage inputs of the panel commands.
 
 Every datum command exits 0, 1 or 2.  A nonzero exit prints exactly one
 ``error:`` line and no traceback, and an input error (exit 2) is found before
-any enumeration, so it takes well under 0.1 s.
+any enumeration, so it takes well under 0.1 s.  A ``--spec`` of ``table`` or
+a ``--word`` of ``reduce`` on a panel preset is valid (exit 0) or a usage
+error (exit 2), never a failure.
 """
 
 import contextlib
@@ -140,3 +143,38 @@ def test_fuzzed_datum_keeps_exit_contract(fuzz_path, payload, argv):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     if code == 2:
         assert elapsed < FAST_S, err
+
+
+# -- fuzzing the usage inputs of the panel commands ------------------------------
+
+NAMES = ["q", "Q", "q0", "Q1", "s0", "s1", "tau", "bogus", ""]
+RATIONALS = ["2", "-1", "0", "1/2", "-3/4", "7", "1/0", "nan", ""]
+USAGE_ENTRY = st.sampled_from(NAMES) | st.builds(
+    "{}={}".format, st.sampled_from(NAMES), st.sampled_from(RATIONALS)
+)
+# a word, a q=value entry, up to three names or name=value entries, or any
+# string of the pieces
+VALUE = st.one_of(
+    st.lists(st.sampled_from(["s0", "s1", "tau"]), max_size=4).map(",".join),
+    st.builds("q={}".format, st.sampled_from(RATIONALS)),
+    st.lists(USAGE_ENTRY, max_size=3).map(",".join),
+    st.lists(st.sampled_from(NAMES + RATIONALS + ["=", ",", " "]), max_size=8).map("".join),
+)
+OPTION = {"table": "--spec", "reduce": "--word"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(OPTION)), preset=st.sampled_from(["sl2", "pgl2"]),
+       value=VALUE)
+def test_fuzzed_usage_input_is_ok_or_usage_error(command, preset, value):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--preset", preset, f"{OPTION[command]}={value}"])
+    err = err.getvalue()
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err[len("error: ")] not in "'\"", err
+    else:
+        assert err == ""

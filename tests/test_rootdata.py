@@ -18,7 +18,7 @@ from rigidhecke.rootdata import (
     semisimple_quotient,
     validate_datum,
 )
-from rigidhecke.weyl import WeylData
+from rigidhecke.weyl import OmegaSearchExhausted, WeylData
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -58,6 +58,24 @@ def test_weyl_group_over_the_limit(monkeypatch):
 def test_unknown_preset():
     with pytest.raises(UnknownPreset):
         preset("e8-aff")
+
+
+# each datum error, with the built-in base it had before it shared one
+DATUM_ERROR_BASES = {
+    NotCartan: ValueError,
+    InfiniteWeylGroup: ValueError,
+    NotReduced: ValueError,
+    UnknownPreset: KeyError,
+    DatumFormatError: ValueError,
+    OmegaSearchExhausted: RuntimeError,
+}
+
+
+@pytest.mark.parametrize("exc", sorted(DATUM_ERROR_BASES, key=lambda e: e.__name__),
+                         ids=lambda e: e.__name__)
+def test_datum_errors_share_one_base(exc):
+    assert issubclass(exc, rootdata.InvalidDatum)
+    assert issubclass(exc, DATUM_ERROR_BASES[exc])
 
 
 def test_root_system_counts():
