@@ -4,9 +4,9 @@ A module stores one matrix per T-generator in scope (all of S^a and Omega
 for modules of the full algebra; the J-reflections for parabolic modules)
 plus matrices for θ of ± each lattice basis vector.  Construction goes
 through four paths: the one-dimensional solver, parahoric lifts, inflation
-along χ_t, and parabolic induction.  Every constructor re-verifies the
-defining relations as exact matrix identities; a module that fails its
-certificate is never returned.
+along χ_t, and parabolic induction.  Each constructor proves the defining
+relations as exact matrix identities and the module keeps that certificate;
+a module that fails it is never returned, and ``restrict`` inherits it.
 
 A module is fixed at construction: its generator and θ matrices are set by
 the constructor and cannot be reassigned.  So its actions are memoised on the
@@ -87,7 +87,7 @@ class FinDimModule:
 
     __slots__ = (
         "alg", "scope", "dim", "tmat", "theta_pos", "theta_neg", "twist_vars",
-        "_words", "_thetas",
+        "_words", "_thetas", "_relations",
     )
 
     def __init__(
@@ -111,6 +111,7 @@ class FinDimModule:
         ident = PolyMatrix.identity(alg.table, dim)
         init(self, "_words", {(): ident})  # letters -> matrix of T_letters
         init(self, "_thetas", {(0,) * alg.wd.rank: ident})  # x -> matrix of θ_x
+        init(self, "_relations", [])  # the families verify_relations proved, once it has
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a FinDimModule is fixed at construction; cannot set {name!r}")
@@ -169,7 +170,9 @@ class FinDimModule:
     # -- certificates -----------------------------------------------------------
 
     def verify_relations(self) -> list[str]:
-        """Exact matrix checks of every defining relation family in scope."""
+        """Exact matrix checks of every defining relation family in scope; a pass is kept."""
+        if self._relations:
+            return list(self._relations)
         alg = self.alg
         wd = alg.wd
         table = alg.table
@@ -243,6 +246,7 @@ class FinDimModule:
             for i, (e, _) in enumerate(signed_basis):
                 need(self.theta_pos[i] == self.act(alg.theta_im(e)), "theta-consistency", f"e{i}")
             done.append("theta-consistency")
+        self._relations.extend(done)
         return done
 
     def _omega_mat(self, om: Elt) -> PolyMatrix:
@@ -319,7 +323,6 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                 candidate_lists.append(monomial_roots(mono, abs(divisors[i])))
             for broots in itertools.product(*candidate_lists):
                 theta_e = []
-                good = True
                 for r in range(m):
                     val = LaurentPoly.const(alg.table, 1)
                     for i in range(m):
@@ -354,9 +357,8 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                 try:
                     mod.verify_relations()
                 except RelationFailed:
-                    good = False
-                if good:
-                    out.append(mod)
+                    continue
+                out.append(mod)
     # dedupe by full scalar signature; sort for deterministic selection
     seen = {}
     for mod in out:
@@ -597,7 +599,9 @@ def induce_in_parabolic(
 
 
 def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
-    """Forget the T-generators outside K; θ matrices are kept."""
+    """Forget the T-generators outside K; θ matrices are kept.  The relations
+    of H_K are a subset of those the source's constructor proved, so nothing is
+    verified: the result inherits that certificate and the θ and K-word memos."""
     K = tuple(sorted(K))
     in_scope = set(range(mod.alg.wd.npi)) if mod.scope is None else set(mod.scope)
     if not set(K) <= in_scope:
@@ -605,7 +609,9 @@ def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
     names = mod.alg.wd.pi_names
     tmat = {names[j]: mod.tmat[names[j]] for j in K}
     out = FinDimModule(mod.alg, K, mod.dim, tmat, mod.theta_pos, mod.theta_neg, mod.twist_vars)
-    out.verify_relations()
+    out._relations.extend(f for f in mod._relations if f not in ("omega", "theta-consistency"))
+    out._thetas.update(mod._thetas)
+    out._words.update((w, m) for w, m in mod._words.items() if tmat.keys() >= set(w))
     return out
 
 

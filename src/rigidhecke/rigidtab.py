@@ -44,6 +44,7 @@ from .hecke import HeckeContext
 from .intlinalg import signed_basis
 from .repn import (
     FinDimModule,
+    RelationFailed,
     TwistChar,
     induce,
     induce_in_parabolic,
@@ -74,8 +75,8 @@ class ColumnSpec(NamedTuple):
 
 
 class PresetManifest(NamedTuple):
-    """A preset's table layout and expectations; a datum without a preset
-    gets ``PresetManifest(name)``, which has no panel and expects nothing."""
+    """A preset's table layout and expectations; ``PresetManifest(name)``
+    has no panel and expects nothing."""
 
     name: str
     orbit_assignment: Optional[dict] = None
@@ -191,7 +192,7 @@ class PresetContext:
     ``rows`` holds the ConjClassRecord of each manifest row.  ``modules``, the
     certified FinDimModule of each manifest column, is built by
     :func:`panel_modules` the first time it is read, unless the constructor
-    is given the panel.
+    is given the panel or the relations suite built it.
     """
 
     __slots__ = ("manifest", "wd", "ctx", "classes", "rows", "_modules")
@@ -262,19 +263,6 @@ def resolve_column(ctx: HeckeContext, spec: ColumnSpec) -> FinDimModule:
 def panel_modules(ctx: HeckeContext, man: PresetManifest) -> list[FinDimModule]:
     """The certified module of each manifest column, over ``ctx``."""
     return [resolve_column(ctx, spec) for spec in man.columns]
-
-
-def datum_context(
-    wd: WeylData, L: Optional[int] = None, manifest: Optional[PresetManifest] = None
-) -> PresetContext:
-    """A context without a module panel: every Newton-zero class is a row.
-    A preset's ``manifest`` supplies the parameter merging and the expected
-    class counts.  (The CLI runs the datum suites on the lighter
-    ``datumsuites.datum_context``, which builds no algebra.)"""
-    man = manifest if manifest is not None else PresetManifest(wd.datum.name)
-    ctx = HeckeContext(wd, orbit_assignment=man.orbit_assignment)
-    classes = newton_zero_classes(wd, L)
-    return PresetContext(man, wd, ctx, classes, list(classes), [])
 
 
 def build_preset_context(name: str, L: Optional[int] = None) -> PresetContext:
@@ -699,17 +687,23 @@ def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
 
 
 def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
-    """Module relation certificates plus algebra-level structural checks."""
+    """Module relation certificates plus algebra-level structural checks.
+    Each column is built here, so a relation its constructor disproves fails."""
     ctx = pc.ctx
     wd = pc.wd
     rng = random.Random(RELATIONS_SEED)
     out = []
-    for spec, mod in zip(pc.manifest.columns, pc.modules):
+    mods = []
+    for spec in pc.manifest.columns:
         name = f"module-relations[{spec.label}]"
         try:
-            out.append(_check(name, True, ",".join(mod.verify_relations())))
-        except Exception as exc:
+            mods.append(resolve_column(ctx, spec))
+        except (RelationFailed, TableMismatch) as exc:
             out.append(_check(name, False, str(exc)))
+            continue
+        out.append(_check(name, True, ",".join(mods[-1].verify_relations())))
+    if pc._modules is None and len(mods) == len(pc.manifest.columns):
+        pc._modules = mods
     ball = wd.enumerate_ball(4)
     bad = None
     for _ in range(triples):
@@ -726,21 +720,22 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
             f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({', '.join(map(wd.label, bad))})",
         )
     )
-    ok = True
+    bad = None
     n = len(wd.affine_simple)
     for i in range(n):
         for j in range(i + 1, n):
             m = wd.bond_order(i, j)
             if m is None:
                 continue
+            si, sj = wd.affine_simple[i].name, wd.affine_simple[j].name
             a = ctx.unit()
             b = ctx.unit()
             for t in range(m):
-                a = a.mul_gen_right(wd.affine_simple[i].name if t % 2 == 0 else wd.affine_simple[j].name)
-                b = b.mul_gen_right(wd.affine_simple[j].name if t % 2 == 0 else wd.affine_simple[i].name)
-            if a != b:
-                ok = False
-    out.append(_check("braid-relations", ok, "alternating generator products"))
+                a = a.mul_gen_right(si if t % 2 == 0 else sj)
+                b = b.mul_gen_right(sj if t % 2 == 0 else si)
+            if a != b and bad is None:
+                bad = f"alternating products differ at ({si}, {sj}) with m = {m}"
+    out.append(_check("braid-relations", bad is None, bad or "alternating generator products"))
     sample = [e for e in ball if wd.length(e) <= 3]
     bad = None
     for _ in range(min(triples, 200)):

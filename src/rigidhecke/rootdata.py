@@ -370,6 +370,8 @@ def load_datum(path: str) -> BasedRootDatum:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatumFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or too long an integer
+            raise DatumFormatError(f"{path}: unreadable JSON: {exc}") from None
     return datum_from_dict(raw, source=path)
 
 

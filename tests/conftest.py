@@ -1,6 +1,16 @@
 import pytest
 
 from rigidhecke import rigidtab
+from rigidhecke.conj import newton_zero_classes
+from rigidhecke.hecke import HeckeContext
+
+
+def bare_context(wd):
+    """A context without a module panel in which every Newton-zero class is a
+    row, for the suites that build their own modules."""
+    classes = newton_zero_classes(wd)
+    man = rigidtab.PresetManifest(wd.datum.name)
+    return rigidtab.PresetContext(man, wd, HeckeContext(wd), classes, list(classes), [])
 
 
 @pytest.fixture(scope="session")

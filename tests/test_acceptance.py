@@ -16,6 +16,7 @@ from rigidhecke.exactpoly import parse_poly, render_in_Q
 from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
 
+from conftest import bare_context
 from test_rigidtab import C2_COLUMNS, PGL2_TABLE, SL2_TABLE, _assert_table
 
 
@@ -151,7 +152,7 @@ def test_criterion_9_structural_suites(name, request):
     if name == "c2-ext":
         # no table module panel: run the panel-independent suites on a
         # bare context (Mackey/adjunction build their own quotient modules)
-        pc = rigidtab.datum_context(WeylData(preset(name)))
+        pc = bare_context(WeylData(preset(name)))
         abar = None
     else:
         pc = request.getfixturevalue({"sl2": "pc_sl2", "pgl2": "pc_pgl2", "c2-aff": "pc_c2"}[name])

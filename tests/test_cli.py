@@ -302,6 +302,10 @@ BAD_DATA = {
         "param_orbit_names": ["qa", "qb", "qc"],
     },
     "missing": None,  # no file at the path
+    # bytes that json.load cannot decode
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "huge-integer": b'{"name": "x", "lattice_rank": 1, "simple_roots": [[' + b"1" * 5000 + b"]]}",
 }
 
 
@@ -313,8 +317,11 @@ BAD_DATA = {
 )
 def test_bad_datum_exit2(capsys, tmp_path, command, kind):
     path = tmp_path / f"{kind}.json"
-    if BAD_DATA[kind] is not None:
-        path.write_text(json.dumps(BAD_DATA[kind]))
+    data = BAD_DATA[kind]
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    elif data is not None:
+        path.write_text(json.dumps(data))
     code, out, err = run(capsys, *command, "--datum", str(path))
     assert code == 2
     assert out == ""
@@ -399,11 +406,14 @@ def test_self_building_suites_build_no_panel(capsys, monkeypatch, preset, suite)
 
 _VERIFY_SL2 = ["verify", "--preset", "sl2", "--suite", "relations"]
 _REDUCE_SL2 = ["reduce", "--preset", "sl2", "--word", "s1,s0"]
+# the relations suite reports a column that fails to build as a failing check,
+# so these two faults are injected where they escape: into the table's panel
+_TABLE_SL2 = ["table", "--preset", "sl2"]
 # exception, (owner, attribute) of the entry point that raises it, and a
 # command that calls that entry point outside any ``try`` of its own
 COMPUTATION_FAILURES = {
-    "RelationFailed": (repn.RelationFailed, (rigidtab, "induce"), _VERIFY_SL2),
-    "TableMismatch": (rigidtab.TableMismatch, (rigidtab, "_match_signature"), _VERIFY_SL2),
+    "RelationFailed": (repn.RelationFailed, (rigidtab, "induce"), _TABLE_SL2),
+    "TableMismatch": (rigidtab.TableMismatch, (rigidtab, "_match_signature"), _TABLE_SL2),
     "NotFound": (conj.NotFound, (rigidtab, "classify"), _VERIFY_SL2),
     "PlateauBudgetExceeded": (conj.PlateauBudgetExceeded, (hecke, "plateau"), _REDUCE_SL2),
     "BudgetExceeded": (hecke.BudgetExceeded, (hecke.HeckeContext, "cocenter_reduce"), _REDUCE_SL2),

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from rigidhecke import rigidtab
+from rigidhecke.datumsuites import CLASS_COUNTS, DATUM_SUITES, datum_context
 from rigidhecke.conj import newton_zero_classes
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
@@ -30,7 +30,7 @@ def test_class_labels_equal_the_pins(name):
 @pytest.mark.parametrize("name", sorted(PINS["classes"]))
 def test_datum_suite_check_names_equal_the_pins(name):
     wd = _weyl(name)
-    pc = rigidtab.datum_context(wd, manifest=rigidtab.MANIFESTS.get(name))
-    for suite in rigidtab.DATUM_SUITES:
-        names = [c.name for c in rigidtab.run_suite(pc, suite)]
+    pc = datum_context(wd, None, CLASS_COUNTS.get(name))
+    for suite, run in DATUM_SUITES.items():
+        names = [c.name for c in run(pc)]
         assert names == PINS["verify"][f"{name}/{suite}"], suite

@@ -1,6 +1,7 @@
 """Modules: certificates, constructors, traces, twists, the A-projector on traces."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -78,6 +79,67 @@ def test_certificates_and_corruption():
         st.tmat = {}
     with pytest.raises(TypeError):
         st.tmat["s1"] = broken
+
+
+def test_module_relations_fails_naming_its_family(capsys, monkeypatch):
+    """A column whose constructor finds a relation false is a failing
+    ``module-relations`` row that names the relation family; the command
+    exits 1 without an ``error:`` line."""
+    from rigidhecke import cli, repn
+
+    real = repn.finite_parahoric_module
+
+    def corrupt(alg, K, name):  # the 2x0 lift gets T_s1 = 7, which is not a root of the quadratic
+        mats = real(alg, K, name)
+        return {**mats, "s1": PolyMatrix([[LaurentPoly.const(alg.table, 7)]])} if name == "2x0" else mats
+
+    monkeypatch.setattr(repn, "finite_parahoric_module", corrupt)
+    code = cli.main(["verify", "--preset", "c2-aff", "--suite", "relations"])
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert code == 1 and "error:" not in err
+    assert [(c["name"], c["detail"]) for c in checks if c["status"] == "fail"] == [
+        ("module-relations[2x0]", "quadratic s1")
+    ]
+    assert len(checks) == 13
+
+
+def test_relations_are_proved_once_per_module(monkeypatch):
+    """Each module's check body runs at most once, in its constructor:
+    ``restrict`` runs none, and the relations suite reads the certificates
+    of the columns it builds."""
+    from rigidhecke import rigidtab
+
+    bodies, calls, restricted = [], [], []
+    real_verify, real_restrict = FinDimModule.verify_relations, rigidtab.restrict
+
+    def verify(mod):
+        calls.append(mod)
+        if not mod._relations:
+            bodies.append(mod)
+        return real_verify(mod)
+
+    monkeypatch.setattr(FinDimModule, "verify_relations", verify)
+    monkeypatch.setattr(rigidtab, "restrict", lambda *a: restricted.append(real_restrict(*a)) or restricted[-1])
+    pc = rigidtab.build_preset_context("c2-aff")
+    assert all(c.ok for c in rigidtab.run_suite(pc, "mackey"))
+    assert len(restricted) == 57 and bodies
+    assert len({id(m) for m in bodies}) == len(bodies)
+    assert not {id(m) for m in bodies} & {id(m) for m in restricted}
+    # a restriction inherits its source's certificate, less the full-algebra families
+    n_bodies = len(bodies)
+    for m in restricted:
+        assert m.verify_relations() == ["quadratic", "braid", "theta-group", "bernstein-lusztig"]
+    assert len(bodies) == n_bodies
+
+    bodies.clear()
+    calls.clear()
+    checks = rigidtab.run_suite(pc, "relations")
+    assert all(c.ok for c in checks)
+    panel = pc.modules  # the columns the suite built, adopted as the panel
+    assert len(panel) == 9 and len({id(m) for m in bodies}) == len(bodies)
+    for mod in panel:
+        assert sum(m is mod for m in bodies) == 1 and sum(m is mod for m in calls) == 2
 
 
 def test_trivial_module_certificate():
@@ -292,16 +354,17 @@ def test_nth_root_fraction_is_exact_for_huge_values():
 
 
 def test_memoised_actions_equal_uncached_products(pc_c2):
-    """On every c2-aff panel module, the memoised matrices of words and of θ_x
-    equal the uncached products, for every word of length <= 4 and every x
+    """On every c2-aff panel module and its restriction to {s1}, the memoised
+    matrices of words and of θ_x equal the uncached products, for every word of length <= 4 and every x
     with |x|_1 <= 3."""
     wd = pc_c2.wd
     words = [w for k in range(5) for w in itertools.product(wd.gen_names, repeat=k)]
     xs = [x for x in itertools.product(range(-3, 4), repeat=wd.rank) if sum(map(abs, x)) <= 3]
     assert len(words) == 121 and len(xs) == 25
-    for mod in pc_c2.modules:
+    # restrictions start from their sources' memos
+    for mod in pc_c2.modules + [restrict(m, (0,)) for m in pc_c2.modules]:
         ident = PolyMatrix.identity(pc_c2.ctx.table, mod.dim)
-        for w in words:
+        for w in (w for w in words if mod.tmat.keys() >= set(w)):
             assert mod.word_mat(w) == reduce(mul, [mod.tmat[name] for name in w], ident), w
         for x in xs:
             factors = [

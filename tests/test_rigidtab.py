@@ -4,6 +4,7 @@ identities, the extended-C2 specialization, golden files."""
 import pytest
 
 from rigidhecke import rigidtab
+from rigidhecke.datumsuites import DATUM_SUITES, datum_context
 from rigidhecke.exactpoly import parse_poly
 
 # Reference 3x3 table for SL(2): rows T0, T1, 1; columns St, pi+, i_0(1).
@@ -230,9 +231,9 @@ def test_datum_family_suites(name):
     from rigidhecke.weyl import WeylData
 
     path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
-    pc = rigidtab.datum_context(WeylData(load_datum(str(path))))
+    pc = datum_context(WeylData(load_datum(str(path))))
     for suite in ("counts", "lengths", "classes"):
-        checks = rigidtab.run_suite(pc, suite)
+        checks = DATUM_SUITES[suite](pc)
         bad = [c for c in checks if not c.ok]
         assert checks and not bad, bad
 
@@ -247,12 +248,12 @@ def test_counts_suite_enumerates_the_group_once(monkeypatch):
     from rigidhecke.weyl import WeylData
 
     path = pathlib.Path(__file__).parent / "data" / "sl4.json"
-    pc = rigidtab.datum_context(WeylData(load_datum(str(path))))
+    pc = datum_context(WeylData(load_datum(str(path))))
     grown, keyed = [], []
     real_grow, real_keys = WeylData._extend_ball, WeylData.newton_zero_keys
     monkeypatch.setattr(WeylData, "_extend_ball", lambda wd, r: grown.append(wd) or real_grow(wd, r))
     monkeypatch.setattr(WeylData, "newton_zero_keys", lambda wd: keyed.append(wd) or real_keys(wd))
-    (check,) = rigidtab.run_suite(pc, "counts")
+    (check,) = DATUM_SUITES["counts"](pc)
     assert check.ok
     assert not grown
     assert keyed and all(wd is not pc.wd for wd in keyed)
@@ -352,6 +353,18 @@ def test_adjunction_failure_names_h(pc_sl2, monkeypatch):
     monkeypatch.setattr(HeckeContext, "bar_restrict", shifted)
     detail = _check_named(rigidtab.suite_adjunction(pc_sl2), "adjunction[J=[]]")
     assert detail == f"tr(i_J σ, h) != tr(σ, r̄_J h) at h = {seen[0].render()}"
+
+
+def test_braid_failure_names_pair(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _bare_sl2()
+    real = WeylData.bond_order
+    # s0 and s1 generate an infinite dihedral group: with m = 2 the braid relation is false
+    monkeypatch.setattr(WeylData, "bond_order", lambda wd, i, j: 2 if {i, j} == {0, 1} else real(wd, i, j))
+    assert [s.name for s in pc.wd.affine_simple] == ["s0", "s1"]
+    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "braid-relations")
+    assert detail == "alternating products differ at (s0, s1) with m = 2"
 
 
 def test_theta_laws_failure_names_pair(monkeypatch):
