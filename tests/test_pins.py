@@ -7,8 +7,8 @@ import pathlib
 
 import pytest
 
-from rigidhecke.datumsuites import CLASS_COUNTS, DATUM_SUITES, datum_context
 from rigidhecke.conj import newton_zero_classes
+from rigidhecke.datumsuites import CLASS_COUNTS, DATUM_SUITES, datum_context
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
 

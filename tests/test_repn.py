@@ -355,8 +355,8 @@ def test_nth_root_fraction_is_exact_for_huge_values():
 
 def test_memoised_actions_equal_uncached_products(pc_c2):
     """On every c2-aff panel module and its restriction to {s1}, the memoised
-    matrices of words and of θ_x equal the uncached products, for every word of length <= 4 and every x
-    with |x|_1 <= 3."""
+    matrices of words and of θ_x equal the uncached products, for every word
+    of length <= 4 over the module's generators and every x with |x|_1 <= 3."""
     wd = pc_c2.wd
     words = [w for k in range(5) for w in itertools.product(wd.gen_names, repeat=k)]
     xs = [x for x in itertools.product(range(-3, 4), repeat=wd.rank) if sum(map(abs, x)) <= 3]
