@@ -23,6 +23,8 @@ from . import intlinalg
 from .rootdata import semisimple_quotient
 from .weyl import Elt, WeylData, pi_subsets, union_find
 
+PLATEAU_BUDGET = 1_000_000  # the most elements one plateau walk may reach
+
 
 class ComputationFailed(Exception):
     """A computation that could not finish or certify its result.  The CLI
@@ -64,7 +66,7 @@ class ConjClassRecord(NamedTuple):
 
 
 def plateau(
-    wd: WeylData, e: Elt, budget: int = 1_000_000
+    wd: WeylData, e: Elt
 ) -> tuple[dict[Elt, Optional[tuple[Elt, str]]], Optional[tuple[Elt, str]]]:
     """BFS over the equal-length plateau of e under the moves f ↦ g f g^-1,
     g in ``wd.gen_names`` order (S^a by name, then Omega).
@@ -88,14 +90,12 @@ def plateau(
             if lh == lf and h not in seen:
                 seen[h] = (f, name)
                 queue.append(h)
-        if len(seen) > budget:
-            raise PlateauBudgetExceeded(f"plateau exceeded {budget} nodes")
+        if len(seen) > PLATEAU_BUDGET:
+            raise PlateauBudgetExceeded(f"plateau exceeded {PLATEAU_BUDGET} nodes")
     return seen, None
 
 
-def descend_to_minimal(
-    wd: WeylData, e: Elt, budget: int = 1_000_000
-) -> tuple[list[Elt], list[tuple[str, Elt]]]:
+def descend_to_minimal(wd: WeylData, e: Elt) -> tuple[list[Elt], list[tuple[str, Elt]]]:
     """The minimal-length plateau reached from e by plateau walks and
     descents (He-Nie: a non-minimal element has a descent on its plateau).
 
@@ -106,7 +106,7 @@ def descend_to_minimal(
     """
     path: list[tuple[str, Elt]] = []
     while True:
-        seen, descent = plateau(wd, e, budget)
+        seen, descent = plateau(wd, e)
         if descent is None:
             return sorted(seen), path
         f, name = descent

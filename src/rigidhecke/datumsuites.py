@@ -68,24 +68,35 @@ def datum_context(
     return DatumContext(wd, newton_zero_classes(wd, L), class_counts)
 
 
+def _first_failure(name: str, failures: list[str], passing: str) -> CheckResult:
+    """A check that passes with the passing detail, or fails naming the
+    first of the failures."""
+    return _check(name, not failures, failures[0] if failures else passing)
+
+
 def suite_lengths(pc: DatumContext) -> list[CheckResult]:
     wd = pc.wd
     ball = wd.enumerate_ball(LENGTH_RADIUS)
     bad = sum(1 for e in ball if sum(1 for w in wd.word(e) if w in wd.sa_index) != wd.length(e))
-    ok_inverse = all(wd.length(e) == wd.length(wd.inv(e)) for e in ball)
-    ok_omega = all(
-        wd.length(wd.conjugate(om, e)) == wd.length(e)
-        for om in wd.omega_elements[1:]
+    bad_inverse = [
+        f"l(e) != l(e^-1) at e = {wd.render(e)}"
+        for e in ball
+        if wd.length(e) != wd.length(wd.inv(e))
+    ]
+    bad_omega = [
+        f"l(ω e ω^-1) != l(e) at ω = {name}, e = {wd.render(e)}"
+        for name, om in zip(wd.omega_names, wd.omega_elements[1:])
         for e in ball[:200]
-    )
+        if wd.length(wd.conjugate(om, e)) != wd.length(e)
+    ]
     return [
         _check(
             f"length-vs-bfs[radius={LENGTH_RADIUS}]",
             bad == 0,
             f"{len(ball)} elements, {bad} mismatches",
         ),
-        _check("length-inverse", ok_inverse, "l(e) = l(e^-1)"),
-        _check("length-omega-invariance", ok_omega, "l(ω e ω^-1) = l(e)"),
+        _first_failure("length-inverse", bad_inverse, "l(e) = l(e^-1)"),
+        _first_failure("length-omega-invariance", bad_omega, "l(ω e ω^-1) = l(e)"),
     ]
 
 
@@ -103,13 +114,16 @@ def suite_classes(pc: DatumContext) -> list[CheckResult]:
             )
         )
     # minimality certificate: no single conjugation strictly shortens a min rep
-    ok = all(
-        wd.length(wd.conjugate(s.elt, e)) >= rec.min_length
+    bad = [
+        f"the move s e s with s = {s.name} shortens e = {wd.render(e)} of class [{rec.label}]"
         for rec in pc.classes
         for e in rec.min_reps
         for s in wd.affine_simple
+        if wd.length(wd.conjugate(s.elt, e)) < rec.min_length
+    ]
+    out.append(
+        _first_failure("minimality-certificate", bad, "no move s e s shortens a minimal representative")
     )
-    out.append(_check("minimality-certificate", ok, "no move s e s shortens a minimal representative"))
     # oracle agreement on the radius-6 ball
     elems = [e for e in wd.enumerate_ball(ORACLE_RADIUS) if wd.has_finite_order(e)]
     key_sets = {frozenset(g) for g in key_partition(wd, elems)}
@@ -122,12 +136,18 @@ def suite_classes(pc: DatumContext) -> list[CheckResult]:
         )
     )
     # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant
-    ok = all(
-        classify(wd, wd.conjugate(om, rec.rep), pc.classes).label == rec.label
-        for rec in pc.classes
-        for om in wd.omega_elements[1:]
-    ) and all(wd.is_elliptic(e) == rec.elliptic for rec in pc.classes for e in rec.min_reps)
-    out.append(_check("class-invariants", ok, "Ω-closure and elliptic constancy"))
+    bad = []
+    for rec in pc.classes:
+        for name, om in zip(wd.omega_names, wd.omega_elements[1:]):
+            moved = classify(wd, wd.conjugate(om, rec.rep), pc.classes).label
+            if moved != rec.label:
+                bad.append(f"conjugation by {name} moves class [{rec.label}] to [{moved}]")
+        bad += [
+            f"the elliptic flag of class [{rec.label}] differs at e = {wd.render(e)}"
+            for e in rec.min_reps
+            if wd.is_elliptic(e) != rec.elliptic
+        ]
+    out.append(_first_failure("class-invariants", bad, "Ω-closure and elliptic constancy"))
     return out
 
 

@@ -44,6 +44,9 @@ from .weyl import Elt, WeylData, union_find
 Vec = tuple[int, ...]
 BKey = tuple[Vec, int]  # (theta exponent, finite Weyl index)
 
+CONVERSION_BUDGET = 50_000  # the most steps of one IM -> Bernstein conversion
+REDUCE_BUDGET = 1_000_000  # the most steps of one cocenter reduction
+
 
 class ConversionBudgetExceeded(ComputationFailed, RuntimeError):
     pass
@@ -308,7 +311,7 @@ class HeckeContext:
             got = self._elim_ranks[e] = (-l_dom, -drop, -lw, -w, tuple(-c for c in x))
         return got
 
-    def im_to_bernstein(self, h: "HeckeElt", budget: int = 50_000) -> "BernsteinElt":
+    def im_to_bernstein(self, h: "HeckeElt") -> "BernsteinElt":
         work = {e: dict(c.terms) for e, c in h.c.items()}  # raw term maps
         heap = sorted((self._elim_rank(e), e) for e in work)
         out: dict[BKey, LaurentPoly] = {}
@@ -321,8 +324,8 @@ class HeckeContext:
             if c.is_zero():
                 continue
             steps += 1
-            if steps > budget:
-                raise ConversionBudgetExceeded(f"IM->Bernstein exceeded {budget} steps")
+            if steps > CONVERSION_BUDGET:
+                raise ConversionBudgetExceeded(f"IM->Bernstein exceeded {CONVERSION_BUDGET} steps")
             x, w = e
             p = self.theta_T_im(x, w)
             unit = p.c.get(e)
@@ -404,7 +407,6 @@ class HeckeContext:
         e: Elt,
         classes: Sequence[ConjClassRecord],
         extend: bool = False,
-        budget: int = 1_000_000,
     ) -> "CocenterCombination":
         """Express T_e as Σ a_O T_O modulo commutators by length descent."""
         wd = self.wd
@@ -419,10 +421,10 @@ class HeckeContext:
             if c.is_zero():  # the contributions cancelled: not a step
                 continue
             steps += 1
-            if steps > budget:
-                raise BudgetExceeded(f"cocenter reduction exceeded {budget} steps")
+            if steps > REDUCE_BUDGET:
+                raise BudgetExceeded(f"cocenter reduction exceeded {REDUCE_BUDGET} steps")
             lcur = wd.length(cur)
-            seen, descent = plateau(wd, cur, budget)
+            seen, descent = plateau(wd, cur)
             if descent is None:
                 # minimal: seen is the whole minimal-length plateau of cur
                 rec = next((r for r in known if not seen.keys().isdisjoint(r.min_reps)), None)

@@ -449,9 +449,6 @@ def inflate_chi_t(
     return mod
 
 
-_FINITE_C2_MODULES = ("2x0", "11x0", "0x2", "0x11", "1x1")
-
-
 def finite_parahoric_module(
     alg: HeckeContext, K: Sequence[str], name: str
 ) -> dict:

@@ -6,20 +6,20 @@ rendered in the squared parameters Q.  The three table presets pin the
 row order, the column selection (by trace signature), and the determinant,
 which is compared up to sign against the expanded product formula.
 
-A preset context builds its module panel the first time a suite reads it, so
-the suites that build their own modules (``mackey``, ``adjunction``,
-``twist``) never pay for the panel.
+A preset context builds its module panel, its table and its Ā elements each
+once, the first time a suite reads them, so the suites that build their own
+modules (``mackey``, ``adjunction``, ``twist``) never pay for the panel.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .conj import ComputationFailed, classify, newton_zero_classes
-# DATUM_SUITES and SUITES are re-exported: callers of run_suite read them here
+from .conj import ComputationFailed, classify, descend_to_minimal, newton_zero_classes
 from .datumsuites import (
     CLASS_COUNTS,
     DATUM_SUITES,
@@ -28,12 +28,10 @@ from .datumsuites import (
     _check,
     render_csv,
     render_markdown,
-    suite_classes,
-    suite_counts,
-    suite_lengths,
 )
 from .exactpoly import (
     LaurentPoly,
+    NotDivisible,
     PolyMatrix,
     VarTable,
     det_bareiss,
@@ -189,13 +187,11 @@ MANIFESTS: dict[str, PresetManifest] = {
 class PresetContext:
     """Everything the table and suites need, built once per preset.
 
-    ``rows`` holds the ConjClassRecord of each manifest row.  ``modules``, the
-    certified FinDimModule of each manifest column, is built by
-    :func:`panel_modules` the first time it is read, unless the constructor
-    is given the panel or the relations suite built it.
+    ``rows`` holds the ConjClassRecord of each manifest row.  ``modules``,
+    ``table`` and ``abar`` are each built the first time they are read; a
+    panel given to the constructor, or built by the relations suite, is kept
+    as ``modules``.
     """
-
-    __slots__ = ("manifest", "wd", "ctx", "classes", "rows", "_modules")
 
     def __init__(
         self,
@@ -211,18 +207,24 @@ class PresetContext:
         self.ctx = ctx
         self.classes = classes
         self.rows = rows
-        self._modules = modules
+        self.class_counts = manifest.class_counts  # read by the datum suites
+        if modules is not None:
+            self.modules = modules
 
-    @property
+    @cached_property
     def modules(self) -> list:
-        if self._modules is None:
-            self._modules = panel_modules(self.ctx, self.manifest)
-        return self._modules
+        """The certified FinDimModule of each manifest column."""
+        return panel_modules(self.ctx, self.manifest)
 
-    @property
-    def class_counts(self) -> Optional[tuple[int, int]]:
-        """The manifest's expected class counts, read by the datum suites."""
-        return self.manifest.class_counts
+    @cached_property
+    def table(self) -> RigidTable:
+        return build_rigid_table(self)
+
+    @cached_property
+    def abar(self) -> dict:
+        """bar-A applied to each class element T_O, by class label."""
+        ctx = self.ctx
+        return {rec.label: ctx.adjoint_A(ctx.T(rec.rep)) for rec in self.classes}
 
 
 def _match_signature(alg: HeckeContext, mods: Sequence[FinDimModule], sig: dict) -> FinDimModule:
@@ -316,10 +318,7 @@ class RigidTable:
         missing = [n for n in self.qtable.names if n not in resolved]
         if missing:
             raise KeyError(f"missing parameter values for {missing}")
-        out = []
-        for row in self.entries:
-            out.append([e.evaluate(resolved).constant_value() for e in row])
-        return out
+        return [[e.evaluate(resolved).constant_value() for e in row] for row in self.entries]
 
     # -- rendering --------------------------------------------------------------
     # ``cells`` replaces the rendered entries, e.g. by their values at a point.
@@ -351,12 +350,7 @@ class RigidTable:
 def build_rigid_table(pc: PresetContext) -> RigidTable:
     man = pc.manifest
     qtable = pc.ctx.table.q_table()
-    entries = []
-    for rec in pc.rows:
-        row = []
-        for mod in pc.modules:
-            row.append(render_in_Q(mod.trace(rec.rep)))
-        entries.append(row)
+    entries = [[render_in_Q(mod.trace(rec.rep)) for mod in pc.modules] for rec in pc.rows]
     return RigidTable(man.name, man.row_labels, tuple(c.label for c in man.columns), entries, qtable)
 
 
@@ -369,7 +363,7 @@ def determinant_check(table: RigidTable, expected: LaurentPoly) -> CheckResult:
     det = table.det()
     try:
         quo = det.exact_div(expected)
-    except Exception:
+    except NotDivisible:
         return _check("determinant", False, f"det = {det.render()} does not divide by expected")
     try:
         ok = abs(quo.constant_value()) == 1
@@ -388,7 +382,7 @@ def specialization_check_extended_c2(c2_table: RigidTable) -> CheckResult:
     try:
         quo = spec.exact_div(target)
         c = quo.constant_value()
-    except Exception as exc:
+    except (NotDivisible, ValueError) as exc:
         return _check("specialization-ext-c2", False, f"quotient not constant: {exc}")
     return _check("specialization-ext-c2", c != 0, f"constant c = {c}")
 
@@ -400,14 +394,14 @@ def specialization_check_extended_c2(c2_table: RigidTable) -> CheckResult:
 ADMISSIBLE_POINTS = (2, 3, 5)
 # fixed sampling of the randomized suites, so reports are reproducible
 RELATIONS_SEED = 99
+RELATIONS_SAMPLES = 200  # random triples, and round trips, of the relations suite
 ADJUNCTION_SEED = 20240
 ADJUNCTION_SAMPLES = 6
 DENSITY_SEED = 41
 DENSITY_EXTRAS = 5
 
 
-def _all_params(table_or_qt, value) -> dict:
-    qt = table_or_qt.qtable if isinstance(table_or_qt, RigidTable) else table_or_qt
+def _all_params(qt: VarTable, value) -> dict:
     return {n: Fraction(value) for n, k in zip(qt.names, qt.kinds) if k == "param"}
 
 
@@ -419,11 +413,9 @@ def _random_h(ctx: HeckeContext, rng: random.Random, elems: list, top: int):
 
 
 def _strictly_dominant_vec(wd: WeylData):
-    import itertools as it
-
     m = wd.rank
     for bound in range(1, 8):
-        for combo in it.product(range(-bound, bound + 1), repeat=m):
+        for combo in itertools.product(range(-bound, bound + 1), repeat=m):
             x = tuple(combo)
             if all(
                 sum(a * b for a, b in zip(x, wd.datum.simple_coroots[i])) > 0
@@ -440,8 +432,6 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
     wd = pc.wd
     ctx2 = HeckeContext(wd, orbit_assignment=man.orbit_assignment, n_twist=wd.rank)
     out = []
-    from .conj import descend_to_minimal
-
     nz_vec = _strictly_dominant_vec(wd)
     plateau, _ = descend_to_minimal(wd, wd.translation(nz_vec))
     nz_rep = min(plateau, key=wd.word)
@@ -554,13 +544,8 @@ def suite_adjunction(pc: PresetContext) -> list[CheckResult]:
     return out
 
 
-def abar_elements(pc: PresetContext) -> dict:
-    """bar-A applied to each class element T_O (cached per preset context)."""
-    ctx = pc.ctx
-    return {rec.label: ctx.adjoint_A(ctx.T(rec.rep)) for rec in pc.classes}
-
-
-def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
+def suite_pairing(pc: PresetContext) -> list[CheckResult]:
+    table = pc.table
     det = table.det()
     expected = pc.manifest.det_product(table.qtable)
     chk = determinant_check(table, expected)
@@ -569,12 +554,12 @@ def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
         _check("pairing-det-nonzero", not det.is_zero(), "determinant nonzero as a polynomial"),
     ]
     for q in ADMISSIBLE_POINTS:
-        vals = table.evaluate(_all_params(table, q))
+        vals = table.evaluate(_all_params(table.qtable, q))
         rank = rational_matrix_rank(vals)
         out.append(_check(f"pairing-nonsingular[q={q}]", rank == len(vals), f"rank {rank} of {len(vals)}"))
     # the product formula fixes det only up to sign (see determinant_check)
-    val = det.evaluate(_all_params(table, -1))
-    want = expected.evaluate(_all_params(table, -1))
+    val = det.evaluate(_all_params(table.qtable, -1))
+    want = expected.evaluate(_all_params(table.qtable, -1))
     ok = val == want or val == -want
     if not ok:
         detail = f"determinant at q=-1 is {val.render()}, product formula gives ±{want.render()}"
@@ -586,20 +571,14 @@ def suite_pairing(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
     return out
 
 
-def suite_elliptic_rank(pc: PresetContext, abar: dict) -> list[CheckResult]:
+def suite_elliptic_rank(pc: PresetContext) -> list[CheckResult]:
     """After projecting columns by A, elliptic rows span rank = #elliptic."""
     elliptic = [r for r in pc.classes if r.elliptic]
-    rows = []
-    for rec in elliptic:
-        rows.append([mod.trace(abar[rec.label]) for mod in pc.modules])
+    rows = [[render_in_Q(mod.trace(pc.abar[rec.label])) for mod in pc.modules] for rec in elliptic]
     out = []
     for q in ADMISSIBLE_POINTS:
-        numeric = []
         assign = _all_params(pc.ctx.table.q_table(), q)
-        for row in rows:
-            numeric.append(
-                [render_in_Q(e).evaluate(assign).constant_value() for e in row]
-            )
+        numeric = [[e.evaluate(assign).constant_value() for e in row] for row in rows]
         rank = rational_matrix_rank(numeric) if numeric else 0
         out.append(
             _check(
@@ -611,7 +590,7 @@ def suite_elliptic_rank(pc: PresetContext, abar: dict) -> list[CheckResult]:
     return out
 
 
-def suite_a_kills_induced(pc: PresetContext, abar: dict) -> list[CheckResult]:
+def suite_a_kills_induced(pc: PresetContext) -> list[CheckResult]:
     out = []
     for spec, mod in zip(pc.manifest.columns, pc.modules):
         if spec.kind != "induced" or len(spec.J) == pc.wd.npi:
@@ -619,7 +598,7 @@ def suite_a_kills_induced(pc: PresetContext, abar: dict) -> list[CheckResult]:
         bad = [
             rec.label
             for rec in pc.classes
-            if not mod.trace(abar[rec.label]).is_zero()
+            if not mod.trace(pc.abar[rec.label]).is_zero()
         ]
         out.append(
             _check(
@@ -631,15 +610,15 @@ def suite_a_kills_induced(pc: PresetContext, abar: dict) -> list[CheckResult]:
     return out
 
 
-def suite_a_squared(pc: PresetContext, abar: dict) -> list[CheckResult]:
+def suite_a_squared(pc: PresetContext) -> list[CheckResult]:
     """A^2 = a A with the scalar a recovered, tested on the first
     one-dimensional or lifted (elliptic) column."""
     ctx = pc.ctx
     mod = next(
         m for spec, m in zip(pc.manifest.columns, pc.modules) if spec.kind in ("onedim", "lift")
     )
-    f = {lab: mod.trace(h) for lab, h in abar.items()}
-    g = {lab: mod.trace(ctx.adjoint_A(h)) for lab, h in abar.items()}
+    f = {lab: mod.trace(h) for lab, h in pc.abar.items()}
+    g = {lab: mod.trace(ctx.adjoint_A(h)) for lab, h in pc.abar.items()}
     a_val = None
     for lab in f:
         if not f[lab].is_zero():
@@ -655,13 +634,13 @@ def suite_a_squared(pc: PresetContext, abar: dict) -> list[CheckResult]:
     return [_check("A-squared", ok, f"A^2 = a A with a = {const}")]
 
 
-def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
+def suite_density(pc: PresetContext) -> list[CheckResult]:
     """Trace vectors of {T_O} on table panel + random-twist induced modules
     stay linearly independent at q = 2."""
     ctx = pc.ctx
     rng = random.Random(DENSITY_SEED)
-    assign = _all_params(table, 2)
-    base = table.evaluate(assign)
+    assign = _all_params(pc.table.qtable, 2)
+    base = pc.table.evaluate(assign)
     columns = [[base[i][j] for i in range(len(pc.rows))] for j in range(len(pc.modules))]
     proper = pi_subsets(pc.wd.npi)[:-1]
     for k in range(DENSITY_EXTRAS):
@@ -686,7 +665,7 @@ def suite_density(pc: PresetContext, table: RigidTable) -> list[CheckResult]:
     ]
 
 
-def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
+def suite_relations(pc: PresetContext) -> list[CheckResult]:
     """Module relation certificates plus algebra-level structural checks.
     Each column is built here, so a relation its constructor disproves fails."""
     ctx = pc.ctx
@@ -702,11 +681,11 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
             out.append(_check(name, False, str(exc)))
             continue
         out.append(_check(name, True, ",".join(mods[-1].verify_relations())))
-    if pc._modules is None and len(mods) == len(pc.manifest.columns):
-        pc._modules = mods
+    if "modules" not in vars(pc) and len(mods) == len(pc.manifest.columns):
+        pc.modules = mods
     ball = wd.enumerate_ball(4)
     bad = None
-    for _ in range(triples):
+    for _ in range(RELATIONS_SAMPLES):
         abc = [rng.choice(ball) for _ in range(3)]
         a, b, c = (ctx.T(e) for e in abc)
         if (a * b) * c != a * (b * c):
@@ -716,7 +695,7 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
         _check(
             "im-associativity",
             bad is None,
-            f"{triples} random triples, radius 4" if bad is None else
+            f"{RELATIONS_SAMPLES} random triples, radius 4" if bad is None else
             f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({', '.join(map(wd.label, bad))})",
         )
     )
@@ -738,7 +717,7 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
     out.append(_check("braid-relations", bad is None, bad or "alternating generator products"))
     sample = [e for e in ball if wd.length(e) <= 3]
     bad = None
-    for _ in range(min(triples, 200)):
+    for _ in range(RELATIONS_SAMPLES):
         h = _random_h(ctx, rng, sample, 4)
         if ctx.bernstein_to_im(ctx.im_to_bernstein(h)) != h:
             bad = h
@@ -773,35 +752,20 @@ def suite_relations(pc: PresetContext, triples: int = 200) -> list[CheckResult]:
     return out
 
 
-class _SuiteInputs:
-    """The table and bar-A elements of one context, each built at most once
-    and shared by the suites of one ``run_suite`` call."""
+# the suites that read the module panel or build modules; "pairing" runs four
+PANEL_SUITES: dict[str, tuple[Callable[[PresetContext], list[CheckResult]], ...]] = {
+    "relations": (suite_relations,),
+    "mackey": (suite_mackey,),
+    "adjunction": (suite_adjunction,),
+    "twist": (suite_twist,),
+    "pairing": (suite_pairing, suite_elliptic_rank, suite_a_kills_induced, suite_a_squared),
+    "density": (suite_density,),
+}
 
-    def __init__(self, pc: PresetContext):
-        self.pc = pc
-
-    @cached_property
-    def table(self) -> RigidTable:
-        return build_rigid_table(self.pc)
-
-    @cached_property
-    def abar(self) -> dict:
-        return abar_elements(self.pc)
-
-
-_SUITE_TABLE: dict[str, Callable[[_SuiteInputs], list[CheckResult]]] = {
-    "relations": lambda s: suite_relations(s.pc),
-    "lengths": lambda s: suite_lengths(s.pc),
-    "classes": lambda s: suite_classes(s.pc),
-    "mackey": lambda s: suite_mackey(s.pc),
-    "adjunction": lambda s: suite_adjunction(s.pc),
-    "twist": lambda s: suite_twist(s.pc),
-    "pairing": lambda s: suite_pairing(s.pc, s.table)
-    + suite_elliptic_rank(s.pc, s.abar)
-    + suite_a_kills_induced(s.pc, s.abar)
-    + suite_a_squared(s.pc, s.abar),
-    "density": lambda s: suite_density(s.pc, s.table),
-    "counts": lambda s: suite_counts(s.pc),
+# every suite but "all", in the order of SUITES
+_SUITE_TABLE = {
+    name: PANEL_SUITES[name] if name in PANEL_SUITES else (DATUM_SUITES[name],)
+    for name in SUITES[:-1]
 }
 
 
@@ -810,6 +774,5 @@ def run_suite(pc: PresetContext, suite: str) -> list[CheckResult]:
     (the CLI surface)."""
     if suite != "all" and suite not in _SUITE_TABLE:
         raise KeyError(f"unknown suite {suite!r}")
-    inputs = _SuiteInputs(pc)
     names = _SUITE_TABLE if suite == "all" else (suite,)
-    return [c for name in names for c in _SUITE_TABLE[name](inputs)]
+    return [c for name in names for run in _SUITE_TABLE[name] for c in run(pc)]

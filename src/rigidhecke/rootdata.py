@@ -21,6 +21,7 @@ from . import intlinalg
 Vec = tuple[int, ...]
 
 W_LIMIT = 100_000  # the largest |W| enumerated; B7 (645,120 elements) exceeds it
+MAX_DATUM_BYTES = 1 << 20  # the longest datum file read
 
 
 class InvalidDatum(Exception):
@@ -364,14 +365,27 @@ def preset(name: str) -> BasedRootDatum:
 
 
 def load_datum(path: str) -> BasedRootDatum:
-    """Read a datum from a JSON file; errors cite the offending field."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatumFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or too long an integer
-            raise DatumFormatError(f"{path}: unreadable JSON: {exc}") from None
+    """Read a datum from a JSON file of at most MAX_DATUM_BYTES bytes, in
+    which no object gives a key twice; errors cite the offending field."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DatumFormatError(f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_DATUM_BYTES + 1)
+    if len(data) > MAX_DATUM_BYTES:
+        raise DatumFormatError(f"{path}: longer than {MAX_DATUM_BYTES} bytes")
+    try:
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DatumFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too deep, a huge integer, a repeated key
+        raise DatumFormatError(f"{path}: unreadable JSON: {exc}") from None
     return datum_from_dict(raw, source=path)
 
 

@@ -73,6 +73,8 @@ from .rootdata import (  # noqa: F401  perfbench/traced_job.py wraps weyl.valida
 Vec = tuple[int, ...]
 Elt = tuple[Vec, int]  # (translation vector, finite part index)
 
+BOND_ORDER_CAP = 12  # a larger order of s_i s_j is reported as infinite
+
 
 class OmegaSearchExhausted(InvalidDatum, RuntimeError):
     """Omega cannot be built: X/Q is infinite (the datum is not semisimple),
@@ -278,11 +280,11 @@ class WeylData:
             reflection_matrix(self.roots.roots[root_pos], self.roots.coroots[root_pos])
         ]
 
-    def bond_order(self, i: int, j: int, cap: int = 12) -> Optional[int]:
-        """Order of s_i s_j for S^a members, or None if it exceeds the cap."""
+    def bond_order(self, i: int, j: int) -> Optional[int]:
+        """Order of s_i s_j for S^a members, or None above BOND_ORDER_CAP."""
         prod = self.mult(self.affine_simple[i].elt, self.affine_simple[j].elt)
         cur = prod
-        for n in range(1, cap + 1):
+        for n in range(1, BOND_ORDER_CAP + 1):
             if cur == self.identity():
                 return n
             cur = self.mult(cur, prod)

@@ -30,29 +30,14 @@ def pc_c2():
 
 @pytest.fixture(scope="session")
 def table_sl2(pc_sl2):
-    return rigidtab.build_rigid_table(pc_sl2)
+    return pc_sl2.table
 
 
 @pytest.fixture(scope="session")
 def table_pgl2(pc_pgl2):
-    return rigidtab.build_rigid_table(pc_pgl2)
+    return pc_pgl2.table
 
 
 @pytest.fixture(scope="session")
 def table_c2(pc_c2):
-    return rigidtab.build_rigid_table(pc_c2)
-
-
-@pytest.fixture(scope="session")
-def abar_sl2(pc_sl2):
-    return rigidtab.abar_elements(pc_sl2)
-
-
-@pytest.fixture(scope="session")
-def abar_pgl2(pc_pgl2):
-    return rigidtab.abar_elements(pc_pgl2)
-
-
-@pytest.fixture(scope="session")
-def abar_c2(pc_c2):
-    return rigidtab.abar_elements(pc_c2)
+    return pc_c2.table

@@ -12,6 +12,7 @@ import pytest
 
 from rigidhecke import rigidtab
 from rigidhecke.conj import count_identity_check, newton_zero_classes
+from rigidhecke.datumsuites import suite_lengths
 from rigidhecke.exactpoly import parse_poly, render_in_Q
 from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
@@ -101,18 +102,13 @@ def test_criterion_6_separation(pc_sl2, pc_pgl2, pc_c2):
     report(6, ok, "twist-free entries + nonzero-Newton negative control; " + "; ".join(details))
 
 
-def test_criterion_7_duality(pc_sl2, pc_pgl2, pc_c2, table_sl2, table_pgl2, table_c2,
-                             abar_sl2, abar_pgl2, abar_c2):
+def test_criterion_7_duality(pc_sl2, pc_pgl2, pc_c2):
     expected_rank = {"sl2": 2, "pgl2": 2, "c2-aff": 5}
     ok = True
     details = []
-    for pc, table, abar in (
-        (pc_sl2, table_sl2, abar_sl2),
-        (pc_pgl2, table_pgl2, abar_pgl2),
-        (pc_c2, table_c2, abar_c2),
-    ):
-        checks = rigidtab.suite_pairing(pc, table)
-        rank_checks = rigidtab.suite_elliptic_rank(pc, abar)
+    for pc in (pc_sl2, pc_pgl2, pc_c2):
+        checks = rigidtab.suite_pairing(pc)
+        rank_checks = rigidtab.suite_elliptic_rank(pc)
         good = all(c.ok for c in checks + rank_checks)
         n_ell = sum(1 for r in pc.classes if r.elliptic)
         good = good and n_ell == expected_rank[pc.manifest.name]
@@ -121,11 +117,11 @@ def test_criterion_7_duality(pc_sl2, pc_pgl2, pc_c2, table_sl2, table_pgl2, tabl
     report(7, ok, "; ".join(details))
 
 
-def test_criterion_8_basis_density(pc_sl2, pc_pgl2, pc_c2, table_sl2, table_pgl2, table_c2):
+def test_criterion_8_basis_density(pc_sl2, pc_pgl2, pc_c2):
     ok = True
     details = []
-    for pc, table in ((pc_sl2, table_sl2), (pc_pgl2, table_pgl2), (pc_c2, table_c2)):
-        dens = rigidtab.suite_density(pc, table)
+    for pc in (pc_sl2, pc_pgl2, pc_c2):
+        dens = rigidtab.suite_density(pc)
         good = all(c.ok for c in dens)
         # 20 random elements of length <= 6: reduction reproduces traces exactly
         rng = random.Random(2026)
@@ -153,19 +149,17 @@ def test_criterion_9_structural_suites(name, request):
         # no table module panel: run the panel-independent suites on a
         # bare context (Mackey/adjunction build their own quotient modules)
         pc = bare_context(WeylData(preset(name)))
-        abar = None
     else:
         pc = request.getfixturevalue({"sl2": "pc_sl2", "pgl2": "pc_pgl2", "c2-aff": "pc_c2"}[name])
-        abar = request.getfixturevalue({"sl2": "abar_sl2", "pgl2": "abar_pgl2", "c2-aff": "abar_c2"}[name])
     timings = {}
     suites = {
         "relations": lambda: rigidtab.suite_relations(pc),
-        "lengths": lambda: rigidtab.suite_lengths(pc),
+        "lengths": lambda: suite_lengths(pc),
         "mackey": lambda: rigidtab.suite_mackey(pc),
         "adjunction": lambda: rigidtab.suite_adjunction(pc),
     }
-    if abar is not None:
-        suites["A-kills+A2"] = lambda: rigidtab.suite_a_kills_induced(pc, abar) + rigidtab.suite_a_squared(pc, abar)
+    if name != "c2-ext":
+        suites["A-kills+A2"] = lambda: rigidtab.suite_a_kills_induced(pc) + rigidtab.suite_a_squared(pc)
     ok = True
     for label, fn in suites.items():
         t0 = time.monotonic()

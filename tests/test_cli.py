@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from rigidhecke import cli, conj, hecke, repn, rigidtab
+from rigidhecke import cli, conj, hecke, repn, rigidtab, rootdata
 from rigidhecke.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -306,6 +306,11 @@ BAD_DATA = {
     "not-utf8": b"\xff\xfe{}",
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "huge-integer": b'{"name": "x", "lattice_rank": 1, "simple_roots": [[' + b"1" * 5000 + b"]]}",
+    # a valid sl2 datum but for one key given twice, or one byte too long
+    "duplicate-key": b'{"name": "a", "name": "b", "lattice_rank": 1, "simple_roots": [[1]], '
+    b'"simple_coroots": [[2]]}',
+    "too-long": b'{"name": "sl2", "lattice_rank": 1, "simple_roots": [[1]], '
+    b'"simple_coroots": [[2]]}'.ljust(rootdata.MAX_DATUM_BYTES + 1),
 }
 
 
@@ -383,6 +388,7 @@ def test_datum_level_verify_builds_no_panel(capsys, monkeypatch, request, preset
         raise AssertionError("a datum-level suite built a module")
 
     monkeypatch.setattr(rigidtab, "resolve_column", no_panel)
+    monkeypatch.setattr(repn.FinDimModule, "__init__", no_panel)
     code, out, _ = run(capsys, "verify", "--preset", preset, "--suite", suite)
     assert code == 0
     assert out == want

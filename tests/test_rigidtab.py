@@ -1,10 +1,19 @@
 """Rigid tables: entry-by-entry match with the reference tables, determinant
 identities, the extended-C2 specialization, golden files."""
 
+import inspect
+
 import pytest
 
 from rigidhecke import rigidtab
-from rigidhecke.datumsuites import DATUM_SUITES, datum_context
+from rigidhecke.datumsuites import (
+    DATUM_SUITES,
+    SUITES,
+    datum_context,
+    suite_classes,
+    suite_counts,
+    suite_lengths,
+)
 from rigidhecke.exactpoly import parse_poly
 
 # Reference 3x3 table for SL(2): rows T0, T1, 1; columns St, pi+, i_0(1).
@@ -155,20 +164,20 @@ def test_table_evaluate_errors(table_sl2):
         table_sl2.evaluate({})
 
 
-def test_suites_pass_sl2(pc_sl2, table_sl2, abar_sl2):
+def test_suites_pass_sl2(pc_sl2):
     checks = []
-    checks += rigidtab.suite_relations(pc_sl2, triples=40)
-    checks += rigidtab.suite_lengths(pc_sl2)
-    checks += rigidtab.suite_classes(pc_sl2)
+    checks += rigidtab.suite_relations(pc_sl2)
+    checks += suite_lengths(pc_sl2)
+    checks += suite_classes(pc_sl2)
     checks += rigidtab.suite_twist(pc_sl2)
     checks += rigidtab.suite_mackey(pc_sl2)
     checks += rigidtab.suite_adjunction(pc_sl2)
-    checks += rigidtab.suite_pairing(pc_sl2, table_sl2)
-    checks += rigidtab.suite_elliptic_rank(pc_sl2, abar_sl2)
-    checks += rigidtab.suite_a_kills_induced(pc_sl2, abar_sl2)
-    checks += rigidtab.suite_a_squared(pc_sl2, abar_sl2)
-    checks += rigidtab.suite_density(pc_sl2, table_sl2)
-    checks += rigidtab.suite_counts(pc_sl2)
+    checks += rigidtab.suite_pairing(pc_sl2)
+    checks += rigidtab.suite_elliptic_rank(pc_sl2)
+    checks += rigidtab.suite_a_kills_induced(pc_sl2)
+    checks += rigidtab.suite_a_squared(pc_sl2)
+    checks += rigidtab.suite_density(pc_sl2)
+    checks += suite_counts(pc_sl2)
     bad = [c for c in checks if not c.ok]
     assert not bad, bad
 
@@ -199,11 +208,11 @@ def test_T_O_well_defined_across_min_reps(pc_sl2, pc_pgl2, pc_c2):
                 assert [mod.trace(e) for mod in pc.modules] == base
 
 
-def test_pairing_at_minus_one_can_fail(pc_sl2, table_sl2):
+def test_pairing_at_minus_one_can_fail(pc_sl2):
     from rigidhecke.exactpoly import LaurentPoly
 
     def status(pc):
-        return {c.name: c.status for c in rigidtab.suite_pairing(pc, table_sl2)}
+        return {c.name: c.status for c in rigidtab.suite_pairing(pc)}
 
     assert status(pc_sl2)["pairing-at-q=-1"] == "pass"
     wrong = pc_sl2.manifest._replace(det_product=lambda qt: LaurentPoly.const(qt, 1))
@@ -213,13 +222,13 @@ def test_pairing_at_minus_one_can_fail(pc_sl2, table_sl2):
     assert status(pc_wrong)["pairing-at-q=-1"] == "fail"
 
 
-def test_pairing_runs_one_determinant(pc_sl2, monkeypatch):
-    table = rigidtab.build_rigid_table(pc_sl2)
+def test_pairing_runs_one_determinant(monkeypatch):
+    pc = rigidtab.build_preset_context("sl2")
     calls = []
     real = rigidtab.det_bareiss
     monkeypatch.setattr(rigidtab, "det_bareiss", lambda m: calls.append(m) or real(m))
-    rigidtab.suite_pairing(pc_sl2, table)
-    rigidtab.determinant_check(table, pc_sl2.manifest.det_product(table.qtable))
+    rigidtab.suite_pairing(pc)
+    rigidtab.determinant_check(pc.table, pc.manifest.det_product(pc.table.qtable))
     assert len(calls) == 1
 
 
@@ -259,14 +268,32 @@ def test_counts_suite_enumerates_the_group_once(monkeypatch):
     assert keyed and all(wd is not pc.wd for wd in keyed)
 
 
-def test_all_is_every_suite_in_order_with_one_table(pc_sl2, monkeypatch):
-    builds = []
-    real = rigidtab.build_rigid_table
-    monkeypatch.setattr(rigidtab, "build_rigid_table", lambda pc: builds.append(pc) or real(pc))
-    every = rigidtab.run_suite(pc_sl2, "all")
-    assert len(builds) == 1  # pairing and density share one table
-    assert rigidtab.SUITES[-1] == "all"
-    assert every == [c for s in rigidtab.SUITES[:-1] for c in rigidtab.run_suite(pc_sl2, s)]
+def test_all_is_every_suite_in_order_with_one_table(monkeypatch):
+    """On a fresh context, "all" builds the panel, the table and the Ā
+    elements at most once each, and runs the suites in the order of SUITES."""
+    from functools import cached_property
+
+    builds = {"modules": 0, "table": 0, "abar": 0}
+    for name in builds:
+        real = getattr(rigidtab.PresetContext, name).func
+
+        def counted(pc, name=name, real=real):
+            builds[name] += 1
+            return real(pc)
+
+        prop = cached_property(counted)
+        prop.__set_name__(rigidtab.PresetContext, name)
+        monkeypatch.setattr(rigidtab.PresetContext, name, prop)
+    columns = []
+    real_column = rigidtab.resolve_column
+    monkeypatch.setattr(rigidtab, "resolve_column", lambda *a: columns.append(a) or real_column(*a))
+    pc = rigidtab.build_preset_context("sl2")
+    every = rigidtab.run_suite(pc, "all")
+    # the relations suite builds the panel, and the context keeps it
+    assert builds == {"modules": 0, "table": 1, "abar": 1}
+    assert len(columns) == len(pc.manifest.columns)
+    assert SUITES[-1] == "all"
+    assert every == [c for s in SUITES[:-1] for c in rigidtab.run_suite(pc, s)]
 
 
 # -- failing checks name their witness ------------------------------------------------
@@ -317,7 +344,7 @@ def test_associativity_failure_names_triple(monkeypatch):
         return real(a, b) + a
 
     monkeypatch.setattr(HeckeElt, "__mul__", skewed)
-    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "im-associativity")
+    detail = _check_named(rigidtab.suite_relations(pc), "im-associativity")
     (a,), (b,), (c,) = calls[0][0].c, calls[0][1].c, calls[1][1].c
     labels = ", ".join(pc.wd.label(e) for e in (a, b, c))
     assert detail == f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({labels})"
@@ -335,7 +362,7 @@ def test_bernstein_roundtrip_failure_names_h(monkeypatch):
         return real(ctx, h + ctx.unit())
 
     monkeypatch.setattr(HeckeContext, "im_to_bernstein", shifted)
-    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "bernstein-roundtrip")
+    detail = _check_named(rigidtab.suite_relations(pc), "bernstein-roundtrip")
     # nothing after the round trip converts to Bernstein form
     assert detail == f"IM -> Bernstein -> IM changes h = {seen[-1].render()}"
 
@@ -363,7 +390,7 @@ def test_braid_failure_names_pair(monkeypatch):
     # s0 and s1 generate an infinite dihedral group: with m = 2 the braid relation is false
     monkeypatch.setattr(WeylData, "bond_order", lambda wd, i, j: 2 if {i, j} == {0, 1} else real(wd, i, j))
     assert [s.name for s in pc.wd.affine_simple] == ["s0", "s1"]
-    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "braid-relations")
+    detail = _check_named(rigidtab.suite_relations(pc), "braid-relations")
     assert detail == "alternating products differ at (s0, s1) with m = 2"
 
 
@@ -380,14 +407,149 @@ def test_theta_laws_failure_names_pair(monkeypatch):
         return out + ctx.unit() if tuple(x) == (1,) else out
 
     monkeypatch.setattr(HeckeContext, "theta_im", skewed)
-    detail = _check_named(rigidtab.suite_relations(pc, triples=5), "theta-laws")
+    detail = _check_named(rigidtab.suite_relations(pc), "theta-laws")
     x, y, _x_plus_y = seen[-3:]  # the failing draw asks for θ_x, θ_y, θ_{x+y}
     assert (1,) in (x, y) and (0,) not in (x, y)
     assert detail == f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {(x, y)}"
 
 
 def test_cli_suite_names_are_the_suite_table():
+    """SUITES names every suite once: each is a datum suite or a panel suite,
+    never both, and the run order of "all" is the order of SUITES."""
+    assert SUITES[-1] == "all"
+    assert len(set(SUITES)) == len(SUITES)
+    assert set(SUITES[:-1]) == set(DATUM_SUITES) | set(rigidtab.PANEL_SUITES)
+    assert not set(DATUM_SUITES) & set(rigidtab.PANEL_SUITES)
+    assert tuple(rigidtab._SUITE_TABLE) == SUITES[:-1]
+    for runs in rigidtab._SUITE_TABLE.values():
+        for run in runs:
+            assert len(inspect.signature(run).parameters) == 1  # the context alone
+
+
+# -- the fail branches of the pairing checks ---------------------------------------
+# A fresh sl2 context is given wrong Ā elements; the table and panel are real.
+
+
+def _sl2_with_abar(make):
+    """A fresh sl2 context whose Ā element of each class O is make(ctx, O)."""
+    pc = rigidtab.build_preset_context("sl2")
+    pc.abar = {rec.label: make(pc.ctx, rec) for rec in pc.classes}
+    return pc
+
+
+def test_elliptic_rank_and_a_squared_fail_when_a_vanishes():
+    pc = _sl2_with_abar(lambda ctx, rec: ctx.elt({}))
+    checks = rigidtab.suite_elliptic_rank(pc) + rigidtab.suite_a_squared(pc)
+    for q in rigidtab.ADMISSIBLE_POINTS:
+        detail = _check_named(checks, f"elliptic-rank[q={q}]")
+        assert detail == "A-projected elliptic block rank 0, expected 2"
+    assert _check_named(checks, "A-squared") == "A vanished on the elliptic column"
+
+
+def test_a_kills_fails_on_unprojected_elements():
+    pc = _sl2_with_abar(lambda ctx, rec: ctx.T(rec.rep))
+    detail = _check_named(rigidtab.suite_a_kills_induced(pc), "A-kills[i_0(1)]")
+    assert detail == "nonzero at ['1', 's0', 's1']"
+
+
+def test_a_squared_fails_on_a_nonconstant_ratio():
+    # on St, tr(T_O) = -1 and tr(Ā T_O) = Q + 1 for both elliptic classes
+    pc = _sl2_with_abar(lambda ctx, rec: ctx.T(rec.rep))
+    pc.abar = {lab: h for lab, h in pc.abar.items() if lab != "1"}
+    detail = _check_named(rigidtab.suite_a_squared(pc), "A-squared")
+    assert detail == "ratio -1*v^2 - 1 not constant"
+
+
+def test_determinant_check_fails_when_expected_does_not_divide(table_sl2):
+    expected = table_sl2.qtable.gen("Q") + 2
+    chk = rigidtab.determinant_check(table_sl2, expected)
+    assert chk.status == "fail"
+    assert chk.detail == "det = -1*Q^2 - 2*Q - 1 does not divide by expected"
+
+
+def test_determinant_checks_let_a_defect_through(table_sl2, table_c2, monkeypatch):
+    """Only a failed division is a failed check; any other error propagates."""
+    from rigidhecke.exactpoly import LaurentPoly
+
+    def broken(*_args):
+        raise RuntimeError("injected")
+
+    expected = table_sl2.qtable.gen("Q")
+    table_sl2.det(), table_c2.det()  # computed before the division breaks
+    monkeypatch.setattr(LaurentPoly, "exact_div", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        rigidtab.determinant_check(table_sl2, expected)
+    with pytest.raises(RuntimeError, match="injected"):
+        rigidtab.specialization_check_extended_c2(table_c2)
+
+
+# -- failing datum checks name their witness ---------------------------------------
+
+
+def _datum_pc(name):
+    from rigidhecke.rootdata import preset
+    from rigidhecke.weyl import WeylData
+
+    return datum_context(WeylData(preset(name)))
+
+
+def test_length_inverse_failure_names_element(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _datum_pc("sl2")
+    s1 = pc.wd.generator_elt("s1")
+    real = WeylData.inv
+    monkeypatch.setattr(WeylData, "inv", lambda wd, e: wd.identity() if e == s1 else real(wd, e))
+    detail = _check_named(suite_lengths(pc), "length-inverse")
+    assert detail == f"l(e) != l(e^-1) at e = {pc.wd.render(s1)}"
+
+
+def test_length_omega_invariance_failure_names_omega_and_element(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _datum_pc("pgl2")
+    s1 = pc.wd.generator_elt("s1")
+    real = WeylData.conjugate
+    monkeypatch.setattr(
+        WeylData, "conjugate", lambda wd, g, e: wd.identity() if e == s1 else real(wd, g, e)
+    )
+    detail = _check_named(suite_lengths(pc), "length-omega-invariance")
+    assert detail == f"l(ω e ω^-1) != l(e) at ω = tau, e = {pc.wd.render(s1)}"
+
+
+def test_minimality_failure_names_generator_element_and_class(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _datum_pc("sl2")
+    (rec,) = [r for r in pc.classes if r.label == "s0"]
+    s1 = pc.wd.generator_elt("s1")
+    real = WeylData.conjugate
+
+    def shortened(wd, g, e):  # s1 e s1 has length 0 for the minimal e of [s0]
+        return wd.identity() if (g, e) == (s1, rec.rep) else real(wd, g, e)
+
+    monkeypatch.setattr(WeylData, "conjugate", shortened)
+    detail = _check_named(suite_classes(pc), "minimality-certificate")
+    assert detail == f"the move s e s with s = s1 shortens e = {pc.wd.render(rec.rep)} of class [s0]"
+
+
+def test_class_invariants_failure_names_omega_and_classes(monkeypatch):
     from rigidhecke import datumsuites
 
-    assert datumsuites.SUITES == tuple(rigidtab._SUITE_TABLE) + ("all",)
-    assert set(datumsuites.DATUM_SUITES) < set(rigidtab._SUITE_TABLE)
+    pc = _datum_pc("pgl2")
+    first, second = pc.classes[:2]
+    monkeypatch.setattr(datumsuites, "classify", lambda wd, e, classes: first)
+    detail = _check_named(suite_classes(pc), "class-invariants")
+    assert detail == f"conjugation by tau moves class [{second.label}] to [{first.label}]"
+
+
+def test_class_invariants_failure_names_elliptic_witness(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _datum_pc("sl2")
+    rec = next(r for r in pc.classes if r.elliptic)
+    monkeypatch.setattr(WeylData, "is_elliptic", lambda wd, e: False)
+    detail = _check_named(suite_classes(pc), "class-invariants")
+    assert detail == (
+        f"the elliptic flag of class [{rec.label}] differs at e = {pc.wd.render(rec.min_reps[0])}"
+    )

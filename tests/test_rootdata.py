@@ -210,6 +210,27 @@ def test_datum_syntax_error_cites_line(tmp_path):
     assert "line" in str(err.value)
 
 
+SL2_TEXT = '{"name": "my-sl2", "lattice_rank": 1, "simple_roots": [[1]], "simple_coroots": [[2]]}'
+
+
+def test_datum_duplicate_key_is_named(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(SL2_TEXT.replace('{"name": "my-sl2"', '{"name": "first", "name": "my-sl2"'))
+    with pytest.raises(DatumFormatError) as err:
+        rootdata.load_datum(str(path))
+    assert str(err.value) == f"{path}: unreadable JSON: duplicate key 'name'"
+
+
+def test_datum_read_up_to_the_byte_cap(tmp_path):
+    path = tmp_path / "padded.json"
+    path.write_text(SL2_TEXT.ljust(rootdata.MAX_DATUM_BYTES))
+    assert rootdata.load_datum(str(path)).name == "my-sl2"
+    path.write_text(SL2_TEXT.ljust(rootdata.MAX_DATUM_BYTES + 1))
+    with pytest.raises(DatumFormatError) as err:
+        rootdata.load_datum(str(path))
+    assert str(err.value) == f"{path}: longer than {rootdata.MAX_DATUM_BYTES} bytes"
+
+
 def test_param_orbit_name_override():
     d = BasedRootDatum(
         "named", 2,
