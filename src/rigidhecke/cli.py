@@ -121,8 +121,7 @@ def cmd_table(args) -> int:
         raise UsageError("table requires --preset (panel manifests are preset-bound)")
     if args.preset not in rigidtab.MANIFESTS:
         raise UsageError(f"no table manifest for preset {args.preset!r}")
-    pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
-    table = rigidtab.build_rigid_table(pc)
+    table = rigidtab.build_preset_context(args.preset, L=args.max_length).table
     cells = None
     if args.spec:
         assignment = _parse_spec(args.spec)

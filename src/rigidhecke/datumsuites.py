@@ -9,11 +9,16 @@ command loads no coefficient ring, algebra or panel code.
 A suite reads ``wd``, ``classes`` and ``class_counts`` of its context: a
 :class:`DatumContext`, or a preset's ``rigidtab.PresetContext``, which has the
 same three attributes.
+
+A check that looks for a counterexample is written as a lazy iterable of
+failure details given to :func:`_first_failure`, here and in ``rigidtab``: it
+passes with a fixed detail, or fails naming the first witness, and computes
+nothing past it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import conj
 from .conj import ConjClassRecord, classify, key_partition, newton_zero_classes, oracle_partition
@@ -68,32 +73,35 @@ def datum_context(
     return DatumContext(wd, newton_zero_classes(wd, L), class_counts)
 
 
-def _first_failure(name: str, failures: list[str], passing: str) -> CheckResult:
-    """A check that passes with the passing detail, or fails naming the
-    first of the failures."""
-    return _check(name, not failures, failures[0] if failures else passing)
+def _first_failure(name: str, failures: Iterable[str], passing: str) -> CheckResult:
+    """A check that passes with the passing detail, or fails naming the first
+    of the failures; a lazy ``failures`` computes nothing past that one."""
+    first = next(iter(failures), None)
+    return _check(name, first is None, passing if first is None else first)
 
 
 def suite_lengths(pc: DatumContext) -> list[CheckResult]:
     wd = pc.wd
     ball = wd.enumerate_ball(LENGTH_RADIUS)
-    bad = sum(1 for e in ball if sum(1 for w in wd.word(e) if w in wd.sa_index) != wd.length(e))
-    bad_inverse = [
+    bad_bfs = (
+        f"BFS word length {n} != l(e) = {wd.length(e)} at e = {wd.render(e)}"
+        for e in ball
+        if (n := sum(1 for w in wd.word(e) if w in wd.sa_index)) != wd.length(e)
+    )
+    bad_inverse = (
         f"l(e) != l(e^-1) at e = {wd.render(e)}"
         for e in ball
         if wd.length(e) != wd.length(wd.inv(e))
-    ]
-    bad_omega = [
+    )
+    bad_omega = (
         f"l(ω e ω^-1) != l(e) at ω = {name}, e = {wd.render(e)}"
         for name, om in zip(wd.omega_names, wd.omega_elements[1:])
         for e in ball[:200]
         if wd.length(wd.conjugate(om, e)) != wd.length(e)
-    ]
+    )
     return [
-        _check(
-            f"length-vs-bfs[radius={LENGTH_RADIUS}]",
-            bad == 0,
-            f"{len(ball)} elements, {bad} mismatches",
+        _first_failure(
+            f"length-vs-bfs[radius={LENGTH_RADIUS}]", bad_bfs, f"{len(ball)} elements, 0 mismatches"
         ),
         _first_failure("length-inverse", bad_inverse, "l(e) = l(e^-1)"),
         _first_failure("length-omega-invariance", bad_omega, "l(ω e ω^-1) = l(e)"),
@@ -114,13 +122,13 @@ def suite_classes(pc: DatumContext) -> list[CheckResult]:
             )
         )
     # minimality certificate: no single conjugation strictly shortens a min rep
-    bad = [
+    bad = (
         f"the move s e s with s = {s.name} shortens e = {wd.render(e)} of class [{rec.label}]"
         for rec in pc.classes
         for e in rec.min_reps
         for s in wd.affine_simple
         if wd.length(wd.conjugate(s.elt, e)) < rec.min_length
-    ]
+    )
     out.append(
         _first_failure("minimality-certificate", bad, "no move s e s shortens a minimal representative")
     )
@@ -128,26 +136,29 @@ def suite_classes(pc: DatumContext) -> list[CheckResult]:
     elems = [e for e in wd.enumerate_ball(ORACLE_RADIUS) if wd.has_finite_order(e)]
     key_sets = {frozenset(g) for g in key_partition(wd, elems)}
     oracle_sets = {frozenset(g) for g in oracle_partition(wd, elems, ORACLE_RADIUS)}
+    split = set().union(*(key_sets ^ oracle_sets))  # the elements whose two classes differ
+    bad = (
+        f"the key class and the oracle class of e = {wd.render(e)} differ" for e in elems if e in split
+    )
     out.append(
-        _check(
+        _first_failure(
             f"oracle-agreement[radius={ORACLE_RADIUS}]",
-            key_sets == oracle_sets,
+            bad,
             f"{len(key_sets)} key classes vs {len(oracle_sets)} oracle classes",
         )
     )
     # Newton-zero classes closed under Omega-conjugation; elliptic flag class-constant
-    bad = []
-    for rec in pc.classes:
-        for name, om in zip(wd.omega_names, wd.omega_elements[1:]):
-            moved = classify(wd, wd.conjugate(om, rec.rep), pc.classes).label
-            if moved != rec.label:
-                bad.append(f"conjugation by {name} moves class [{rec.label}] to [{moved}]")
-        bad += [
-            f"the elliptic flag of class [{rec.label}] differs at e = {wd.render(e)}"
-            for e in rec.min_reps
-            if wd.is_elliptic(e) != rec.elliptic
-        ]
-    out.append(_first_failure("class-invariants", bad, "Ω-closure and elliptic constancy"))
+    def invariant_failures():
+        for rec in pc.classes:
+            for name, om in zip(wd.omega_names, wd.omega_elements[1:]):
+                moved = classify(wd, wd.conjugate(om, rec.rep), pc.classes).label
+                if moved != rec.label:
+                    yield f"conjugation by {name} moves class [{rec.label}] to [{moved}]"
+            for e in rec.min_reps:
+                if wd.is_elliptic(e) != rec.elliptic:
+                    yield f"the elliptic flag of class [{rec.label}] differs at e = {wd.render(e)}"
+
+    out.append(_first_failure("class-invariants", invariant_failures(), "Ω-closure and elliptic constancy"))
     return out
 
 

@@ -266,11 +266,13 @@ def _theta_mats(m: int, theta) -> tuple[list, list]:
     return pos, neg
 
 
-def _scalar_module(alg: HeckeContext, tvals: dict, theta_vals: list) -> FinDimModule:
+def _scalar_module(
+    alg: HeckeContext, tvals: dict, theta_vals: list, scope: Optional[tuple[int, ...]]
+) -> FinDimModule:
     tmat = {name: PolyMatrix([[v]]) for name, v in tvals.items()}
     pos = [PolyMatrix([[v]]) for v in theta_vals]
     neg = [PolyMatrix([[v.inverse()]]) for v in theta_vals]
-    return FinDimModule(alg, None, 1, tmat, pos, neg)
+    return FinDimModule(alg, scope, 1, tmat, pos, neg)
 
 
 def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
@@ -336,24 +338,13 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
                         if eps_of_orbit[o] == "-1"
                         else alg.Q_of_pi[j]
                     )
-                # derive affine and omega scalars from their Bernstein seeds
-                def scalar_of_bernstein(b: BernsteinElt):
-                    total = LaurentPoly.const(alg.table, 0)
-                    for (x, w), c in b.c.items():
-                        term = c
-                        for r in range(m):
-                            term = term * theta_e[r] ** x[r]
-                        for name in wd.finite_word(w):
-                            term = term * tvals[name]
-                        total = total + term
-                    return total
-
-                for s in wd.affine_simple:
-                    if s.kind == "affine":
-                        tvals[s.name] = scalar_of_bernstein(alg.bernstein_seed(s.name))
-                for name in wd.omega_names:
-                    tvals[name] = scalar_of_bernstein(alg.bernstein_seed(name))
-                mod = _scalar_module(alg, tvals, theta_e)
+                # derive affine and omega scalars from their Bernstein seeds,
+                # on which the finite-scope character acts
+                fin = _scalar_module(alg, tvals, theta_e, tuple(range(wd.npi)))
+                affine = tuple(s.name for s in wd.affine_simple if s.kind == "affine")
+                for name in affine + wd.omega_names:
+                    tvals[name] = fin.trace_parabolic(alg.bernstein_seed(name))
+                mod = _scalar_module(alg, tvals, theta_e, None)
                 try:
                     mod.verify_relations()
                 except RelationFailed:
@@ -498,10 +489,11 @@ def finite_parahoric_module(
 def lift_from_parahoric(
     alg: HeckeContext,
     K: Sequence[str],
-    module: Union[str, dict],
+    module: str,
     scalars: dict,
 ) -> FinDimModule:
-    """Extend a finite-parahoric module by scalars on the other generators.
+    """Extend the built-in finite-parahoric module ``module`` on K (see
+    :func:`finite_parahoric_module`) by scalars on the other generators.
 
     ``scalars`` maps each S^a name outside K to "-1" or "Q".  Requires
     trivial Omega (otherwise no canonical Omega action exists).
@@ -509,11 +501,8 @@ def lift_from_parahoric(
     wd = alg.wd
     if wd.omega_names:
         raise ValueError("parahoric lifts are implemented for trivial Omega only")
-    mats = (
-        finite_parahoric_module(alg, K, module) if isinstance(module, str) else dict(module)
-    )
-    dim = next(iter(mats.values())).rows
-    tmat = dict(mats)
+    tmat = finite_parahoric_module(alg, K, module)
+    dim = next(iter(tmat.values())).rows
     for s in wd.affine_simple:
         if s.name in tmat:
             continue

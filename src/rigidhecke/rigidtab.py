@@ -26,6 +26,7 @@ from .datumsuites import (
     SUITES,
     CheckResult,
     _check,
+    _first_failure,
     render_csv,
     render_markdown,
 )
@@ -83,7 +84,6 @@ class PresetManifest(NamedTuple):
     columns: tuple[ColumnSpec, ...] = ()
     det_product: Optional[Callable[[VarTable], LaurentPoly]] = None
     det_text: str = ""
-    class_counts: Optional[tuple[int, int]] = None  # (Newton-zero classes, elliptic ones)
 
 
 def _sl2_det(qt: VarTable) -> LaurentPoly:
@@ -125,7 +125,6 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_sl2_det,
         det_text="-(q+1)^2",
-        class_counts=CLASS_COUNTS["sl2"],
     ),
     "pgl2": PresetManifest(
         name="pgl2",
@@ -139,7 +138,6 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_pgl2_det,
         det_text="2(q+1)",
-        class_counts=CLASS_COUNTS["pgl2"],
     ),
     "c2-aff": PresetManifest(
         name="c2-aff",
@@ -179,7 +177,6 @@ MANIFESTS: dict[str, PresetManifest] = {
         ),
         det_product=_c2_det,
         det_text="-(1+q0)^3(1+q1)^3(1+q2)^3(q0+q1)(q1+q2)(1+q0*q1)(1+q1*q2)",
-        class_counts=CLASS_COUNTS["c2-aff"],
     ),
 }
 
@@ -207,7 +204,7 @@ class PresetContext:
         self.ctx = ctx
         self.classes = classes
         self.rows = rows
-        self.class_counts = manifest.class_counts  # read by the datum suites
+        self.class_counts = CLASS_COUNTS.get(manifest.name)  # read by the datum suites
         if modules is not None:
             self.modules = modules
 
@@ -499,22 +496,18 @@ def suite_mackey(pc: PresetContext) -> list[CheckResult]:
                 rho = restrict(sigma, jw)
                 moved = twist_by(rho, wd.W.inverse[w], kw)
                 pieces.append(induce_in_parabolic(ctx, K, kw, moved))
-            bad = None
-            for key, p in _probe_elements(ctx, K):
-                lhs = lhs_mod.trace_parabolic(p)
-                rhs = ctx.zero()
-                for piece in pieces:
-                    rhs = rhs + piece.trace_parabolic(p)
-                if lhs != rhs:
-                    bad = key
-                    break
-            if bad is None:
-                detail = "character identity over the probe panel"
-            else:
-                x, w = bad
-                word = "".join(wd.finite_word(w)) or "1"
-                detail = f"character identity fails at the probe θ_x T_w with x = {x}, w = {word}"
-            out.append(_check(f"mackey[K={list(K)},J={list(J)}]", bad is None, detail))
+            bad = (
+                f"character identity fails at the probe θ_x T_w with x = {x}, "
+                f"w = {''.join(wd.finite_word(w)) or '1'}"
+                for (x, w), p in _probe_elements(ctx, K)
+                if lhs_mod.trace_parabolic(p)
+                != sum((piece.trace_parabolic(p) for piece in pieces), ctx.zero())
+            )
+            out.append(
+                _first_failure(
+                    f"mackey[K={list(K)},J={list(J)}]", bad, "character identity over the probe panel"
+                )
+            )
     return out
 
 
@@ -527,20 +520,14 @@ def suite_adjunction(pc: PresetContext) -> list[CheckResult]:
     for J in pi_subsets(pc.wd.npi):
         sigma = _sigma_for(ctx, J)
         ind = induce(ctx, J, sigma)
-        bad = None
-        for _ in range(ADJUNCTION_SAMPLES):
-            h = _random_h(ctx, rng, ball, 3)
-            if ind.trace(h) != sigma.trace_parabolic(ctx.bar_restrict(h, J)):
-                bad = h
-                break
-        out.append(
-            _check(
-                f"adjunction[J={list(J)}]",
-                bad is None,
-                f"{ADJUNCTION_SAMPLES} random h of length <= 4" if bad is None else
-                f"tr(i_J σ, h) != tr(σ, r̄_J h) at h = {bad.render()}",
-            )
+        draws = (_random_h(ctx, rng, ball, 3) for _ in range(ADJUNCTION_SAMPLES))
+        bad = (
+            f"tr(i_J σ, h) != tr(σ, r̄_J h) at h = {h.render()}"
+            for h in draws
+            if ind.trace(h) != sigma.trace_parabolic(ctx.bar_restrict(h, J))
         )
+        passing = f"{ADJUNCTION_SAMPLES} random h of length <= 4"
+        out.append(_first_failure(f"adjunction[J={list(J)}]", bad, passing))
     return out
 
 
@@ -684,25 +671,16 @@ def suite_relations(pc: PresetContext) -> list[CheckResult]:
     if "modules" not in vars(pc) and len(mods) == len(pc.manifest.columns):
         pc.modules = mods
     ball = wd.enumerate_ball(4)
-    bad = None
-    for _ in range(RELATIONS_SAMPLES):
-        abc = [rng.choice(ball) for _ in range(3)]
-        a, b, c = (ctx.T(e) for e in abc)
-        if (a * b) * c != a * (b * c):
-            bad = abc
-            break
-    out.append(
-        _check(
-            "im-associativity",
-            bad is None,
-            f"{RELATIONS_SAMPLES} random triples, radius 4" if bad is None else
-            f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({', '.join(map(wd.label, bad))})",
-        )
-    )
-    bad = None
-    n = len(wd.affine_simple)
-    for i in range(n):
-        for j in range(i + 1, n):
+
+    def associativity_failures():
+        for _ in range(RELATIONS_SAMPLES):
+            abc = [rng.choice(ball) for _ in range(3)]
+            a, b, c = (ctx.T(e) for e in abc)
+            if (a * b) * c != a * (b * c):
+                yield f"(T_a T_b) T_c != T_a (T_b T_c) at (a, b, c) = ({', '.join(map(wd.label, abc))})"
+
+    def braid_failures():
+        for i, j in itertools.combinations(range(len(wd.affine_simple)), 2):
             m = wd.bond_order(i, j)
             if m is None:
                 continue
@@ -712,43 +690,34 @@ def suite_relations(pc: PresetContext) -> list[CheckResult]:
             for t in range(m):
                 a = a.mul_gen_right(si if t % 2 == 0 else sj)
                 b = b.mul_gen_right(sj if t % 2 == 0 else si)
-            if a != b and bad is None:
-                bad = f"alternating products differ at ({si}, {sj}) with m = {m}"
-    out.append(_check("braid-relations", bad is None, bad or "alternating generator products"))
+            if a != b:
+                yield f"alternating products differ at ({si}, {sj}) with m = {m}"
+
+    def theta_failures():
+        for _ in range(20):
+            # small vectors: theta supports grow fast in antidominant directions
+            x = tuple(rng.randint(-1, 1) for _ in range(wd.rank))
+            y = tuple(rng.randint(-1, 1) for _ in range(wd.rank))
+            tx, ty = ctx.theta_im(x), ctx.theta_im(y)
+            txy = tx * ty
+            if txy != ty * tx or txy != ctx.theta_im(tuple(a + b for a, b in zip(x, y))):
+                yield f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {(x, y)}"
+
+    out.append(
+        _first_failure(
+            "im-associativity", associativity_failures(), f"{RELATIONS_SAMPLES} random triples, radius 4"
+        )
+    )
+    out.append(_first_failure("braid-relations", braid_failures(), "alternating generator products"))
     sample = [e for e in ball if wd.length(e) <= 3]
-    bad = None
-    for _ in range(RELATIONS_SAMPLES):
-        h = _random_h(ctx, rng, sample, 4)
-        if ctx.bernstein_to_im(ctx.im_to_bernstein(h)) != h:
-            bad = h
-            break
-    out.append(
-        _check(
-            "bernstein-roundtrip",
-            bad is None,
-            "IM -> Bernstein -> IM identity" if bad is None else
-            f"IM -> Bernstein -> IM changes h = {bad.render()}",
-        )
+    draws = (_random_h(ctx, rng, sample, 4) for _ in range(RELATIONS_SAMPLES))
+    bad = (
+        f"IM -> Bernstein -> IM changes h = {h.render()}"
+        for h in draws
+        if ctx.bernstein_to_im(ctx.im_to_bernstein(h)) != h
     )
-    bad = None
-    m = wd.rank
-    for _ in range(20):
-        # small vectors: theta supports grow fast in antidominant directions
-        x = tuple(rng.randint(-1, 1) for _ in range(m))
-        y = tuple(rng.randint(-1, 1) for _ in range(m))
-        tx, ty = ctx.theta_im(x), ctx.theta_im(y)
-        txy = tx * ty
-        if txy != ty * tx or txy != ctx.theta_im(tuple(a + b for a, b in zip(x, y))):
-            bad = (x, y)
-            break
-    out.append(
-        _check(
-            "theta-laws",
-            bad is None,
-            "commutativity and θ_x θ_y = θ_{x+y}" if bad is None else
-            f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {bad}",
-        )
-    )
+    out.append(_first_failure("bernstein-roundtrip", bad, "IM -> Bernstein -> IM identity"))
+    out.append(_first_failure("theta-laws", theta_failures(), "commutativity and θ_x θ_y = θ_{x+y}"))
     return out
 
 

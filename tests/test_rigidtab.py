@@ -413,6 +413,35 @@ def test_theta_laws_failure_names_pair(monkeypatch):
     assert detail == f"θ_x θ_y = θ_y θ_x = θ_{{x+y}} fails at (x, y) = {(x, y)}"
 
 
+def test_twist_free_failure_names_the_leaking_rows(pc_sl2, monkeypatch):
+    from rigidhecke.repn import FinDimModule
+
+    real = FinDimModule.trace
+    one = pc_sl2.wd.identity()
+
+    def leaky(mod, h):  # a twisted module's trace at 1 picks up its first twist variable
+        tr = real(mod, h)
+        return tr * mod.alg.table.gen(mod.twist_vars[0]) if mod.twist_vars and one == h else tr
+
+    # patched before suite_twist builds (and certifies) its twisted modules
+    monkeypatch.setattr(FinDimModule, "trace", leaky)
+    detail = _check_named(rigidtab.suite_twist(pc_sl2), "twist-free[i_0(1)]")
+    assert detail == "twist variables leaked into rows ['1']"
+
+
+def test_specialization_ext_c2_fails_on_a_nonconstant_quotient(table_c2, monkeypatch):
+    real = rigidtab.c2_ext_specialized_det
+
+    def short(qt):  # the product without its factor (1 + q1 q2): the quotient is that factor
+        q1, q2 = qt.gen("Q1"), qt.gen("Q2")
+        return real(qt).exact_div(q1 * q2 + 1)
+
+    monkeypatch.setattr(rigidtab, "c2_ext_specialized_det", short)
+    chk = rigidtab.specialization_check_extended_c2(table_c2)
+    assert chk.status == "fail"
+    assert chk.detail.startswith("quotient not constant")
+
+
 def test_cli_suite_names_are_the_suite_table():
     """SUITES names every suite once: each is a datum suite or a panel suite,
     never both, and the run order of "all" is the order of SUITES."""
@@ -553,3 +582,29 @@ def test_class_invariants_failure_names_elliptic_witness(monkeypatch):
     assert detail == (
         f"the elliptic flag of class [{rec.label}] differs at e = {pc.wd.render(rec.min_reps[0])}"
     )
+
+
+def test_length_vs_bfs_failure_names_element(monkeypatch):
+    from rigidhecke.weyl import WeylData
+
+    pc = _datum_pc("sl2")
+    s1 = pc.wd.generator_elt("s1")
+    real = WeylData.word
+    monkeypatch.setattr(WeylData, "word", lambda wd, e: real(wd, e) + (("s1",) if e == s1 else ()))
+    detail = _check_named(suite_lengths(pc), "length-vs-bfs[radius=8]")
+    assert detail == f"BFS word length 2 != l(e) = 1 at e = {pc.wd.render(s1)}"
+
+
+def test_oracle_agreement_failure_names_element(monkeypatch):
+    from rigidhecke import datumsuites
+    from rigidhecke.conj import key_partition
+
+    pc = _datum_pc("sl2")
+    wd = pc.wd
+    monkeypatch.setattr(datumsuites, "oracle_partition", lambda wd, elems, radius: [[e] for e in elems])
+    detail = _check_named(suite_classes(pc), "oracle-agreement[radius=6]")
+    # every oracle class is a singleton: the witness is the first element, in ball order,
+    # of a key class with two or more (key_partition keeps ball order)
+    elems = [e for e in wd.enumerate_ball(6) if wd.has_finite_order(e)]
+    e = next(g for g in key_partition(wd, elems) if len(g) > 1)[0]
+    assert detail == f"the key class and the oracle class of e = {wd.render(e)} differ"
