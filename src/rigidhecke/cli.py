@@ -107,8 +107,11 @@ def _parse_spec(spec: str) -> dict:
         if not part:
             continue
         name, _, val = part.partition("=")
+        name = name.strip()
+        if name.lower() in {n.lower() for n in out}:  # names are case-insensitive
+            raise UsageError(f"parameter {name!r} given twice in --spec")
         try:
-            out[name.strip()] = Fraction(val.strip())
+            out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad --spec entry {part!r} (want name=rational)") from None
     return out
@@ -154,6 +157,8 @@ def cmd_verify(args) -> int:
         from . import rigidtab
 
         if args.preset not in rigidtab.MANIFESTS:
+            if args.preset:
+                raise UsageError(f"no module panel for preset {args.preset!r}")
             raise UsageError("this suite needs a preset module panel (use --preset)")
         pc = rigidtab.build_preset_context(args.preset, L=args.max_length)
         run = partial(rigidtab.run_suite, suite=args.suite)

@@ -5,10 +5,11 @@ affine Weyl elements to Laurent coefficients, with T_w T_s = T_{ws} when
 lengths add and the quadratic relation (T_s + 1)(T_s - q(s)^2) = 0.  The
 Bernstein-Lusztig form Σ c θ_x T_w is computed on demand: θ_x is seeded from
 dominant translations via θ_x = q(t_{x1})^{-1} q(t_{x2}) T_{t_{x1}}
-T_{t_{x2}}^{-1}, the affine generator's Bernstein expression is derived from
-θ_{-γ} (never hardcoded), and the cross-commutation uses the finite
-geometric-sum expansion of the Bernstein-Lusztig relation, with the
-q(s)q(s~) branch when α^ ∈ 2X^.
+T_{t_{x2}}^{-1}, every generator outside the finite Hecke algebra (the affine
+s0 and Ω) gets its Bernstein expression from the one IM -> Bernstein
+conversion (never hardcoded), and the one commutation recursion
+(``Parabolic.move_theta_left``) uses the finite geometric-sum expansion of the
+Bernstein-Lusztig relation, with the q(s)q(s~) branch when α^ ∈ 2X^.
 
 Parabolic subalgebras H_J carry the same lattice and the parameter pairs
 inherited from the ambient diagram; their elements are plain BernsteinElts
@@ -350,37 +351,20 @@ class HeckeContext:
         )
 
     def bernstein_seed(self, name: str) -> "BernsteinElt":
-        """Bernstein form of T_{s0} (derived from θ_{-γ}) or T_ω."""
+        """Bernstein form of the generator T_name: a finite T_s is the basis
+        element θ_0 T_s; every other generator (the affine s0 of each
+        component, and each ω in Ω) is converted by :meth:`im_to_bernstein`."""
         got = self._bern_seed.get(name)
-        if got is not None:
-            return got
-        wd = self.wd
-        if name in wd.sa_index:
-            s = wd.affine_simple[wd.sa_index[name]]
-            if s.kind == "finite":
-                out = BernsteinElt(
-                    self, {((0,) * wd.rank, wd.W.gen_index[s.pi_index]): self._one}
-                )
+        if got is None:
+            wd = self.wd
+            k = wd.sa_index.get(name)
+            if k is not None and wd.affine_simple[k].kind == "finite":
+                key = ((0,) * wd.rank, wd.W.gen_index[wd.affine_simple[k].pi_index])
+                got = BernsteinElt(self, {key: self._one})
             else:
-                gamma = s.root
-                mg = tuple(-c for c in gamma)
-                t = wd.translation(mg)
-                refl = s.elt[1]
-                if wd.length(t) != 1 + wd.W.length[refl]:
-                    raise RuntimeError("l(t_{-gamma}) != 1 + l(s_gamma); convention broken")
-                inv = self.unit().mul_word_right(wd.finite_word(refl), inverse=True)
-                coeff = self.q_of_elt(t)
-                terms = {}
-                for e, c in inv.c.items():
-                    xx, ww = e
-                    if xx != (0,) * wd.rank:
-                        raise RuntimeError("finite inverse left the finite part")
-                    terms[(mg, ww)] = coeff * c
-                out = BernsteinElt(self, terms)
-        else:
-            out = self.im_to_bernstein(self.T(wd.generator_elt(name)))
-        self._bern_seed[name] = out
-        return out
+                got = self.im_to_bernstein(self.T(wd.generator_elt(name)))
+            self._bern_seed[name] = got
+        return got
 
     # -- subalgebras ------------------------------------------------------------------
 
@@ -456,7 +440,7 @@ class HeckeContext:
             _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[k])
         entries = [(rec_by_label[lab], c) for lab, r in out.items() if (c := _clean(self.table, r))]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
-        return CocenterCombination(self, tuple(entries))
+        return CocenterCombination(tuple(entries))
 
     # -- restriction to parabolic blocks ----------------------------------------------
 
@@ -642,7 +626,6 @@ class BernsteinElt(_Combination):
 class CocenterCombination(NamedTuple):
     """Σ a_O T_O with pairwise distinct classes."""
 
-    ctx: HeckeContext
     entries: tuple[tuple[ConjClassRecord, LaurentPoly], ...]
 
     def render(self) -> str:
@@ -672,7 +655,6 @@ class Parabolic:
         self.members = [w for w in range(W.size) if set(W.word[w]) <= set(J)]
         self.member_set = set(self.members)
         self.coset_reps = ctx.wd.minimal_coset_reps(J)
-        self._theta_right_cache: dict = {}
         self._theta_left_cache: dict = {}
 
     def elt(self, c: dict) -> BernsteinElt:
@@ -731,42 +713,21 @@ class Parabolic:
         self._theta_left_cache[key] = out
         return out
 
-    def move_theta_right(self, word: tuple[int, ...], x: Vec) -> dict:
-        """θ_x T_word as {(v, z): coeff} meaning Σ T_v θ_z."""
-        key = (word, x)
-        got = self._theta_right_cache.get(key)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        W = ctx.wd.W
-        if not word:
-            out = {(0, x): ctx._one}
-        else:
-            first, rest = word[0], word[1:]
-            sx = self._s_act(first, x)
-            raw: dict = {}
-            sj = W.gen_index[first]
-            quad = ctx._quad_of_pi[first]
-            for (v, z), c in self.move_theta_right(rest, sx).items():
-                # T_s T_v follows the rule of T_v T_s, with sv in place of vs
-                sv = W.mult(sj, v)
-                _quadratic_step(raw, (v, z), (sv, z), W.length[sv] > W.length[v], c, quad)
-            for z, c in self.bl_comm(first, x).items():
-                for (v, z2), c2 in self.move_theta_right(rest, z).items():
-                    _addmul(raw.setdefault((v, z2), {}), c.terms, c2.terms)
-            out = {k: p for k, r in raw.items() if (p := _clean(ctx.table, r))}
-        self._theta_right_cache[key] = out
-        return out
-
     def decompose(self, b: BernsteinElt) -> dict:
-        """h = Σ_u T_u h_u over u in W^J; returns {u: h_u} with h_u in H_J."""
+        """h = Σ_u T_u h_u over u in W^J; returns {u: h_u} with h_u in H_J.
+
+        θ_x T_u is commuted to Σ c T_v θ_z by the anti-automorphism θ_x ↦ θ_x,
+        T_w ↦ T_{w^{-1}} of the Bernstein presentation.  It keeps the quadratic
+        and braid relations, and the Bernstein-Lusztig relation because
+        bl_comm(j, s_j x) = -bl_comm(j, x).  So it maps T_{u^{-1}} θ_x =
+        Σ c θ_z T_v, which move_theta_left gives, to θ_x T_u = Σ c T_{v^{-1}} θ_z."""
         wd = self.ctx.wd
         W = wd.W
         pairs: dict[int, list] = {}
         for (x, w), c in b.c.items():
             u, wj = wd.factorize_coset(w, self.J)
-            for (v, z), c2 in self.move_theta_right(W.word[u], x).items():
-                u2, vj = wd.factorize_coset(v, self.J)
+            for (z, v), c2 in self.move_theta_left(W.word[W.inverse[u]], x).c.items():
+                u2, vj = wd.factorize_coset(W.inverse[v], self.J)
                 inner = self.move_theta_left(W.word[vj], z).mul_word_right(W.word[wj])
                 pairs.setdefault(u2, []).append((inner, c * c2))
         blocks = {u: BernsteinElt.combination(self.ctx, ps) for u, ps in pairs.items()}

@@ -77,6 +77,8 @@ BAD_SPECS = {
     "q=2=3": "bad --spec entry 'q=2=3' (want name=rational)",
     "q=nan": "bad --spec entry 'q=nan' (want name=rational)",
     "q": "bad --spec entry 'q' (want name=rational)",
+    "q=2,Q=3": "parameter 'Q' given twice in --spec",
+    "Q=2,Q=3": "parameter 'Q' given twice in --spec",
 }
 
 
@@ -199,6 +201,16 @@ def test_verify_c2ext_counts(capsys):
     assert code == 0
     code, _, err = run(capsys, "verify", "--preset", "c2-ext", "--suite", "pairing")
     assert code == 2
+
+
+def test_verify_panel_suite_without_panel_names_the_preset(capsys):
+    got = run(capsys, "verify", "--preset", "c2-ext", "--suite", "mackey")
+    assert got == (2, "", "error: no module panel for preset 'c2-ext'\n")
+
+
+def test_verify_panel_suite_on_a_datum_file_asks_for_a_preset(capsys):
+    got = run(capsys, "verify", "--datum", str(DATA / "sl3.json"), "--suite", "mackey")
+    assert got == (2, "", "error: this suite needs a preset module panel (use --preset)\n")
 
 
 def test_datum_file_input(capsys, tmp_path):

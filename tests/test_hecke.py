@@ -9,17 +9,25 @@ import pytest
 from rigidhecke import rigidtab
 from rigidhecke.conj import newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly
-from rigidhecke.hecke import HeckeContext, NonNewtonZeroLeaf
-from rigidhecke.rootdata import load_datum, preset
+from rigidhecke.hecke import BernsteinElt, HeckeContext, NonNewtonZeroLeaf
+from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
 
+DATA = pathlib.Path(__file__).parent / "data"
 _CACHE = {}
 
 
 def ctx_of(name):
+    """The context of a preset, or of the ``tests/data`` file of that stem."""
     if name not in _CACHE:
-        _CACHE[name] = HeckeContext(WeylData(preset(name)))
+        datum = preset(name) if name in PRESET_NAMES else load_datum(str(DATA / f"{name}.json"))
+        _CACHE[name] = HeckeContext(WeylData(datum))
     return _CACHE[name]
+
+
+# the presets and the tests/data files, but b3p, b3q, c3p and c3q, which take
+# over a second each
+BERNSTEIN_DATA = PRESET_NAMES + ("g2", "pgl3", "sl2xsl2", "sl3", "sl4")
 
 
 def test_quadratic_relation():
@@ -297,3 +305,58 @@ def test_theta_split_independence():
     # theta_element is the Bernstein basis vector whose IM form is theta_im
     b = ctx.theta_element(x)
     assert ctx.bernstein_to_im(b) == ref
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_DATA)
+def test_bernstein_seed_is_the_generator(name):
+    ctx = ctx_of(name)
+    for g in ctx.wd.gen_names:
+        assert ctx.bernstein_to_im(ctx.bernstein_seed(g)) == ctx.T(ctx.wd.generator_elt(g)), g
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_DATA)
+def test_affine_seed_is_q_theta_minus_gamma_times_inverse_reflection(name):
+    """T_{s0} = q(t_{-γ}) θ_{-γ} T_{s_γ}^{-1} for the affine node of each
+    component, as IM products, and its Bernstein seed is that expression:
+    Σ q(t_{-γ}) c_w θ_{-γ} T_w for T_{s_γ}^{-1} = Σ c_w T_w."""
+    ctx = ctx_of(name)
+    wd = ctx.wd
+    zero = (0,) * wd.rank
+    for s in wd.affine_simple:
+        if s.kind == "finite":
+            continue
+        mg = tuple(-c for c in s.root)
+        t = wd.translation(mg)
+        assert wd.length(t) == 1 + wd.W.length[s.elt[1]]
+        inv = ctx.unit().mul_word_right(wd.finite_word(s.elt[1]), inverse=True)
+        q = ctx.q_of_elt(t)
+        assert ctx.theta_im(mg).scale(q) * inv == ctx.T(s.elt), s.name
+        assert all(x == zero for x, _ in inv.c)
+        ref = BernsteinElt(ctx, {(mg, w): q * c for (_, w), c in inv.c.items()})
+        assert ctx.bernstein_seed(s.name) == ref, s.name
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_DATA)
+def test_theta_commutes_right_past_finite_T(name):
+    """θ_x T_u = Σ c T_v θ_z as IM products, for the blocks of
+    ``Parabolic.decompose`` over J = () (the commutation through the
+    anti-automorphism), every u in W and every x in {0, ±e_i}."""
+    ctx = ctx_of(name)
+    wd = ctx.wd
+    par = ctx.parabolic(())
+    zero = (0,) * wd.rank
+    xs = [zero] + [
+        tuple(sign if k == i else 0 for k in range(wd.rank))
+        for i in range(wd.rank)
+        for sign in (1, -1)
+    ]
+    for u in range(wd.W.size):
+        Tu = ctx.T((zero, u))
+        for x in xs:
+            blocks = par.decompose(BernsteinElt(ctx, {(x, u): ctx.one()}))
+            rhs = ctx.elt({})
+            for v, blk in blocks.items():
+                for (z, w), c in blk.c.items():
+                    assert w == 0
+                    rhs = rhs + (ctx.T((zero, v)) * ctx.theta_im(z)).scale(c)
+            assert ctx.theta_im(x) * Tu == rhs, (u, x)
