@@ -25,7 +25,6 @@ _EXPORTS = {
         "VarTableMismatch",
         "ZeroSubstitutionForUnit",
         "det_bareiss",
-        "det_cofactor",
         "parse_poly",
         "render_in_Q",
     ),
@@ -48,7 +47,6 @@ _EXPORTS = {
         "NotFound",
         "PlateauBudgetExceeded",
         "UnstableAtBound",
-        "brute_force_conjugacy_oracle",
         "classify",
         "count_identity_check",
         "descend_to_minimal",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "FinDimModule",
         "RelationFailed",
         "TwistChar",
-        "apply_iKrK",
         "induce",
         "induce_in_parabolic",
         "inflate_chi_t",
@@ -83,7 +80,6 @@ _EXPORTS = {
         "build_rigid_table",
         "determinant_check",
         "run_suite",
-        "specialization_check_extended_c2",
     ),
 }
 

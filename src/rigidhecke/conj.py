@@ -211,14 +211,6 @@ def classify(wd: WeylData, e: Elt, classes: Sequence[ConjClassRecord]) -> ConjCl
     raise NotFound(f"class of {wd.render(e)} not among {[r.label for r in classes]}")
 
 
-def brute_force_conjugacy_oracle(wd: WeylData, a: Elt, b: Elt, L: int) -> bool:
-    """Exhaustive search: is g a g^{-1} = b for some g of length <= L?"""
-    for g in wd.enumerate_ball(L):
-        if wd.conjugate(g, a) == b:
-            return True
-    return False
-
-
 class CountIdentityReport(NamedTuple):
     """Per-parabolic elliptic counts versus the Newton-zero class total."""
 

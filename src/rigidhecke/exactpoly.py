@@ -649,31 +649,8 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(e) for e in row] for row in self.entries])
-
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
-
-
-def det_cofactor(m: PolyMatrix) -> LaurentPoly:
-    """Naive cofactor-expansion determinant; the small-size oracle."""
-    if m.rows != m.cols:
-        raise NonSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        raise NonSquare("empty matrix")
-    if n == 1:
-        return m.entries[0][0]
-    acc = LaurentPoly(m.table, {})
-    for j in range(n):
-        a = m.entries[0][j]
-        if a.is_zero():
-            continue
-        minor = PolyMatrix([row[:j] + row[j + 1 :] for row in m.entries[1:]])
-        term = a * det_cofactor(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 def det_bareiss(m: PolyMatrix) -> LaurentPoly:

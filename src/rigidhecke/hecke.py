@@ -5,9 +5,11 @@ affine Weyl elements to Laurent coefficients, with T_w T_s = T_{ws} when
 lengths add and the quadratic relation (T_s + 1)(T_s - q(s)^2) = 0.  The
 Bernstein-Lusztig form Σ c θ_x T_w is computed on demand: θ_x is seeded from
 dominant translations via θ_x = q(t_{x1})^{-1} q(t_{x2}) T_{t_{x1}}
-T_{t_{x2}}^{-1}, every generator outside the finite Hecke algebra (the affine
-s0 and Ω) gets its Bernstein expression from the one IM -> Bernstein
-conversion (never hardcoded), and the one commutation recursion
+T_{t_{x2}}^{-1} for the split x1 = x + c·2ρ, x2 = c·2ρ of
+``HeckeContext.dominant_split`` (Lusztig, *Affine Hecke algebras and their
+graded version*, J. AMS 2 (1989)), every generator outside the finite Hecke
+algebra (the affine s0 and Ω) gets its Bernstein expression from the one IM ->
+Bernstein conversion (never hardcoded), and the one commutation recursion
 (``Parabolic.move_theta_left``) uses the finite geometric-sum expansion of the
 Bernstein-Lusztig relation, with the q(s)q(s~) branch when α^ ∈ 2X^.
 
@@ -166,16 +168,16 @@ class HeckeContext:
         self._quadinv_of_sa = [(self._one.terms, Qi.terms, (Qi - 1).terms) for Qi in inverses]
         # per finite simple root: v, Q, and the q(s)q(s~) twin data
         self._build_finite_pairs()
-        self.two_rho_vee = [0] * wd.rank
+        self.two_rho, self.two_rho_vee = (0,) * wd.rank, [0] * wd.rank
         for k, pos in enumerate(wd.roots.positive):
             if pos:
+                self.two_rho = tuple(a + b for a, b in zip(self.two_rho, wd.roots.roots[k]))
                 cv = wd.roots.coroots[k]
                 self.two_rho_vee = [a + b for a, b in zip(self.two_rho_vee, cv)]
         self._theta_im_cache: dict[Vec, "HeckeElt"] = {}
         self._elim_ranks: dict[Elt, tuple] = {}
         self._theta_T_cache: dict[BKey, "HeckeElt"] = {}
         self._bern_seed: dict[str, "BernsteinElt"] = {}
-        self._split_cache: dict[Vec, tuple[Vec, Vec]] = {}
         self._parabolic_cache: dict[tuple[int, ...], "Parabolic"] = {}
         self._quotient_cache: dict[tuple[int, ...], "QuotientAlgebra"] = {}
 
@@ -225,35 +227,16 @@ class HeckeContext:
         )
 
     def dominant_split(self, x: Vec) -> tuple[Vec, Vec]:
-        """x = x1 - x2 with x1, x2 dominant, minimizing total length."""
-        x = tuple(x)
-        got = self._split_cache.get(x)
-        if got is not None:
-            return got
-        import itertools as it
+        """x = x1 - x2 with x1 = x + c·2ρ and x2 = c·2ρ both dominant.
 
-        m = self.wd.rank
-        best = None
-        for bound in range(0, 16):
-            for combo in it.product(range(-bound, bound + 1), repeat=m):
-                if max((abs(c) for c in combo), default=0) != bound:
-                    continue
-                x2 = tuple(combo)
-                if not self.is_dominant(x2):
-                    continue
-                x1 = tuple(a + b for a, b in zip(x, x2))
-                if not self.is_dominant(x1):
-                    continue
-                # the length of t_x (<x, 2 rho^> for dominant x), a search heuristic
-                cost = sum(self.wd.length(self.wd.translation(v)) for v in (x1, x2))
-                if best is None or cost < best[0]:
-                    best = (cost, x1, x2)
-            if best is not None:
-                break
-        if best is None:
-            raise RuntimeError(f"no dominant split of {x} up to box 15")
-        self._split_cache[x] = (best[1], best[2])
-        return best[1], best[2]
+        2ρ, the sum of the positive roots, pairs to 2 with every simple coroot
+        (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+        §10.2, Lemma B and its corollary), so c = ⌈max(0, -min_i <x, α_i^>)/2⌉
+        is the least c that makes x + c·2ρ dominant."""
+        low = min((sum(a * b for a, b in zip(x, cv)) for cv in self.wd.datum.simple_coroots),
+                  default=0)
+        x2 = tuple((max(0, -low) + 1) // 2 * r for r in self.two_rho)
+        return tuple(a + b for a, b in zip(x, x2)), x2
 
     def theta_im(self, x: Vec) -> "HeckeElt":
         """IM form of θ_x."""
@@ -732,14 +715,6 @@ class Parabolic:
                 pairs.setdefault(u2, []).append((inner, c * c2))
         blocks = {u: BernsteinElt.combination(self.ctx, ps) for u, ps in pairs.items()}
         return {u: blk for u, blk in blocks.items() if not blk.is_zero()}
-
-    def reassemble(self, blocks: dict) -> HeckeElt:
-        """Σ_u T_u h_u back in ambient IM form (exactness check helper)."""
-        ctx = self.ctx
-        return HeckeElt.combination(ctx, (
-            (ctx.T_word(ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk), ctx._one)
-            for u, blk in blocks.items()
-        ))
 
 
 class QuotientAlgebra:

@@ -624,8 +624,3 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
     out = FinDimModule(alg, J, mod.dim, tmat, pos, neg, mod.twist_vars)
     out.verify_relations()
     return out
-
-
-def apply_iKrK(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
-    """Module-level i_K ∘ r_K: restrict then induce (relation-certified)."""
-    return induce(mod.alg, K, restrict(mod, K))

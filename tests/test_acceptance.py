@@ -18,6 +18,7 @@ from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
 
 from conftest import bare_context
+from oracles import specialization_check_extended_c2
 from test_rigidtab import C2_COLUMNS, PGL2_TABLE, SL2_TABLE, _assert_table
 
 
@@ -70,7 +71,7 @@ def test_criterion_3_c2_table():
 
 
 def test_criterion_4_extended_c2(table_c2):
-    chk = rigidtab.specialization_check_extended_c2(table_c2)
+    chk = specialization_check_extended_c2(table_c2)
     report(4, chk.ok, f"specialization q0->1, q1<->q2: {chk.detail}")
 
 

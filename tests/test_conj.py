@@ -10,7 +10,6 @@ from rigidhecke import conj
 from rigidhecke.conj import (
     NotFound,
     UnstableAtBound,
-    brute_force_conjugacy_oracle,
     classify,
     count_identity_check,
     descend_to_minimal,
@@ -20,6 +19,8 @@ from rigidhecke.conj import (
 )
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData, union_find
+
+from oracles import brute_force_conjugacy_oracle
 
 _CACHE = {}
 _ORACLE = {}

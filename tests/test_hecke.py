@@ -1,6 +1,7 @@
 """Hecke algebra arithmetic: IM products, theta elements, conversions,
 coset normal forms, restriction blocks, cocenter reduction."""
 
+import itertools
 import pathlib
 import random
 
@@ -12,6 +13,8 @@ from rigidhecke.exactpoly import LaurentPoly
 from rigidhecke.hecke import BernsteinElt, HeckeContext, NonNewtonZeroLeaf
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData
+
+from oracles import reassemble
 
 DATA = pathlib.Path(__file__).parent / "data"
 _CACHE = {}
@@ -210,7 +213,7 @@ def test_coset_reassembly_random():
                         LaurentPoly.const(ctx.table, rng.randint(1, 3))
                     )
                     blocks = par.decompose(ctx.im_to_bernstein(h))
-                    assert par.reassemble(blocks) == h
+                    assert reassemble(par, blocks) == h
 
 
 def test_bar_restrict_examples():
@@ -305,6 +308,55 @@ def test_theta_split_independence():
     # theta_element is the Bernstein basis vector whose IM form is theta_im
     b = ctx.theta_element(x)
     assert ctx.bernstein_to_im(b) == ref
+
+
+def box_split(ctx, x, radius=15):
+    """The reference split, the search that ``dominant_split`` ran before it
+    had a closed form: among x2 in boxes of growing radius, the first dominant
+    x2 with x + x2 dominant and the least l(t_{x + x2}) + l(t_{x2})."""
+    wd = ctx.wd
+    best = None
+    for bound in range(radius + 1):
+        for x2 in itertools.product(range(-bound, bound + 1), repeat=wd.rank):
+            if max(map(abs, x2), default=0) != bound or not ctx.is_dominant(x2):
+                continue
+            x1 = tuple(a + b for a, b in zip(x, x2))
+            if not ctx.is_dominant(x1):
+                continue
+            cost = sum(wd.length(wd.translation(v)) for v in (x1, x2))
+            if best is None or cost < best[0]:
+                best = (cost, x1, x2)
+        if best is not None:
+            return best[1], best[2]
+    raise LookupError(f"no dominant split of {x} up to box {radius}")
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_DATA)
+def test_dominant_split_is_the_two_rho_formula(name):
+    """<2ρ, α_i^> = 2 for every simple coroot; dominant_split(x) is a pair of
+    dominant weights with difference x; θ_x from it equals θ_x from the box
+    search's split, over the radius-2 box (radius 1 at rank 3).  The search
+    runs up to radius 24 here: on g2 the least split of (-2, 2) has
+    x2 = (12, 18), outside the old radius 15."""
+    ctx = ctx_of(name)
+    wd = ctx.wd
+    coroots = wd.datum.simple_coroots
+    assert [sum(a * b for a, b in zip(ctx.two_rho, cv)) for cv in coroots] == [2] * wd.npi
+    radius = 1 if wd.rank >= 3 else 2
+    for x in itertools.product(range(-radius, radius + 1), repeat=wd.rank):
+        x1, x2 = ctx.dominant_split(x)
+        assert ctx.is_dominant(x1) and ctx.is_dominant(x2), x
+        assert tuple(a - b for a, b in zip(x1, x2)) == x
+        assert ctx.theta_im(x) == ctx.theta_im_from_split(*box_split(ctx, x, 24)), x
+
+
+@pytest.mark.parametrize("name, x", [("sl2", (-16,)), ("pgl2", (-40,)), ("g2", (-2, 2))])
+def test_theta_past_the_old_search_box(name, x):
+    """θ_x θ_{-x} = 1 for an x that the radius-15 box search could not split."""
+    ctx = ctx_of(name)
+    with pytest.raises(LookupError):
+        box_split(ctx, x)
+    assert ctx.theta_im(x) * ctx.theta_im(tuple(-a for a in x)) == ctx.unit()
 
 
 @pytest.mark.parametrize("name", BERNSTEIN_DATA)

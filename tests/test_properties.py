@@ -22,12 +22,13 @@ from rigidhecke.exactpoly import (
     _addmul,
     _clean,
     det_bareiss,
-    det_cofactor,
     render_in_Q,
 )
 from rigidhecke.hecke import BernsteinElt, HeckeContext
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
 from rigidhecke.weyl import WeylData, pi_subsets
+
+from oracles import det_cofactor
 
 T2 = VarTable(("v0", "v1"), ("param-sqrt", "param-sqrt"))
 

@@ -17,7 +17,6 @@ from rigidhecke.repn import (
     FinDimModule,
     RelationFailed,
     TwistChar,
-    apply_iKrK,
     induce,
     induce_in_parabolic,
     inflate_chi_t,
@@ -28,6 +27,8 @@ from rigidhecke.repn import (
 )
 from rigidhecke.rootdata import preset
 from rigidhecke.weyl import WeylData
+
+from oracles import apply_iKrK
 
 _CACHE = {}
 

@@ -16,6 +16,8 @@ from rigidhecke.datumsuites import (
 )
 from rigidhecke.exactpoly import parse_poly
 
+import oracles
+
 # Reference 3x3 table for SL(2): rows T0, T1, 1; columns St, pi+, i_0(1).
 SL2_TABLE = [
     ["-1", "-1", "Q - 1"],
@@ -134,7 +136,7 @@ def test_det_values():
 
 
 def test_specialization_extended_c2(table_c2):
-    chk = rigidtab.specialization_check_extended_c2(table_c2)
+    chk = oracles.specialization_check_extended_c2(table_c2)
     assert chk.ok, chk.detail
     assert "c = -8" in chk.detail or "c = 8" in chk.detail
 
@@ -430,14 +432,14 @@ def test_twist_free_failure_names_the_leaking_rows(pc_sl2, monkeypatch):
 
 
 def test_specialization_ext_c2_fails_on_a_nonconstant_quotient(table_c2, monkeypatch):
-    real = rigidtab.c2_ext_specialized_det
+    real = oracles.c2_ext_specialized_det
 
     def short(qt):  # the product without its factor (1 + q1 q2): the quotient is that factor
         q1, q2 = qt.gen("Q1"), qt.gen("Q2")
         return real(qt).exact_div(q1 * q2 + 1)
 
-    monkeypatch.setattr(rigidtab, "c2_ext_specialized_det", short)
-    chk = rigidtab.specialization_check_extended_c2(table_c2)
+    monkeypatch.setattr(oracles, "c2_ext_specialized_det", short)
+    chk = oracles.specialization_check_extended_c2(table_c2)
     assert chk.status == "fail"
     assert chk.detail.startswith("quotient not constant")
 
@@ -509,7 +511,7 @@ def test_determinant_checks_let_a_defect_through(table_sl2, table_c2, monkeypatc
     with pytest.raises(RuntimeError, match="injected"):
         rigidtab.determinant_check(table_sl2, expected)
     with pytest.raises(RuntimeError, match="injected"):
-        rigidtab.specialization_check_extended_c2(table_c2)
+        oracles.specialization_check_extended_c2(table_c2)
 
 
 # -- failing datum checks name their witness ---------------------------------------
