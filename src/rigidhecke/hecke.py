@@ -214,9 +214,6 @@ class HeckeContext:
     def T(self, e: Elt) -> "HeckeElt":
         return HeckeElt(self, {e: self._one})
 
-    def T_word(self, letters: Sequence[str]) -> "HeckeElt":
-        return self.unit().mul_word_right(letters)
-
     # -- theta machinery ---------------------------------------------------------
 
     def is_dominant(self, x: Sequence[int]) -> bool:
@@ -428,12 +425,13 @@ class HeckeContext:
     # -- restriction to parabolic blocks ----------------------------------------------
 
     def bar_restrict(self, h: "HeckeElt", J: Sequence[int]) -> "BernsteinElt":
-        """r̃_J(h) = Σ_u (u,u)-block of left multiplication on ⊕ T_u H_J."""
+        """r̃_J(h) = Σ_u (u,u)-block of left multiplication on ⊕ T_u H_J.
+
+        h is converted to Bernstein form once: its coordinates are unique, so
+        (Bernstein form of h)·T_u is the Bernstein form of h·T_u."""
         par = self.parabolic(J)
-        blocks = (
-            par.decompose(self.im_to_bernstein(h.mul_word_right(self.wd.finite_word(u)))).get(u)
-            for u in par.coset_reps
-        )
+        hb = self.im_to_bernstein(h)
+        blocks = (par.decompose(hb.mul_word_right(self.wd.W.word[u])).get(u) for u in par.coset_reps)
         return BernsteinElt.combination(self, ((b, self._one) for b in blocks if b is not None))
 
     def adjoint_iJ_rJ(self, h: "HeckeElt", J: Sequence[int]) -> "HeckeElt":

@@ -86,8 +86,7 @@ class FinDimModule:
     """
 
     __slots__ = (
-        "alg", "scope", "dim", "tmat", "theta_pos", "theta_neg", "twist_vars",
-        "_words", "_thetas", "_relations",
+        "alg", "scope", "dim", "tmat", "theta_pos", "theta_neg", "_words", "_thetas", "_relations"
     )
 
     def __init__(
@@ -98,7 +97,6 @@ class FinDimModule:
         tmat: dict,
         theta_pos: Sequence[PolyMatrix],
         theta_neg: Sequence[PolyMatrix],
-        twist_vars: tuple[str, ...] = (),
     ):
         init = object.__setattr__
         init(self, "alg", alg)
@@ -107,7 +105,6 @@ class FinDimModule:
         init(self, "tmat", MappingProxyType(dict(tmat)))
         init(self, "theta_pos", tuple(theta_pos))
         init(self, "theta_neg", tuple(theta_neg))
-        init(self, "twist_vars", tuple(twist_vars))
         ident = PolyMatrix.identity(alg.table, dim)
         init(self, "_words", {(): ident})  # letters -> matrix of T_letters
         init(self, "_thetas", {(0,) * alg.wd.rank: ident})  # x -> matrix of θ_x
@@ -432,10 +429,7 @@ def inflate_chi_t(
     pos_mats, neg_mats = _theta_mats(
         parent.wd.rank, lambda x: sigma.theta_of(qa.quot.project(x)).scale(t.of(x))
     )
-    twist_vars = tuple(
-        name for v in t.values for name in v.table.names if v.uses_variable(name)
-    )
-    mod = FinDimModule(parent, tuple(J), sigma.dim, tmat, pos_mats, neg_mats, twist_vars)
+    mod = FinDimModule(parent, tuple(J), sigma.dim, tmat, pos_mats, neg_mats)
     mod.verify_relations()
     return mod
 
@@ -556,7 +550,7 @@ def _induced(
 
     tmat = {name: assemble(alg.bernstein_seed(name)) for name in names}
     pos_mats, neg_mats = _theta_mats(alg.wd.rank, lambda x: assemble(alg.theta_element(x)))
-    mod = FinDimModule(alg, scope, dim, tmat, pos_mats, neg_mats, sigma.twist_vars)
+    mod = FinDimModule(alg, scope, dim, tmat, pos_mats, neg_mats)
     mod.verify_relations()
     return mod
 
@@ -594,7 +588,7 @@ def restrict(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:
         raise ValueError(f"K={K} not contained in scope {sorted(in_scope)}")
     names = mod.alg.wd.pi_names
     tmat = {names[j]: mod.tmat[names[j]] for j in K}
-    out = FinDimModule(mod.alg, K, mod.dim, tmat, mod.theta_pos, mod.theta_neg, mod.twist_vars)
+    out = FinDimModule(mod.alg, K, mod.dim, tmat, mod.theta_pos, mod.theta_neg)
     out._relations.extend(f for f in mod._relations if f not in ("omega", "theta-consistency"))
     out._thetas.update(mod._thetas)
     out._words.update((w, m) for w, m in mod._words.items() if tmat.keys() >= set(w))
@@ -621,6 +615,6 @@ def twist_by(mod: FinDimModule, w: int, J: Sequence[int]) -> FinDimModule:
             raise ValueError("w(J) is not inside the module scope")
         tmat[wd.pi_names[j]] = mod.tmat[wd.pi_names[k]]
     pos, neg = _theta_mats(wd.rank, lambda x: mod.theta_of(wd.W.act(w, x)))
-    out = FinDimModule(alg, J, mod.dim, tmat, pos, neg, mod.twist_vars)
+    out = FinDimModule(alg, J, mod.dim, tmat, pos, neg)
     out.verify_relations()
     return out

@@ -387,28 +387,16 @@ def _random_h(ctx: HeckeContext, rng: random.Random, elems: list, top: int):
     )
 
 
-def _strictly_dominant_vec(wd: WeylData):
-    m = wd.rank
-    for bound in range(1, 8):
-        for combo in itertools.product(range(-bound, bound + 1), repeat=m):
-            x = tuple(combo)
-            if all(
-                sum(a * b for a, b in zip(x, wd.datum.simple_coroots[i])) > 0
-                for i in range(wd.npi)
-            ):
-                return x
-    raise RuntimeError("no strictly dominant vector found")
-
-
 def suite_twist(pc: PresetContext) -> list[CheckResult]:
     """Separation theorem: table entries are twist-free; a nonzero-Newton
-    class shows twist dependence (negative control)."""
+    class shows twist dependence (negative control).  The control's class is
+    the one t_{2ρ} descends to: 2ρ pairs to 2 with every simple coroot, so it
+    is strictly dominant and the class has Newton point 2ρ, not 0."""
     man = pc.manifest
     wd = pc.wd
     ctx2 = HeckeContext(wd, orbit_assignment=man.orbit_assignment, n_twist=wd.rank)
     out = []
-    nz_vec = _strictly_dominant_vec(wd)
-    plateau, _ = descend_to_minimal(wd, wd.translation(nz_vec))
+    plateau, _ = descend_to_minimal(wd, wd.translation(ctx2.two_rho))
     nz_rep = min(plateau, key=wd.word)
     negative_control = False
     for spec in man.columns:
@@ -431,9 +419,7 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
                 f"all {len(pc.rows)} entries free of {ctx2.twist_names}",
             )
         )
-        if t.rank and any(
-            mod.trace(nz_rep).uses_variable(z) for z in ctx2.twist_names
-        ):
+        if any(mod.trace(nz_rep).uses_variable(z) for z in ctx2.twist_names):
             negative_control = True
     out.append(
         _check(

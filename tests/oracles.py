@@ -8,7 +8,7 @@ from typing import Sequence
 
 from rigidhecke.datumsuites import CheckResult, _check
 from rigidhecke.exactpoly import LaurentPoly, NonSquare, NotDivisible, PolyMatrix, VarTable
-from rigidhecke.hecke import HeckeElt, Parabolic
+from rigidhecke.hecke import BernsteinElt, HeckeContext, HeckeElt, Parabolic
 from rigidhecke.repn import FinDimModule, induce, restrict
 from rigidhecke.rigidtab import RigidTable
 from rigidhecke.weyl import Elt, WeylData
@@ -47,14 +47,31 @@ def brute_force_conjugacy_oracle(wd: WeylData, a: Elt, b: Elt, L: int) -> bool:
     return False
 
 
+def T_word(ctx: HeckeContext, letters: Sequence[str]) -> HeckeElt:
+    """T_{letters[0]} ... T_{letters[-1]} in IM form."""
+    return ctx.unit().mul_word_right(letters)
+
+
 def reassemble(par: Parabolic, blocks: dict) -> HeckeElt:
     """Σ_u T_u h_u back in ambient IM form, for the blocks {u: h_u} of
     ``par.decompose``."""
     ctx = par.ctx
     return HeckeElt.combination(ctx, (
-        (ctx.T_word(ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk), ctx._one)
+        (T_word(ctx, ctx.wd.finite_word(u)) * ctx.bernstein_to_im(blk), ctx._one)
         for u, blk in blocks.items()
     ))
+
+
+def bar_restrict_per_coset(ctx: HeckeContext, h: HeckeElt, J: Sequence[int]) -> BernsteinElt:
+    """r̃_J(h) with h·T_u formed in IM form and converted once per coset
+    representative u: the reference for ``HeckeContext.bar_restrict``, which
+    converts h once."""
+    par = ctx.parabolic(J)
+    blocks = (
+        par.decompose(ctx.im_to_bernstein(h.mul_word_right(ctx.wd.finite_word(u)))).get(u)
+        for u in par.coset_reps
+    )
+    return BernsteinElt.combination(ctx, ((b, ctx._one) for b in blocks if b is not None))
 
 
 def apply_iKrK(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:

@@ -8,13 +8,13 @@ import random
 import pytest
 
 from rigidhecke import rigidtab
-from rigidhecke.conj import newton_zero_classes
+from rigidhecke.conj import descend_to_minimal, newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly
 from rigidhecke.hecke import BernsteinElt, HeckeContext, NonNewtonZeroLeaf
 from rigidhecke.rootdata import PRESET_NAMES, load_datum, preset
-from rigidhecke.weyl import WeylData
+from rigidhecke.weyl import WeylData, pi_subsets
 
-from oracles import reassemble
+from oracles import T_word, bar_restrict_per_coset, reassemble
 
 DATA = pathlib.Path(__file__).parent / "data"
 _CACHE = {}
@@ -169,7 +169,7 @@ def test_bl_relation_residuals():
         for x in vecs:
             for j in range(wd.npi):
                 sx = par._s_act(j, x)
-                Ts = ctx.T_word([f"s{j + 1}"])
+                Ts = T_word(ctx, [f"s{j + 1}"])
                 lhs = ctx.theta_im(x) * Ts - Ts * ctx.theta_im(sx)
                 rhs = ctx.elt({})
                 for z, c in par.bl_comm(j, x).items():
@@ -228,6 +228,20 @@ def test_bar_restrict_examples():
     # bar_restrict(h, Pi) = h for h in the finite part
     full = ctx.bar_restrict(ctx.T(wd.generator_elt("s1")), (0,))
     assert ctx.bernstein_to_im(full) == ctx.T(wd.generator_elt("s1"))
+
+
+@pytest.mark.parametrize("name", ["sl2", "pgl2", "c2-aff"])
+def test_bar_restrict_converts_once(name):
+    """bar_restrict, which converts h to Bernstein form once, equals the
+    per-coset reference, which converts each h·T_u, for random h of length
+    <= 4 and every J."""
+    ctx = ctx_of(name)
+    rng = random.Random(27)
+    ball = ctx.wd.enumerate_ball(4)
+    for J in pi_subsets(ctx.wd.npi):
+        for _ in range(4):
+            h = rigidtab._random_h(ctx, rng, ball, 3)
+            assert ctx.bar_restrict(h, J) == bar_restrict_per_coset(ctx, h, J), (J, h.render())
 
 
 def test_class_element_and_reduce_examples():
@@ -357,6 +371,18 @@ def test_theta_past_the_old_search_box(name, x):
     with pytest.raises(LookupError):
         box_split(ctx, x)
     assert ctx.theta_im(x) * ctx.theta_im(tuple(-a for a in x)) == ctx.unit()
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_DATA)
+def test_two_rho_descends_to_a_nonzero_newton_class(name):
+    """The premise of ``twist-negative-control``: t_{2ρ} descends to a class
+    whose Newton point is nonzero, the dominant representative of 2ρ."""
+    ctx = ctx_of(name)
+    wd = ctx.wd
+    plateau, _ = descend_to_minimal(wd, wd.translation(ctx.two_rho))
+    for e in plateau:
+        nu, _ = wd.newton_point(e)
+        assert any(nu) and nu == wd.dominant_rep(ctx.two_rho), wd.render(e)
 
 
 @pytest.mark.parametrize("name", BERNSTEIN_DATA)

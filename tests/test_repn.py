@@ -338,10 +338,16 @@ def test_parabolic_one_dims_with_twist():
     qa = ctx.quotient_algebra((1,))
     plain = [inflate_chi_t(qa, m) for m in one_dim_modules(qa.ctx)]
     assert len(plain) == 4
-    assert all(not m.twist_vars for m in plain)
+
+    def theta_entries(m):
+        return [e for mat in m.theta_pos + m.theta_neg for row in mat.entries for e in row]
+
+    assert not any(
+        e.uses_variable(z) for m in plain for e in theta_entries(m) for z in ctx.twist_names
+    )
     t = TwistChar(qa, symbolic=True)
     twisted = [inflate_chi_t(qa, m, t) for m in one_dim_modules(qa.ctx)]
-    assert all("z0" in m.twist_vars for m in twisted)
+    assert all(any(e.uses_variable("z0") for e in theta_entries(m)) for m in twisted)
     # the twist enters the theta action but not the T-matrices
     assert twisted[0].tmat["s2"] == plain[0].tmat["s2"]
 

@@ -421,9 +421,10 @@ def test_twist_free_failure_names_the_leaking_rows(pc_sl2, monkeypatch):
     real = FinDimModule.trace
     one = pc_sl2.wd.identity()
 
-    def leaky(mod, h):  # a twisted module's trace at 1 picks up its first twist variable
+    def leaky(mod, h):  # a trace at 1 over a twisted algebra picks up its first twist variable
         tr = real(mod, h)
-        return tr * mod.alg.table.gen(mod.twist_vars[0]) if mod.twist_vars and one == h else tr
+        names = mod.alg.twist_names
+        return tr * mod.alg.table.gen(names[0]) if names and one == h else tr
 
     # patched before suite_twist builds (and certifies) its twisted modules
     monkeypatch.setattr(FinDimModule, "trace", leaky)

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package is read by the package.
+"""Every module-level function and class of the package, and every function
+and class in a class body, is read by the package.
 
 Code that only the tests read belongs in ``tests/oracles.py``.  A definition
 counts as read when some module of ``src/rigidhecke`` loads its name, as a
@@ -30,19 +31,31 @@ def _loads(tree: ast.AST) -> Counter:
     )
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for each function and class at module level and
+    in the body of a module-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs):
+                        yield f"{node.name}.{member.name}", member
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes of ``sources`` (module name ->
-    source) that no module reads outside their own bodies, as
-    ``"module.name"``; dunder names are the interpreter's and never count."""
+    """The definitions of ``sources`` (module name -> source) that no module
+    reads outside their own bodies, as ``"module.name"`` or
+    ``"module.Class.name"``; dunder names are the interpreter's and never
+    count."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     total = sum((_loads(tree) for tree in trees.values()), Counter())
     return [
-        f"{mod}.{node.name}"
+        f"{mod}.{qualname}"
         for mod, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("__")
-        and total[node.name] == _loads(node)[node.name]
+        for qualname, node in _definitions(tree)
+        if not node.name.startswith("__") and total[node.name] == _loads(node)[node.name]
     ]
 
 
@@ -57,8 +70,12 @@ def test_the_check_can_fail():
             "def used():\n    return 1\n"
             "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
             "class Unread:\n    pass\n"
+            "class Box:\n"
+            "    def read(self):\n        return 1\n"
+            "    def unread(self):\n        return self.read()\n"
+            "    def __len__(self):\n        return 0\n"
             "def __getattr__(name):\n    return name\n"
         ),
-        "b": "from .a import Unread\nimport a\nx = a.used()\n",
+        "b": "from .a import Unread\nimport a\nx = a.used() + a.Box().read()\n",
     }
-    assert unread_definitions(sources) == ["a.recursive", "a.Unread"]
+    assert unread_definitions(sources) == ["a.recursive", "a.Unread", "a.Box.unread"]
