@@ -7,9 +7,11 @@ Bernstein-Lusztig form Σ c θ_x T_w is computed on demand: θ_x is seeded from
 dominant translations via θ_x = q(t_{x1})^{-1} q(t_{x2}) T_{t_{x1}}
 T_{t_{x2}}^{-1} for the split x1 = x + c·2ρ, x2 = c·2ρ of
 ``HeckeContext.dominant_split`` (Lusztig, *Affine Hecke algebras and their
-graded version*, J. AMS 2 (1989)), every generator outside the finite Hecke
-algebra (the affine s0 and Ω) gets its Bernstein expression from the one IM ->
-Bernstein conversion (never hardcoded), and the one commutation recursion
+graded version*, J. AMS 2 (1989)), the word of t_{x2} and both q's read off
+the right-descent walk ``WeylData.descend`` (so no BFS ball of radius l(t)),
+every generator outside the finite Hecke algebra (the affine s0 and Ω) gets
+its Bernstein expression from the one IM -> Bernstein conversion (never
+hardcoded), and the one commutation recursion
 (``Parabolic.move_theta_left``) uses the finite geometric-sum expansion of the
 Bernstein-Lusztig relation, with the q(s)q(s~) branch when α^ ∈ 2X^.
 
@@ -197,10 +199,10 @@ class HeckeContext:
         return self._zero
 
     def q_of_elt(self, e: Elt) -> LaurentPoly:
+        """The product of v(s) over the S^a letters of a reduced word of e."""
         out = self._one
-        for name in self.wd.word(e):
-            if name in self.wd.sa_index:
-                out = out * self.v_of_sa[self.wd.sa_index[name]]
+        for name in self.wd.descend(e)[1]:
+            out = out * self.v_of_sa[self.wd.sa_index[name]]
         return out
 
     # -- IM elements -----------------------------------------------------------
@@ -254,7 +256,9 @@ class HeckeContext:
             raise ValueError("both split parts must be dominant")
         t1 = wd.translation(x1)
         t2 = wd.translation(x2)
-        out = self.T(t1).mul_word_right(wd.word(t2), inverse=True)
+        omega, letters = wd.descend(t2)  # t2 = omega s_n ... s_1, reduced
+        word = tuple(n for n in wd.omega_names if wd.generator_elt(n) == omega) + letters[::-1]
+        out = self.T(t1).mul_word_right(word, inverse=True)
         return out.scale(self.q_of_elt(t1).inverse() * self.q_of_elt(t2))
 
     def theta_element(self, x: Vec) -> "BernsteinElt":

@@ -3,10 +3,11 @@
 A module stores one matrix per T-generator in scope (all of S^a and Omega
 for modules of the full algebra; the J-reflections for parabolic modules)
 plus matrices for θ of ± each lattice basis vector.  Construction goes
-through four paths: the one-dimensional solver, parahoric lifts, inflation
-along χ_t, and parabolic induction.  Each constructor proves the defining
-relations as exact matrix identities and the module keeps that certificate;
-a module that fails it is never returned, and ``restrict`` inherits it.
+through four paths: one-dimensional modules and parahoric lifts, whose θ_x
+acts through its IM form on the generator matrices; inflation along χ_t; and
+parabolic induction.  Each constructor proves the defining relations as exact
+matrix identities and the module keeps that certificate; a module that fails
+it is never returned, and ``restrict`` inherits it.
 
 A module is fixed at construction: its generator and θ matrices are set by
 the constructor and cannot be reassigned.  So its actions are memoised on the
@@ -19,8 +20,6 @@ the uncached product, so a memoised matrix equals the uncached one exactly.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
@@ -33,48 +32,6 @@ from .weyl import Elt
 
 class RelationFailed(ComputationFailed, RuntimeError):
     """A defining relation does not hold; names the relation family."""
-
-
-def _iroot(n: int, d: int) -> Optional[int]:
-    """The integer d-th root of n >= 0 if n is a perfect d-th power, else None."""
-    if d == 2 or n < 2:
-        r = math.isqrt(n)
-    else:
-        # integer Newton iteration, decreasing from an over-estimate to floor(n^(1/d))
-        r = 1 << -(-n.bit_length() // d)
-        while True:
-            nxt = ((d - 1) * r + n // r ** (d - 1)) // d
-            if nxt >= r:
-                break
-            r = nxt
-    return r if r ** d == n else None
-
-
-def _nth_root_fraction(c: Fraction, d: int) -> list[Fraction]:
-    """All rational d-th roots of c."""
-    if d == 1:
-        return [c]
-    if c == 0:
-        return [Fraction(0)]
-    rn, rd = _iroot(abs(c.numerator), d), _iroot(c.denominator, d)
-    if rn is None or rd is None:
-        return []
-    base = Fraction(rn, rd)
-    if c > 0:
-        return [base, -base] if d % 2 == 0 else [base]
-    return [-base] if d % 2 == 1 else []
-
-
-def monomial_roots(p: LaurentPoly, d: int) -> list[LaurentPoly]:
-    """All Laurent-monomial d-th roots of a monomial p."""
-    if not p.is_monomial():
-        return []
-    ((k, c),) = p.terms.items()
-    e = p.table.unpack(k)
-    if any(x % d for x in e):
-        return []
-    ee = tuple(x // d for x in e)
-    return [LaurentPoly.monomial(p.table, ee, r) for r in _nth_root_fraction(c, d)]
 
 
 class FinDimModule:
@@ -263,99 +220,45 @@ def _theta_mats(m: int, theta) -> tuple[list, list]:
     return pos, neg
 
 
-def _scalar_module(
-    alg: HeckeContext, tvals: dict, theta_vals: list, scope: Optional[tuple[int, ...]]
-) -> FinDimModule:
-    tmat = {name: PolyMatrix([[v]]) for name, v in tvals.items()}
-    pos = [PolyMatrix([[v]]) for v in theta_vals]
-    neg = [PolyMatrix([[v.inverse()]]) for v in theta_vals]
-    return FinDimModule(alg, scope, 1, tmat, pos, neg)
-
-
 def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
-    """All one-dimensional modules with Λ-monomial θ-characters.
+    """All one-dimensional modules, sorted by their values.
 
-    T-signatures run over {-1, Q} per parameter orbit meeting the finite
-    simple reflections; θ-characters are solved from the scalar
-    Bernstein-Lusztig relation and extended over X by Smith-form root
-    extraction.  Affine and Omega generator scalars are derived from their
-    Bernstein expressions, never chosen.
+    Each is read off its generator values and certified.  The quadratic
+    relation puts T_s in {-1, Q_s}; an odd braid relation forces equal values
+    on its pair, and Ω-conjugation T_ω T_s T_ω^{-1} = T_{ωsω^{-1}} on each
+    Ω-orbit, which are the pairs ``WeylData.param_orbits`` is built from, so
+    one value per orbit.  T_ω has finite order, and the only finite-order
+    units of the Laurent ring are ±1, so a sign per Ω generator.  θ_{e_i} is
+    then the scalar of the IM form of θ_{e_i}, θ_{-e_i} its inverse.  Every
+    candidate is certified by ``verify_relations`` and dropped if it fails
+    (sign choices that are not a character of Ω), as is one whose θ_{e_i} is
+    not a unit monomial; so the list is complete.
     """
     wd = alg.wd
-    if wd.rank == 0:
-        return [FinDimModule(alg, None, 1, {}, [], [])]
-    finite_orbits = sorted(
-        {wd.orbit_of_sa[wd.sa_index[name]] for name in wd.pi_names}
-    )
-    m = wd.rank
-    A = [list(wd.datum.simple_roots[j]) for j in range(wd.npi)]
-    d, u, v = intlinalg.smith_normal_form(A)
-    divisors = [d[i][i] for i in range(min(len(A), m))]
-    if len(divisors) < m or any(x == 0 for x in divisors):
-        raise ValueError("one-dim solver requires a semisimple datum")
+    mone = LaurentPoly.const(alg.table, -1)
+    orbit_values = [(mone, alg.Q_of_sa[orbit[0]]) for orbit in wd.param_orbits]
     out = []
-    for combo in itertools.product((0, 1), repeat=len(finite_orbits)):
-        eps_of_orbit = {
-            o: ("-1" if c == 0 else "Q") for o, c in zip(finite_orbits, combo)
-        }
-        theta_alpha_choices = []
-        for j in range(wd.npi):
-            o = wd.orbit_of_sa[wd.sa_index[wd.pi_names[j]]]
-            Q = alg.Q_of_pi[j]
-            vj = alg.v_of_pi[j]
-            tw = alg.twin_v_of_pi[j]
-            if tw is None:
-                theta_alpha_choices.append(
-                    [Q.inverse()] if eps_of_orbit[o] == "-1" else [Q]
-                )
-            elif eps_of_orbit[o] == "-1":
-                theta_alpha_choices.append([(vj * tw).inverse(), (tw * vj.inverse()) * -1])
-            else:
-                theta_alpha_choices.append([vj * tw, (vj * tw.inverse()) * -1])
-        for chosen in itertools.product(*theta_alpha_choices):
-            # theta on the adapted basis b_i (rows of V^{-1}); d_i b_i = sum_j U[i][j] alpha_j
-            candidate_lists = []
-            for i in range(m):
-                mono = LaurentPoly.const(alg.table, 1)
-                for j in range(wd.npi):
-                    mono = mono * chosen[j] ** u[i][j]
-                candidate_lists.append(monomial_roots(mono, abs(divisors[i])))
-            for broots in itertools.product(*candidate_lists):
-                theta_e = []
-                for r in range(m):
-                    val = LaurentPoly.const(alg.table, 1)
-                    for i in range(m):
-                        val = val * broots[i] ** v[r][i]
-                    theta_e.append(val)
-                tvals = {}
-                for j, name in enumerate(wd.pi_names):
-                    o = wd.orbit_of_sa[wd.sa_index[name]]
-                    tvals[name] = (
-                        LaurentPoly.const(alg.table, -1)
-                        if eps_of_orbit[o] == "-1"
-                        else alg.Q_of_pi[j]
-                    )
-                # derive affine and omega scalars from their Bernstein seeds,
-                # on which the finite-scope character acts
-                fin = _scalar_module(alg, tvals, theta_e, tuple(range(wd.npi)))
-                affine = tuple(s.name for s in wd.affine_simple if s.kind == "affine")
-                for name in affine + wd.omega_names:
-                    tvals[name] = fin.trace_parabolic(alg.bernstein_seed(name))
-                mod = _scalar_module(alg, tvals, theta_e, None)
-                try:
-                    mod.verify_relations()
-                except RelationFailed:
-                    continue
-                out.append(mod)
-    # dedupe by full scalar signature; sort for deterministic selection
-    seen = {}
-    for mod in out:
-        key = (
-            tuple(sorted((n, mat.entries[0][0].render()) for n, mat in mod.tmat.items())),
-            tuple(p.entries[0][0].render() for p in mod.theta_pos),
-        )
-        seen.setdefault(key, mod)
-    return [seen[k] for k in sorted(seen)]
+    for values in itertools.product(*orbit_values):
+        tvals = {s.name: values[wd.orbit_of_sa[k]] for k, s in enumerate(wd.affine_simple)}
+        for signs in itertools.product((mone, -mone), repeat=len(wd.omega_names)):
+            tvals.update(zip(wd.omega_names, signs))
+            tmat = {name: PolyMatrix([[c]]) for name, c in tvals.items()}
+            gens = FinDimModule(alg, None, 1, tmat, [], [])
+            pos = [gens.act(alg.theta_im(e)) for e, _ in intlinalg.signed_basis(wd.rank)]
+            if not all(p.entries[0][0].is_monomial() for p in pos):
+                continue
+            neg = [PolyMatrix([[p.entries[0][0].inverse()]]) for p in pos]
+            mod = FinDimModule(alg, None, 1, tmat, pos, neg)
+            mod._words.update(gens._words)  # the same generator matrices
+            try:
+                mod.verify_relations()
+            except RelationFailed:
+                continue
+            out.append(mod)
+    return sorted(out, key=lambda mod: (
+        tuple(sorted((n, mat.entries[0][0].render()) for n, mat in mod.tmat.items())),
+        tuple(p.entries[0][0].render() for p in mod.theta_pos),
+    ))
 
 
 class TwistChar:

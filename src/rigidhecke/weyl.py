@@ -27,7 +27,9 @@ element of length 0 in that coset, and every element of positive length in it
 has a right descent s in S^a, l(e s) < l(e).  Descending from t_x, for x a
 Smith representative of X/Q, ends at omega within l(t_x) steps whatever the
 order of the steps, so no bound is needed.  An element of positive length
-without a descent would contradict the length convention, and raises.
+without a descent would contradict the length convention, and raises.  The
+same walk (``descend``) writes any e as omega s_n ... s_1 with n = l(e), a
+reduced word that costs l(e) steps and no ball.
 
 Right multiplication by a generator, conjugation by a generator and the
 finite-order test read tables built once per datum, one entry per generator
@@ -297,19 +299,10 @@ class WeylData:
         d, _u, v = intlinalg.smith_normal_form([list(r) for r in self.datum.simple_roots])
         divisors = [d[i][i] for i in range(m)]
         vinv_t = list(zip(*intlinalg.mat_inverse_unimodular(v)))
-        found = []
-        for combo in itertools.product(*(range(di) for di in divisors)):
-            # descend from t_x to the length-0 element of its coset t_x W_a
-            e = self.translation(intlinalg.mat_vec(vinv_t, combo))
-            while (n := self.length(e)) > 0:
-                step = next(
-                    (f for s in self.affine_simple if self.length(f := self.mult(e, s.elt)) < n), None
-                )
-                if step is None:
-                    raise OmegaSearchExhausted(
-                        f"{self.render(e)} has length {n} and no right descent in S^a")
-                e = step
-            found.append(e)
+        found = [
+            self.descend(self.translation(intlinalg.mat_vec(vinv_t, combo)))[0]
+            for combo in itertools.product(*(range(di) for di in divisors))
+        ]
         ident = self.identity()
         others = sorted([e for e in found if e != ident])
         self.omega_elements = (ident,) + tuple(others)
@@ -331,6 +324,22 @@ class WeylData:
                 perm.append(self.sa_by_elt[c])
             acts.append(tuple(perm))
         self.omega_action_sa = tuple(acts)
+
+    def descend(self, e: Elt) -> tuple[Elt, tuple[str, ...]]:
+        """The length-0 element omega of e W_a and the S^a letters s_1, ..., s_n
+        of the walk e -> e s_1 -> ... -> omega, each step a right descent (the
+        first in S^a order); n = l(e), so e = omega s_n ... s_1 is reduced."""
+        letters = []
+        while (n := self.length(e)) > 0:
+            step = next(
+                (s for s in self.affine_simple if self.length(self.mult(e, s.elt)) < n), None
+            )
+            if step is None:
+                raise OmegaSearchExhausted(
+                    f"{self.render(e)} has length {n} and no right descent in S^a")
+            letters.append(step.name)
+            e = self.mult(e, step.elt)
+        return e, tuple(letters)
 
     # -- parameter orbits -------------------------------------------------------
 

@@ -13,7 +13,6 @@ from rigidhecke.conj import newton_zero_classes
 from rigidhecke.exactpoly import LaurentPoly, PolyMatrix, render_in_Q
 from rigidhecke.hecke import HeckeContext
 from rigidhecke.repn import (
-    _nth_root_fraction,
     FinDimModule,
     RelationFailed,
     TwistChar,
@@ -350,14 +349,6 @@ def test_parabolic_one_dims_with_twist():
     assert all(any(e.uses_variable("z0") for e in theta_entries(m)) for m in twisted)
     # the twist enters the theta action but not the T-matrices
     assert twisted[0].tmat["s2"] == plain[0].tmat["s2"]
-
-
-def test_nth_root_fraction_is_exact_for_huge_values():
-    big = Fraction(10**200)
-    assert _nth_root_fraction(big**2, 2) == [big, -big]
-    assert _nth_root_fraction(big**2 + 1, 2) == []
-    assert _nth_root_fraction(Fraction(3**40), 4) == [Fraction(3**10), Fraction(-(3**10))]
-    assert _nth_root_fraction(Fraction(-(7**60), 2**90), 3) == [Fraction(-(7**20), 2**30)]
 
 
 def test_memoised_actions_equal_uncached_products(pc_c2):
