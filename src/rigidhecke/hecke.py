@@ -42,9 +42,9 @@ from heapq import heappop, heappush
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .conj import ComputationFailed, ConjClassRecord, NotFound, class_record, plateau
-from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean
+from .exactpoly import LaurentPoly, PARAM_SQRT, TWIST, VarTable, _addmul, _clean, render_in_Q
 from .rootdata import SemisimpleQuotient, semisimple_quotient
-from .weyl import Elt, WeylData, union_find
+from .weyl import Elt, WeylData, pi_subsets, union_find
 
 Vec = tuple[int, ...]
 BKey = tuple[Vec, int]  # (theta exponent, finite Weyl index)
@@ -391,7 +391,6 @@ class HeckeContext:
             steps += 1
             if steps > REDUCE_BUDGET:
                 raise BudgetExceeded(f"cocenter reduction exceeded {REDUCE_BUDGET} steps")
-            lcur = wd.length(cur)
             seen, descent = plateau(wd, cur)
             if descent is None:
                 # minimal: seen is the whole minimal-length plateau of cur
@@ -415,12 +414,7 @@ class HeckeContext:
             k = wd.sa_index[name]
             sf = wd.mult(wd.affine_simple[k].elt, f)
             sfs = wd.conjugate_gen(name, f)
-            if wd.length(sf) != lcur - 1:
-                # use the right-handed variant: T_f = T_{fs} T_s
-                fs = wd.mult_gen(f, name)
-                if wd.length(fs) != lcur - 1:
-                    raise RuntimeError("descent without one-sided length drop")
-                sf = fs
+            # l(sfs) = l(f) - 2 on a plateau descent, so l(sf) = l(f) - 1
             _quadratic_step(work, sf, sfs, False, c, self._quad_of_sa[k])
         entries = [(rec_by_label[lab], c) for lab, r in out.items() if (c := _clean(self.table, r))]
         entries.sort(key=lambda t: (t[0].min_length, wd.word(t[0].rep)), reverse=True)
@@ -444,16 +438,10 @@ class HeckeContext:
 
     def adjoint_A(self, h: "HeckeElt") -> "HeckeElt":
         """The operator adjoint to A: bar A = bar A^1 ∘ ... ∘ bar A^{|Pi|}."""
-        from itertools import combinations
-
-        npi = self.wd.npi
         cur = h
-        for ell in range(npi, 0, -1):
-            for K in combinations(range(npi), npi - ell):
-                n_k = len(self.wd.normalizer_reps(K))
-                cur = self.adjoint_iJ_rJ(cur, K) - cur.scale(
-                    LaurentPoly.const(self.table, n_k)
-                )
+        for K in pi_subsets(self.wd.npi)[:-1]:
+            n_k = len(self.wd.normalizer_reps(K))
+            cur = self.adjoint_iJ_rJ(cur, K) - cur.scale(LaurentPoly.const(self.table, n_k))
         return cur
 
 
@@ -614,15 +602,7 @@ class CocenterCombination(NamedTuple):
     entries: tuple[tuple[ConjClassRecord, LaurentPoly], ...]
 
     def render(self) -> str:
-        from .exactpoly import OddDegree, render_in_Q
-
-        def shown(c):
-            try:
-                return render_in_Q(c)
-            except OddDegree:  # IM structure constants live in Q; be safe anyway
-                return c
-
-        return _render_sum((shown(c), rec.label) for rec, c in self.entries)
+        return _render_sum((render_in_Q(c), rec.label) for rec, c in self.entries)
 
 
 class Parabolic:

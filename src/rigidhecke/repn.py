@@ -3,7 +3,7 @@
 A module stores one matrix per T-generator in scope (all of S^a and Omega
 for modules of the full algebra; the J-reflections for parabolic modules)
 plus matrices for θ of ± each lattice basis vector.  Construction goes
-through four paths: one-dimensional modules and parahoric lifts, whose θ_x
+through four paths: one-dimensional modules and the parahoric lift, whose θ_x
 acts through its IM form on the generator matrices; inflation along χ_t; and
 parabolic induction.  Each constructor proves the defining relations as exact
 matrix identities and the module keeps that certificate; a module that fails
@@ -220,19 +220,36 @@ def _theta_mats(m: int, theta) -> tuple[list, list]:
     return pos, neg
 
 
+def one_dim_module(alg: HeckeContext, values: dict) -> FinDimModule:
+    """The one-dimensional module T_g ↦ ``values[g]`` on each generator g,
+    certified.
+
+    θ_{e_i} is the scalar of the IM form of θ_{e_i} on the generator values and
+    θ_{-e_i} its inverse; where θ_{e_i} is not a unit, θ_{-e_i} is 0, so the
+    ``theta-invertible`` check fails unless a relation checked before it does.
+    """
+    tmat = {name: PolyMatrix([[c]]) for name, c in values.items()}
+    gens = FinDimModule(alg, None, 1, tmat, [], [])
+    pos = [gens.act(alg.theta_im(e)) for e, _ in intlinalg.signed_basis(alg.wd.rank)]
+    units = [mat.entries[0][0] for mat in pos]
+    neg = [PolyMatrix([[u.inverse() if u.is_monomial() else alg.zero()]]) for u in units]
+    mod = FinDimModule(alg, None, 1, tmat, pos, neg)
+    mod._words.update(gens._words)  # the same generator matrices
+    mod.verify_relations()
+    return mod
+
+
 def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     """All one-dimensional modules, sorted by their values.
 
-    Each is read off its generator values and certified.  The quadratic
-    relation puts T_s in {-1, Q_s}; an odd braid relation forces equal values
-    on its pair, and Ω-conjugation T_ω T_s T_ω^{-1} = T_{ωsω^{-1}} on each
-    Ω-orbit, which are the pairs ``WeylData.param_orbits`` is built from, so
-    one value per orbit.  T_ω has finite order, and the only finite-order
-    units of the Laurent ring are ±1, so a sign per Ω generator.  θ_{e_i} is
-    then the scalar of the IM form of θ_{e_i}, θ_{-e_i} its inverse.  Every
-    candidate is certified by ``verify_relations`` and dropped if it fails
-    (sign choices that are not a character of Ω), as is one whose θ_{e_i} is
-    not a unit monomial; so the list is complete.
+    The quadratic relation puts T_s in {-1, Q_s}; an odd braid relation forces
+    equal values on its pair, and Ω-conjugation T_ω T_s T_ω^{-1} = T_{ωsω^{-1}}
+    on each Ω-orbit, which are the pairs ``WeylData.param_orbits`` is built
+    from, so one value per orbit.  T_ω has finite order, and the only
+    finite-order units of the Laurent ring are ±1, so a sign per Ω generator.
+    Each candidate goes through :func:`one_dim_module` and is dropped if a
+    relation fails (sign choices that are not a character of Ω); so the list
+    is complete.
     """
     wd = alg.wd
     mone = LaurentPoly.const(alg.table, -1)
@@ -241,20 +258,10 @@ def one_dim_modules(alg: HeckeContext) -> list[FinDimModule]:
     for values in itertools.product(*orbit_values):
         tvals = {s.name: values[wd.orbit_of_sa[k]] for k, s in enumerate(wd.affine_simple)}
         for signs in itertools.product((mone, -mone), repeat=len(wd.omega_names)):
-            tvals.update(zip(wd.omega_names, signs))
-            tmat = {name: PolyMatrix([[c]]) for name, c in tvals.items()}
-            gens = FinDimModule(alg, None, 1, tmat, [], [])
-            pos = [gens.act(alg.theta_im(e)) for e, _ in intlinalg.signed_basis(wd.rank)]
-            if not all(p.entries[0][0].is_monomial() for p in pos):
-                continue
-            neg = [PolyMatrix([[p.entries[0][0].inverse()]]) for p in pos]
-            mod = FinDimModule(alg, None, 1, tmat, pos, neg)
-            mod._words.update(gens._words)  # the same generator matrices
             try:
-                mod.verify_relations()
+                out.append(one_dim_module(alg, {**tvals, **dict(zip(wd.omega_names, signs))}))
             except RelationFailed:
                 continue
-            out.append(mod)
     return sorted(out, key=lambda mod: (
         tuple(sorted((n, mat.entries[0][0].render()) for n, mat in mod.tmat.items())),
         tuple(p.entries[0][0].render() for p in mod.theta_pos),
@@ -271,24 +278,13 @@ class TwistChar:
     def __init__(self, qa: QuotientAlgebra, values: Optional[Sequence] = None, symbolic: bool = False):
         parent = qa.parent
         self.qa = qa
-        m = parent.wd.rank
-        J = qa.J
-        if J:
-            sat = intlinalg.row_saturation(
-                [list(parent.wd.datum.simple_roots[j]) for j in J]
-            )
-        else:
-            sat = []
-        if sat:
-            d, _u, v = intlinalg.smith_normal_form(sat)
-            rank_sub = sum(1 for i in range(min(len(sat), m)) if d[i][i] != 0)
-        else:
-            v = intlinalg.identity_matrix(m)
-            rank_sub = 0
-        self.rank = m - rank_sub
-        # coordinates of x in the adapted basis (rows of V^{-1}) are V^T x;
-        # the last self.rank ones are free
-        self._coord_rows = [[v[r][i] for r in range(m)] for i in range(rank_sub, m)]
+        roots = parent.wd.datum.simple_roots
+        # x's coordinates are its pairings with a basis of the integer vectors
+        # orthogonal to every J root
+        self._coord_rows = intlinalg.kernel_basis(
+            [[roots[j][r] for j in qa.J] for r in range(parent.wd.rank)]
+        )
+        self.rank = len(self._coord_rows)
         table = parent.table
         if symbolic:
             if len(parent.twist_names) < self.rank:
@@ -337,83 +333,34 @@ def inflate_chi_t(
     return mod
 
 
-def finite_parahoric_module(
-    alg: HeckeContext, K: Sequence[str], name: str
-) -> dict:
-    """Matrices of a built-in simple module of the finite algebra on K.
+def lift_from_parahoric(alg: HeckeContext, K: Sequence[str], values: dict) -> FinDimModule:
+    """The two-dimensional module 1x1 of the finite type-C2 algebra on the
+    pair K, extended by the scalars ``values`` on the other generators.
 
-    For |K| = 1 (type A1): names "sign" (T = -1) and "triv" (T = Q).  For
-    |K| = 2 with bond 4 (type C2): the bipartition-labelled modules of the
-    finite type-C2 algebra; the 2-dimensional 1x1 uses an explicit two-parameter
-    model whose braid identity (T_a T_b)^2 = (T_b T_a)^2 = -Q_a Q_b holds
-    exactly.
-    """
-    table = alg.table
-    wd = alg.wd
-    idx = [wd.sa_index[n] for n in K]
-    Q = [alg.Q_of_sa[i] for i in idx]
-    one = LaurentPoly.const(table, 1)
-    mone = LaurentPoly.const(table, -1)
-    zero = LaurentPoly(table, {})
-    if len(K) == 1:
-        if name == "sign":
-            return {K[0]: PolyMatrix([[mone]])}
-        if name == "triv":
-            return {K[0]: PolyMatrix([[Q[0]]])}
-        raise KeyError(f"unknown A1 module {name!r}")
-    if len(K) == 2:
-        m = wd.bond_order(idx[0], idx[1])
-        if m != 4:
-            raise KeyError(f"built-in finite modules need a type-C2 pair, bond {m}")
-        qa, qb = Q
-        scalars = {
-            "2x0": (qa, qb),
-            "11x0": (mone, qb),
-            "0x2": (qa, mone),
-            "0x11": (mone, mone),
-        }
-        if name in scalars:
-            va, vb = scalars[name]
-            return {K[0]: PolyMatrix([[va]]), K[1]: PolyMatrix([[vb]])}
-        if name == "1x1":
-            ta = PolyMatrix([[mone, qa + qb], [zero, qa]])
-            tb = PolyMatrix([[qb, zero], [one, mone]])
-            return {K[0]: ta, K[1]: tb}
-        raise KeyError(f"unknown C2 module {name!r}")
-    raise KeyError("built-in finite modules cover |K| <= 2 only")
-
-
-def lift_from_parahoric(
-    alg: HeckeContext,
-    K: Sequence[str],
-    module: str,
-    scalars: dict,
-) -> FinDimModule:
-    """Extend the built-in finite-parahoric module ``module`` on K (see
-    :func:`finite_parahoric_module`) by scalars on the other generators.
-
-    ``scalars`` maps each S^a name outside K to "-1" or "Q".  Requires
-    trivial Omega (otherwise no canonical Omega action exists).
+    The model's braid identity (T_a T_b)^2 = (T_b T_a)^2 = -Q_a Q_b holds
+    exactly.  ``values`` maps each S^a name outside K to a Laurent
+    polynomial.  Requires trivial Omega (otherwise no canonical Omega action
+    exists).
     """
     wd = alg.wd
     if wd.omega_names:
         raise ValueError("parahoric lifts are implemented for trivial Omega only")
-    tmat = finite_parahoric_module(alg, K, module)
-    dim = next(iter(tmat.values())).rows
-    for s in wd.affine_simple:
-        if s.name in tmat:
-            continue
-        tag = scalars[s.name]
-        val = (
-            LaurentPoly.const(alg.table, -1)
-            if tag == "-1"
-            else alg.Q_of_sa[wd.sa_index[s.name]]
-        )
-        tmat[s.name] = PolyMatrix.identity(alg.table, dim).scale(val)
+    idx = [wd.sa_index[n] for n in K]
+    if len(idx) != 2 or wd.bond_order(*idx) != 4:
+        raise KeyError(f"the 1x1 lift needs a type-C2 pair, not {tuple(K)}")
+    qa, qb = (alg.Q_of_sa[i] for i in idx)
+    one = LaurentPoly.const(alg.table, 1)
+    zero = alg.zero()
+    tmat = {
+        K[0]: PolyMatrix([[-one, qa + qb], [zero, qa]]),
+        K[1]: PolyMatrix([[qb, zero], [one, -one]]),
+    }
+    ident = PolyMatrix.identity(alg.table, 2)
+    tmat.update((name, ident.scale(c)) for name, c in values.items())
     # θ acts through the IM form of θ_x, on the generators alone
-    gens = FinDimModule(alg, None, dim, tmat, [], [])
+    gens = FinDimModule(alg, None, 2, tmat, [], [])
     pos, neg = _theta_mats(wd.rank, lambda x: gens.act(alg.theta_im(x)))
-    mod = FinDimModule(alg, None, dim, tmat, pos, neg)
+    mod = FinDimModule(alg, None, 2, tmat, pos, neg)
     mod._words.update(gens._words)  # the same generator matrices
     mod.verify_relations()
     return mod

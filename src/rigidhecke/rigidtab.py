@@ -3,7 +3,7 @@
 A rigid table has one row per Newton-zero conjugacy class (the element T_O)
 and one column per module of the preset panel; entries are exact traces,
 rendered in the squared parameters Q.  The three table presets pin the
-row order, the column selection (by trace signature), and the determinant,
+row order, the columns (by their generator values), and the determinant,
 which is compared up to sign against the expanded product formula.
 
 A preset context builds its module panel, its table and its Ā elements each
@@ -17,7 +17,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .conj import ComputationFailed, classify, descend_to_minimal, newton_zero_classes
 from .datumsuites import (
@@ -49,6 +49,7 @@ from .repn import (
     induce_in_parabolic,
     inflate_chi_t,
     lift_from_parahoric,
+    one_dim_module,
     one_dim_modules,
     restrict,
     twist_by,
@@ -62,15 +63,17 @@ class TableMismatch(ComputationFailed, AssertionError):
 
 
 class ColumnSpec(NamedTuple):
-    """Module descriptor, as in the CLI JSON interface (the default dicts
-    are shared and never written)."""
+    """Module descriptor (the default dict is shared and never written).
+
+    ``signature`` tags generators with their values, "Q" for Q_s or a
+    rational: every generator of a one-dimensional column, or of an induced
+    column's σ over the quotient algebra; the generators outside the C2 pair
+    of the 1x1 lift."""
 
     label: str
     kind: str  # "onedim" | "lift" | "induced"
     signature: dict = {}
     J: tuple[int, ...] = ()
-    module: str = ""
-    scalars: dict = {}
 
 
 class PresetManifest(NamedTuple):
@@ -114,7 +117,7 @@ MANIFESTS: dict[str, PresetManifest] = {
         columns=(
             ColumnSpec("St", "onedim", {"s0": "-1", "s1": "-1"}),
             ColumnSpec("pi+", "onedim", {"s0": "-1", "s1": "Q"}),
-            ColumnSpec("i_0(1)", "induced", {}, ()),
+            ColumnSpec("i_0(1)", "induced"),
         ),
         det_product=_sl2_det,
         det_text="-(q+1)^2",
@@ -125,9 +128,9 @@ MANIFESTS: dict[str, PresetManifest] = {
         row_labels=("T1", "tau", "1"),
         row_words=(("s1",), ("tau",), ()),
         columns=(
-            ColumnSpec("St-", "onedim", {"s1": "-1", "tau": "1"}),
-            ColumnSpec("St+", "onedim", {"s1": "-1", "tau": "-1"}),
-            ColumnSpec("i_0(1)", "induced", {}, ()),
+            ColumnSpec("St-", "onedim", {"s0": "-1", "s1": "-1", "tau": "1"}),
+            ColumnSpec("St+", "onedim", {"s0": "-1", "s1": "-1", "tau": "-1"}),
+            ColumnSpec("i_0(1)", "induced"),
         ),
         det_product=_pgl2_det,
         det_text="2(q+1)",
@@ -158,15 +161,15 @@ MANIFESTS: dict[str, PresetManifest] = {
             (),
         ),
         columns=(
-            ColumnSpec("2x0", "lift", {}, (), "2x0", {"s0": "-1"}),
-            ColumnSpec("11x0", "lift", {}, (), "11x0", {"s0": "-1"}),
-            ColumnSpec("0x2", "lift", {}, (), "0x2", {"s0": "-1"}),
-            ColumnSpec("0x11", "lift", {}, (), "0x11", {"s0": "-1"}),
-            ColumnSpec("1x1", "lift", {}, (), "1x1", {"s0": "-1"}),
-            ColumnSpec("i_{1}(St)", "induced", {"s1": "-1", "tau": "1"}, (0,)),
+            ColumnSpec("2x0", "onedim", {"s0": "-1", "s1": "Q", "s2": "Q"}),
+            ColumnSpec("11x0", "onedim", {"s0": "-1", "s1": "-1", "s2": "Q"}),
+            ColumnSpec("0x2", "onedim", {"s0": "-1", "s1": "Q", "s2": "-1"}),
+            ColumnSpec("0x11", "onedim", {"s0": "-1", "s1": "-1", "s2": "-1"}),
+            ColumnSpec("1x1", "lift", {"s0": "-1"}),
+            ColumnSpec("i_{1}(St)", "induced", {"s0": "-1", "s1": "-1", "tau": "1"}, (0,)),
             ColumnSpec("i_{2}(St)", "induced", {"s1": "-1", "s0": "-1"}, (1,)),
             ColumnSpec("i_{2}(pi+)", "induced", {"s1": "Q", "s0": "-1"}, (1,)),
-            ColumnSpec("i_0(1)", "induced", {}, ()),
+            ColumnSpec("i_0(1)", "induced"),
         ),
         det_product=_c2_det,
         det_text="-(1+q0)^3(1+q1)^3(1+q2)^3(q0+q1)(q1+q2)(1+q0*q1)(1+q1*q2)",
@@ -217,38 +220,34 @@ class PresetContext:
         return {rec.label: ctx.adjoint_A(ctx.T(rec.rep)) for rec in self.classes}
 
 
-def _match_signature(alg: HeckeContext, mods: Sequence[FinDimModule], sig: dict) -> FinDimModule:
-    wd = alg.wd
+def _signature_values(alg: HeckeContext, sig: dict) -> dict:
+    """The generator values a signature's tags name: "Q" is Q_s, any other
+    tag a rational."""
+    sa_index = alg.wd.sa_index
+    return {
+        n: alg.Q_of_sa[sa_index[n]] if tag == "Q" else LaurentPoly.const(alg.table, Fraction(tag))
+        for n, tag in sig.items()
+    }
 
-    def tag_value(name: str, tag: str) -> LaurentPoly:
-        if tag == "Q":
-            return alg.Q_of_sa[wd.sa_index[name]]
-        return LaurentPoly.const(alg.table, Fraction(tag))
 
-    hits = []
-    for m in mods:
-        if all(m.tmat[n].trace() == tag_value(n, t) for n, t in sig.items()):
-            hits.append(m)
-    if len(hits) != 1:
-        raise TableMismatch(
-            f"signature {sig} matched {len(hits)} one-dimensional modules"
-        )
-    return hits[0]
+def _signature_module(alg: HeckeContext, sig: dict) -> FinDimModule:
+    """The one-dimensional module whose values the signature names, one tag per
+    generator."""
+    if sorted(sig) != sorted(alg.wd.gen_names):
+        raise TableMismatch(f"signature {sig} does not name exactly the generators {alg.wd.gen_names}")
+    return one_dim_module(alg, _signature_values(alg, sig))
 
 
 def resolve_column(ctx: HeckeContext, spec: ColumnSpec) -> FinDimModule:
     """Materialize a column descriptor as a certified module."""
     if spec.kind == "onedim":
-        return _match_signature(ctx, one_dim_modules(ctx), spec.signature)
+        return _signature_module(ctx, spec.signature)
     if spec.kind == "lift":
-        knames = tuple(
-            s.name for s in ctx.wd.affine_simple if s.name not in spec.scalars
-        )
-        return lift_from_parahoric(ctx, knames, spec.module, spec.scalars)
+        K = tuple(s.name for s in ctx.wd.affine_simple if s.name not in spec.signature)
+        return lift_from_parahoric(ctx, K, _signature_values(ctx, spec.signature))
     if spec.kind == "induced":
         qa = ctx.quotient_algebra(spec.J)
-        sigma = _match_signature(qa.ctx, one_dim_modules(qa.ctx), spec.signature)
-        return induce(ctx, spec.J, inflate_chi_t(qa, sigma))
+        return induce(ctx, spec.J, inflate_chi_t(qa, _signature_module(qa.ctx, spec.signature)))
     raise KeyError(f"unknown column kind {spec.kind!r}")
 
 
@@ -403,9 +402,8 @@ def suite_twist(pc: PresetContext) -> list[CheckResult]:
         if spec.kind != "induced":
             continue
         qa = ctx2.quotient_algebra(spec.J)
-        sigma = _match_signature(qa.ctx, one_dim_modules(qa.ctx), spec.signature)
-        t = TwistChar(qa, symbolic=True)
-        mod = induce(ctx2, spec.J, inflate_chi_t(qa, sigma, t))
+        sigma = _signature_module(qa.ctx, spec.signature)
+        mod = induce(ctx2, spec.J, inflate_chi_t(qa, sigma, TwistChar(qa, symbolic=True)))
         leaked = []
         for rec in pc.rows:
             tr = mod.trace(rec.rep)

@@ -4,12 +4,13 @@ Each is a slow or naive second route to something the package computes
 another way: the tests compare the two.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
 from rigidhecke.datumsuites import CheckResult, _check
 from rigidhecke.exactpoly import LaurentPoly, NonSquare, NotDivisible, PolyMatrix, VarTable
 from rigidhecke.hecke import BernsteinElt, HeckeContext, HeckeElt, Parabolic
-from rigidhecke.repn import FinDimModule, induce, restrict
+from rigidhecke.repn import FinDimModule, induce, one_dim_modules, restrict
 from rigidhecke.rigidtab import RigidTable
 from rigidhecke.weyl import Elt, WeylData
 
@@ -72,6 +73,25 @@ def bar_restrict_per_coset(ctx: HeckeContext, h: HeckeElt, J: Sequence[int]) -> 
         for u in par.coset_reps
     )
     return BernsteinElt.combination(ctx, ((b, ctx._one) for b in blocks if b is not None))
+
+
+def match_signature(alg: HeckeContext, sig: dict) -> FinDimModule:
+    """The one module of ``one_dim_modules(alg)`` whose generator values are
+    those the signature's tags name ("Q" is Q_s, any other tag a rational):
+    the search that building a column from its signature replaces."""
+    wd = alg.wd
+
+    def tag_value(name: str, tag: str) -> LaurentPoly:
+        if tag == "Q":
+            return alg.Q_of_sa[wd.sa_index[name]]
+        return LaurentPoly.const(alg.table, Fraction(tag))
+
+    hits = [
+        m for m in one_dim_modules(alg)
+        if all(m.tmat[n].trace() == tag_value(n, t) for n, t in sig.items())
+    ]
+    assert len(hits) == 1, f"signature {sig} matched {len(hits)} one-dimensional modules"
+    return hits[0]
 
 
 def apply_iKrK(mod: FinDimModule, K: Sequence[int]) -> FinDimModule:

@@ -431,7 +431,7 @@ _TABLE_SL2 = ["table", "--preset", "sl2"]
 # command that calls that entry point outside any ``try`` of its own
 COMPUTATION_FAILURES = {
     "RelationFailed": (repn.RelationFailed, (rigidtab, "induce"), _TABLE_SL2),
-    "TableMismatch": (rigidtab.TableMismatch, (rigidtab, "_match_signature"), _TABLE_SL2),
+    "TableMismatch": (rigidtab.TableMismatch, (rigidtab, "_signature_module"), _TABLE_SL2),
     "NotFound": (conj.NotFound, (rigidtab, "classify"), _VERIFY_SL2),
     "PlateauBudgetExceeded": (conj.PlateauBudgetExceeded, (hecke, "plateau"), _REDUCE_SL2),
     "BudgetExceeded": (hecke.BudgetExceeded, (hecke.HeckeContext, "cocenter_reduce"), _REDUCE_SL2),

@@ -20,6 +20,7 @@ from rigidhecke.repn import (
     induce_in_parabolic,
     inflate_chi_t,
     lift_from_parahoric,
+    one_dim_module,
     one_dim_modules,
     restrict,
     twist_by,
@@ -85,15 +86,15 @@ def test_module_relations_fails_naming_its_family(capsys, monkeypatch):
     """A column whose constructor finds a relation false is a failing
     ``module-relations`` row that names the relation family; the command
     exits 1 without an ``error:`` line."""
-    from rigidhecke import cli, repn
+    from rigidhecke import cli, rigidtab
 
-    real = repn.finite_parahoric_module
-
-    def corrupt(alg, K, name):  # the 2x0 lift gets T_s1 = 7, which is not a root of the quadratic
-        mats = real(alg, K, name)
-        return {**mats, "s1": PolyMatrix([[LaurentPoly.const(alg.table, 7)]])} if name == "2x0" else mats
-
-    monkeypatch.setattr(repn, "finite_parahoric_module", corrupt)
+    # the 2x0 column gets T_s1 = 7, which is not a root of the quadratic
+    man = rigidtab.MANIFESTS["c2-aff"]
+    columns = tuple(
+        spec._replace(signature={**spec.signature, "s1": "7"}) if spec.label == "2x0" else spec
+        for spec in man.columns
+    )
+    monkeypatch.setitem(rigidtab.MANIFESTS, "c2-aff", man._replace(columns=columns))
     code = cli.main(["verify", "--preset", "c2-aff", "--suite", "relations"])
     out, err = capsys.readouterr()
     checks = json.loads(out)["checks"]
@@ -160,20 +161,23 @@ def test_trivial_module_certificate():
 def test_lift_traces_match_finite_c2_table():
     ctx = ctx_of("c2-aff")
     wd = ctx.wd
-    lift = lift_from_parahoric(ctx, ("s1", "s2"), "1x1", {"s0": "-1"})
+    mone = LaurentPoly.const(ctx.table, -1)
+    lift = lift_from_parahoric(ctx, ("s1", "s2"), {"s0": mone})
     assert lift.dim == 2
     e12 = wd.evaluate_word(["s1", "s2"])
     assert lift.trace(e12).is_zero()
     sq = wd.evaluate_word(["s1", "s2", "s1", "s2"])
     got = render_in_Q(lift.trace(sq)).render()
     assert got == "-2*Q1*Q2"
-    m20 = lift_from_parahoric(ctx, ("s1", "s2"), "2x0", {"s0": "-1"})
+    q1, q2 = (ctx.Q_of_sa[wd.sa_index[n]] for n in ("s1", "s2"))
+    m20 = one_dim_module(ctx, {"s0": mone, "s1": q1, "s2": q2})
     assert render_in_Q(m20.trace(e12)).render() == "1*Q1*Q2"
 
 
 def test_sl2_lift_is_steinberg():
     ctx = ctx_of("sl2")
-    st = lift_from_parahoric(ctx, ("s1",), "sign", {"s0": "-1"})
+    mone = LaurentPoly.const(ctx.table, -1)
+    st = one_dim_module(ctx, {"s0": mone, "s1": mone})
     assert st.trace(ctx.wd.generator_elt("s1")).render() == "-1"
     assert st.trace(ctx.wd.generator_elt("s0")).render() == "-1"
 
@@ -235,7 +239,7 @@ def test_restrict_and_twist_identities():
 def test_reduced_word_independence():
     ctx = ctx_of("c2-aff")
     wd = ctx.wd
-    mod = lift_from_parahoric(ctx, ("s1", "s2"), "1x1", {"s0": "-1"})
+    mod = lift_from_parahoric(ctx, ("s1", "s2"), {"s0": LaurentPoly.const(ctx.table, -1)})
     # two reduced words for the braid element s1 s2 s1 s2 = s2 s1 s2 s1
     a = PolyMatrix.identity(ctx.table, mod.dim)
     for n in ("s1", "s2", "s1", "s2"):

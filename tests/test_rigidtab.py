@@ -15,6 +15,9 @@ from rigidhecke.datumsuites import (
     suite_lengths,
 )
 from rigidhecke.exactpoly import parse_poly
+from rigidhecke.hecke import HeckeContext
+from rigidhecke.rootdata import preset
+from rigidhecke.weyl import WeylData
 
 import oracles
 
@@ -139,6 +142,36 @@ def test_specialization_extended_c2(table_c2):
     chk = oracles.specialization_check_extended_c2(table_c2)
     assert chk.ok, chk.detail
     assert "c = -8" in chk.detail or "c = 8" in chk.detail
+
+
+@pytest.mark.parametrize("n_twist", ["none", "rank"])
+@pytest.mark.parametrize("name", sorted(rigidtab.MANIFESTS))
+def test_columns_are_the_matched_one_dim_modules(name, n_twist):
+    """Each one-dimensional column, and each induced column's σ, built from
+    its signature is the module that a search of ``one_dim_modules`` for the
+    signature's values finds: the same generator matrices and θ, over the
+    table's context and over the twist suite's (one twist variable per
+    lattice coordinate)."""
+    man = rigidtab.MANIFESTS[name]
+    wd = WeylData(preset(name))
+    ctx = HeckeContext(
+        wd, orbit_assignment=man.orbit_assignment, n_twist=wd.rank if n_twist == "rank" else 0
+    )
+    for spec in (s for s in man.columns if s.kind != "lift"):
+        alg = ctx if spec.kind == "onedim" else ctx.quotient_algebra(spec.J).ctx
+        got = rigidtab._signature_module(alg, spec.signature)
+        want = oracles.match_signature(alg, spec.signature)
+        assert dict(got.tmat) == dict(want.tmat), spec.label
+        assert (got.theta_pos, got.theta_neg) == (want.theta_pos, want.theta_neg), spec.label
+
+
+@pytest.mark.parametrize("sig", [
+    {"s1": "-1", "tau": "1"},
+    {"s0": "-1", "s1": "-1", "s2": "-1", "tau": "1"},
+])
+def test_signature_not_naming_every_generator_is_a_mismatch(pc_pgl2, sig):
+    with pytest.raises(rigidtab.TableMismatch, match="does not name exactly the generators"):
+        rigidtab._signature_module(pc_pgl2.ctx, sig)
 
 
 def test_row_permutation_flips_sign(table_sl2):
